@@ -1,0 +1,6 @@
+# the benchmark's modules and the library sources, as bench/run.py sees them
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
