@@ -13,11 +13,8 @@ from .elastica import (ElasticaParams, PlanePoint, flexural_point,
                        inflexural_point, sample_curve, uniform_grid)
 from .epsilon_zeta import epsilon, zeta, zeta_shift_quarter_period
 from .errors import ConvergenceError, DomainError
-from .extended import (DerivedModuli, Modulus, Regime, ek_ratio_large_real,
-                       epsilon_any, epsilon_imaginary, epsilon_large_real,
-                       epsilon_large_real_via_zeta, imaginary_submoduli,
-                       k_e_continued, reciprocal_companion, zeta_any,
-                       zeta_imaginary, zeta_large_real)
+from .extended import (DerivedModuli, Modulus, Regime, ek_ratio, epsilon_any,
+                       imaginary_submoduli, k_e_continued, zeta_any)
 from .jacobi import (EllipticPair, JacobiTriple, amplitude, complete_e,
                      complete_k, incomplete_e, sncndn)
 from .quadrature import (QuadratureResult, epsilon_by_quadrature, integrate,
@@ -39,13 +36,10 @@ __all__ = [
     "amplitude",
     "complete_e",
     "complete_k",
-    "ek_ratio_large_real",
+    "ek_ratio",
     "epsilon",
     "epsilon_any",
     "epsilon_by_quadrature",
-    "epsilon_imaginary",
-    "epsilon_large_real",
-    "epsilon_large_real_via_zeta",
     "flexural_point",
     "imaginary_submoduli",
     "incomplete_e",
@@ -55,7 +49,6 @@ __all__ = [
     "newton_cotes_8",
     "rc",
     "rd",
-    "reciprocal_companion",
     "regime_integrand",
     "rf",
     "sample_curve",
@@ -63,7 +56,5 @@ __all__ = [
     "uniform_grid",
     "zeta",
     "zeta_any",
-    "zeta_imaginary",
-    "zeta_large_real",
     "zeta_shift_quarter_period",
 ]

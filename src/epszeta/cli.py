@@ -11,9 +11,7 @@ from pathlib import Path
 
 from .elastica import ElasticaParams, sample_curve, uniform_grid
 from .errors import ConvergenceError, DomainError
-from .extended import (Modulus, Regime, ek_ratio_large_real, epsilon_any,
-                       imaginary_submoduli, zeta_any)
-from .jacobi import complete_e, complete_k
+from .extended import Modulus, Regime, ek_ratio, epsilon_any, zeta_any
 from .quadrature import epsilon_by_quadrature
 
 _TABLE_X = 0.5
@@ -58,18 +56,6 @@ def cmd_eval(args):
     return 0
 
 
-def _zeta_slope(m):
-    # the E/K coefficient in Z = epsilon - (E/K) x, per regime
-    if m.regime is Regime.STANDARD:
-        if m.k == 1.0:
-            return complex(0.0, 0.0)
-        return complex(complete_e(m.k) / complete_k(m.k), 0.0)
-    if m.regime is Regime.LARGE_REAL:
-        return ek_ratio_large_real(m.k)
-    k1, k1p = imaginary_submoduli(m.k)
-    return complex(complete_e(k1) / (k1p * k1p * complete_k(k1)), 0.0)
-
-
 def cmd_tables(args):
     blocks = (
         ("epsilon(x, k), real modulus", "epsilon", Modulus.real),
@@ -89,7 +75,7 @@ def cmd_tables(args):
                 quad = complex(eps_quad, 0.0)
             else:
                 present = zeta_any(_TABLE_X, m)
-                slope = _zeta_slope(m)
+                slope = ek_ratio(m)
                 quad = complex(eps_quad - slope.real * _TABLE_X, -slope.imag * _TABLE_X)
             show = fn == "zeta" and m.regime is Regime.LARGE_REAL
             diff = abs(present - quad)

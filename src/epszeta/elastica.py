@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 from .epsilon_zeta import epsilon
 from .errors import DomainError
+from .extended import Modulus, Regime, epsilon_any
 from .jacobi import complete_e, complete_k, sncndn
 
 
@@ -25,7 +26,9 @@ class ElasticaParams:
             raise DomainError("elastica requires finite k > 0")
         if self.k == 1.0:
             raise DomainError("k = 1 is the borderline solitary loop and is not supported")
-        if not (isinstance(self.omega, (int, float)) and math.isfinite(self.omega) and self.omega > 0.0):
+        if isinstance(self.omega, bool) or not (
+                isinstance(self.omega, (int, float)) and math.isfinite(self.omega)
+                and self.omega > 0.0):
             raise DomainError("elastica requires finite omega > 0")
 
 
@@ -47,13 +50,9 @@ def flexural_point(u: float, p: ElasticaParams) -> PlanePoint:
 
 def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflection-free elastica (k > 1);
-    starts at (0, -2k/omega)."""
-    if not p.k > 1.0:
-        raise DomainError("in-flexural elastica requires k > 1")
-    kr = 1.0 / p.k
-    v = p.k * u
-    x = ((1.0 - 2.0 * p.k * p.k) * v + 2.0 * p.k * p.k * epsilon(v, kr)) / (p.omega * p.k)
-    y = -2.0 * p.k * sncndn(v, kr).dn / p.omega
+    starts at (0, -2k/omega).  x = (2 epsilon(u, k) - u)/omega."""
+    x = (2.0 * epsilon_any(u, Modulus(Regime.LARGE_REAL, p.k)) - u) / p.omega
+    y = -2.0 * p.k * sncndn(p.k * u, 1.0 / p.k).dn / p.omega
     return PlanePoint(x, y)
 
 

@@ -1,18 +1,23 @@
 """Epsilon and zeta continued to real moduli beyond 1 and to pure imaginary moduli.
 
-Everything reduces to the standard-range routines, either through the
-reciprocal modulus 1/k (real k > 1; DLMF 22.17.14 and 19.7.3) or through
-the descending pair k1 = k/sqrt(1+k^2), k1p = 1/sqrt(1+k^2) (modulus
-i*k; DLMF 22.17.8 and 19.7.2).  Signs of real or imaginary moduli are
-stripped up front: epsilon and zeta are even in the modulus.
+A `Modulus` is the one place where a modulus is validated; the
+dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are the entry
+points, and each regime rule below is written once.  Everything reduces
+to the standard-range routines, either through the reciprocal modulus
+1/k (real k > 1; DLMF 22.17.14 and 19.7.3) or through the descending
+pair k1 = k/sqrt(1+k^2), k1p = 1/sqrt(1+k^2) (modulus i*k; DLMF 22.17.8
+and 19.7.2).  Signs of real or imaginary moduli are stripped up front:
+epsilon and zeta are even in the modulus.
 
 For real k > 1 the complete integrals, and with them zeta, acquire an
 imaginary part, and the two boundary values of the continuation are
 complex conjugates.  The default "lower" branch is the convention that
 makes Im Z(x,k) negative for x > 0; "upper" is its conjugate.  epsilon
-stays real in every regime.
+stays real in every regime.  A dispatcher whose result is not finite
+raises DomainError instead of returning it.
 """
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -40,8 +45,9 @@ class Modulus:
     k: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise DomainError("modulus must be finite")
+        if isinstance(self.k, bool) or not (
+                isinstance(self.k, (int, float)) and math.isfinite(self.k)):
+            raise DomainError("modulus must be a finite real number")
         if self.regime is Regime.STANDARD:
             if not 0.0 <= self.k <= 1.0:
                 raise DomainError("standard regime requires k in [0, 1]")
@@ -77,36 +83,26 @@ class DerivedModuli(NamedTuple):
     k1p: float
 
 
-def imaginary_submoduli(k: float) -> DerivedModuli:
-    """k1 = k/sqrt(1+k^2) and k1p = 1/sqrt(1+k^2), both in (0, 1)."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError("imaginary_submoduli requires k > 0")
-    h = math.hypot(1.0, k)
-    return DerivedModuli(k / h, 1.0 / h)
-
-
-def reciprocal_companion(k: float) -> float:
-    """k' = k/sqrt(k^2-1) for k > 1; 1/k' is the complementary modulus of 1/k."""
-    _require_large(k, "reciprocal_companion")
-    return k / math.sqrt((k - 1.0) * (k + 1.0))
-
-
-def _require_large(k, where):
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k >= _MIN_LARGE):
+def imaginary_submoduli(m: Modulus) -> DerivedModuli:
+    """k1 = k/sqrt(1+k^2) and k1p = 1/sqrt(1+k^2) of the modulus i*k, both in (0, 1)."""
+    if m.regime is not Regime.PURE_IMAGINARY:
         raise DomainError(
-            f"{where} requires k > 1 (and rejects the sliver (1, 1 + 1e-12) "
-            "where the reciprocal modulus has no accuracy left)")
+            f"imaginary_submoduli requires a pure-imaginary modulus, got {m.regime.value}")
+    h = math.hypot(1.0, m.k)
+    k1 = m.k / h
+    if k1 == 1.0:
+        raise DomainError(
+            "imaginary modulus i*k too large: from k = 2^26 (about 6.7e7) on, "
+            "k1 = k/sqrt(1+k^2) rounds to 1, where K(k1) diverges")
+    return DerivedModuli(k1, 1.0 / h)
 
 
-def _require_x(x, where):
-    if not math.isfinite(x):
-        raise DomainError(f"{where} requires finite x")
-
-
-def _reciprocal_pair(k):
-    # 1/k and its complementary modulus sqrt(1 - 1/k^2), formed without
-    # cancellation as sqrt((k-1)(k+1))/k
-    return 1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k
+def _reciprocal_integrals(k):
+    # 1/k, its complementary modulus sqrt(1 - 1/k^2) formed without
+    # cancellation as sqrt((k-1)(k+1))/k, and (K, E) of each
+    kr = 1.0 / k
+    krc = math.sqrt((k - 1.0) * (k + 1.0)) / k
+    return kr, krc, (complete_k(kr), complete_e(kr)), (complete_k(krc), complete_e(krc))
 
 
 def _branch_sign(branch):
@@ -118,119 +114,94 @@ def _branch_sign(branch):
     raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
-def epsilon_large_real(x: float, k: float) -> float:
-    """epsilon(x,k) for real k > 1, via the reciprocal modulus:
-    epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x.  Real and odd in x."""
-    _require_large(k, "epsilon_large_real")
-    _require_x(x, "epsilon_large_real")
-    return k * epsilon(k * x, 1.0 / k) + (1.0 - k * k) * x
+def _finite(fn, x, m, value):
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
+    return value
 
 
-def epsilon_large_real_via_zeta(x: float, k: float) -> float:
-    """Same value as epsilon_large_real, but split into the linear trend
-    plus a scaled standard zeta.  Retained as an independent cross-check
-    form because it exercises the E/K ratio machinery."""
-    _require_large(k, "epsilon_large_real_via_zeta")
-    _require_x(x, "epsilon_large_real_via_zeta")
-    kr = 1.0 / k
-    slope = k * k * complete_e(kr) / complete_k(kr) + 1.0 - k * k
-    return slope * x + k * zeta(k * x, kr)
+def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
+    """E/K of the modulus, the slope in Z = epsilon - (E/K) x.
 
-
-def ek_ratio_large_real(k: float, branch: str = "lower") -> complex:
-    """E(k)/K(k) continued to real k > 1; genuinely complex.
-
-    By the Legendre relation the imaginary part equals
-    +/- k^2 (pi/2) / (K^2(1/k) + K^2(1/k')); the default branch takes the
-    plus sign, which is what makes Im Z negative for x > 0.
+    Real except for real k > 1, where, by the Legendre relation, the
+    imaginary part equals +/- k^2 (pi/2) / (K^2(1/k) + K^2(1/k')); the
+    default branch takes the plus sign, which is what makes Im Z
+    negative for x > 0.  At k = 1 the ratio vanishes (K diverges).
     """
     s = _branch_sign(branch)
-    _require_large(k, "ek_ratio_large_real")
-    kr, krc = _reciprocal_pair(k)
-    k_rec, k_comp = complete_k(kr), complete_k(krc)
-    e_rec, e_comp = complete_e(kr), complete_e(krc)
-    denom = k_rec * k_rec + k_comp * k_comp
-    re = 1.0 + k * k * (k_rec * (e_rec - k_rec) - e_comp * k_comp) / denom
-    im = -s * k * k * (k_comp * (e_rec - k_rec) + e_comp * k_rec) / denom
-    return complex(re, im)
+    if m.regime is Regime.STANDARD:
+        if m.k == 1.0:
+            return complex(0.0, 0.0)
+        return complex(complete_e(m.k) / complete_k(m.k), 0.0)
+    if m.regime is Regime.LARGE_REAL:
+        k = m.k
+        _, _, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
+        denom = k_rec * k_rec + k_comp * k_comp
+        re = 1.0 + k * k * (k_rec * (e_rec - k_rec) - e_comp * k_comp) / denom
+        im = -s * k * k * (k_comp * (e_rec - k_rec) + e_comp * k_rec) / denom
+        return complex(re, im)
+    k1, k1p = imaginary_submoduli(m)
+    return complex(complete_e(k1) / (k1p * k1p * complete_k(k1)), 0.0)
 
 
-def zeta_large_real(x: float, k: float, branch: str = "lower") -> complex:
-    """Z(x,k) for real k > 1.
-
-    Real part: k Z(kx, 1/k) plus a linear-in-x drift correction.  The
-    imaginary part is exactly linear in x.  Equivalent to
-    epsilon_large_real(x,k) - ek_ratio_large_real(k) * x.
-    """
-    s = _branch_sign(branch)
-    _require_large(k, "zeta_large_real")
-    _require_x(x, "zeta_large_real")
-    kr, krc = _reciprocal_pair(k)
-    k_rec, k_comp = complete_k(kr), complete_k(krc)
-    bracket = complete_e(kr) / k_rec + complete_e(krc) / k_comp - 1.0
-    denom = k_rec * k_rec + k_comp * k_comp
-    re = k * zeta(k * x, kr) + (k * k * k_comp * k_comp / denom) * bracket * x
-    im = s * (k * k * k_rec * k_comp / denom) * bracket * x
-    return complex(re, im)
-
-
-def k_e_continued(k: float, branch: str = "lower") -> EllipticPair:
-    """Complete pair (K(k), E(k)) continued to real k > 1 (DLMF 19.7.3).
+def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
+    """Complete pair (K(k), E(k)) continued to a large-real modulus k > 1 (DLMF 19.7.3).
 
     Both entries are complex; the branches are conjugates, and the ratio
-    E/K of the returned pair matches ek_ratio_large_real on the same
-    branch.  Accuracy degrades as k -> 1+ where K(1/k) diverges.
+    E/K of the returned pair matches ek_ratio on the same branch.
+    Accuracy degrades as k -> 1+ where K(1/k) diverges.
     """
     s = _branch_sign(branch)
-    _require_large(k, "k_e_continued")
-    kr, krc = _reciprocal_pair(k)
-    k_rec, k_comp = complete_k(kr), complete_k(krc)
-    e_rec, e_comp = complete_e(kr), complete_e(krc)
+    if m.regime is not Regime.LARGE_REAL:
+        raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
+    k = m.k
+    kr, krc, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
     big_k = complex(k_rec, s * k_comp) / k
     big_e = k * complex(e_rec - krc * krc * k_rec, -s * (e_comp - kr * kr * k_comp))
     return EllipticPair(big_k, big_e)
 
 
-def epsilon_imaginary(x: float, k: float) -> float:
-    """epsilon(x, i*k) for pure imaginary modulus (k > 0); real, odd in x.
-
-    The descending submoduli turn the integrand into 1/dn^2(t/k1p, k1);
-    the quarter-period shift identity keeps all zeta evaluations inside
-    the primary cell.
-    """
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError("epsilon_imaginary requires k > 0 (k = 0 is the standard regime)")
-    _require_x(x, "epsilon_imaginary")
-    k1, k1p = imaginary_submoduli(k)
-    slope = complete_e(k1) / (k1p * k1p * complete_k(k1))
-    return slope * x + zeta_shift_quarter_period(x / k1p, k1) / k1p
-
-
-def zeta_imaginary(x: float, k: float) -> float:
-    """Z(x, i*k) for pure imaginary modulus (k > 0); real, odd in x."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError("zeta_imaginary requires k > 0 (k = 0 is the standard regime)")
-    _require_x(x, "zeta_imaginary")
-    k1, k1p = imaginary_submoduli(k)
-    return zeta_shift_quarter_period(x / k1p, k1) / k1p
-
-
 def epsilon_any(x: float, m: Modulus) -> float:
-    """epsilon(x, .) dispatched on the modulus regime; real in every regime."""
+    """epsilon(x, .) dispatched on the modulus regime; real and odd in x in every regime.
+
+    Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x.
+    Imaginary i*k: epsilon = Z + (E/K) x.
+    """
+    if not math.isfinite(x):
+        raise DomainError("epsilon_any requires finite x")
     if m.regime is Regime.STANDARD:
-        return epsilon(x, m.k)
-    if m.regime is Regime.LARGE_REAL:
-        return epsilon_large_real(x, m.k)
-    return epsilon_imaginary(x, m.k)
+        value = epsilon(x, m.k)
+    elif m.regime is Regime.LARGE_REAL:
+        k = m.k
+        value = k * epsilon(k * x, 1.0 / k) + (1.0 - k * k) * x
+    else:
+        value = ek_ratio(m).real * x + zeta_any(x, m).real
+    return _finite("epsilon_any", x, m, value)
 
 
 def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     """Z(x, .) dispatched on the modulus regime.
 
-    The imaginary part is zero except for real moduli beyond 1.
+    The imaginary part is zero except for real moduli beyond 1, where the
+    real part is k Z(kx, 1/k) plus a drift linear in x and the imaginary
+    part is exactly linear in x.  Imaginary i*k: Z(x/k1p + K(k1), k1)/k1p,
+    with the quarter-period shift taken inside the primary cell.
     """
+    s = _branch_sign(branch)
+    if not math.isfinite(x):
+        raise DomainError("zeta_any requires finite x")
     if m.regime is Regime.STANDARD:
-        return complex(zeta(x, m.k), 0.0)
-    if m.regime is Regime.LARGE_REAL:
-        return zeta_large_real(x, m.k, branch)
-    return complex(zeta_imaginary(x, m.k), 0.0)
+        value = complex(zeta(x, m.k), 0.0)
+    elif m.regime is Regime.LARGE_REAL:
+        k = m.k
+        kr, krc, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
+        bracket = e_rec / k_rec + e_comp / k_comp - 1.0
+        denom = k_rec * k_rec + k_comp * k_comp
+        re = k * zeta(k * x, kr) + (k * k * k_comp * k_comp / denom) * bracket * x
+        im = s * (k * k * k_rec * k_comp / denom) * bracket * x
+        value = complex(re, im)
+    else:
+        k1, k1p = imaginary_submoduli(m)
+        value = complex(zeta_shift_quarter_period(x / k1p, k1) / k1p, 0.0)
+    return _finite("zeta_any", x, m, value)

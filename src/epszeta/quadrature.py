@@ -77,7 +77,7 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
         k = m.k
         kr = 1.0 / k
         return lambda t: sncndn(k * t, kr).cn ** 2
-    k1, k1p = imaginary_submoduli(m.k)
+    k1, k1p = imaginary_submoduli(m)
     return lambda t: 1.0 / sncndn(t / k1p, k1).dn ** 2
 
 

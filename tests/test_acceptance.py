@@ -12,10 +12,8 @@ import pytest
 
 from epszeta import (Modulus, complete_e, complete_k, ElasticaParams,
                      epsilon, epsilon_any, epsilon_by_quadrature,
-                     epsilon_imaginary, epsilon_large_real,
-                     epsilon_large_real_via_zeta, flexural_point,
-                     inflexural_point, sncndn, zeta, zeta_any,
-                     zeta_imaginary, zeta_large_real)
+                     flexural_point, inflexural_point, sncndn, zeta, zeta_any)
+from raw_k import epsilon_large_real, epsilon_large_real_via_zeta
 from epszeta.cli import main as cli_main
 from test_elastica import arc_speed_squared, chain_point
 

@@ -71,6 +71,13 @@ class TestEval:
         assert code == 3
         assert "domain error" in err
 
+    def test_non_finite_result_exits_3(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5",
+                             "--k", "1e200")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "large_real" in err
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["eval", "--fn", "gamma", "--x", "0.5", "--k", "0.5"])

@@ -21,6 +21,8 @@ class TestParams:
             ElasticaParams(k=0.5, omega=0.0)
         with pytest.raises(DomainError):
             ElasticaParams(k=math.inf)
+        with pytest.raises(DomainError):
+            ElasticaParams(k=0.5, omega=True)
 
 
 class TestFlexural:

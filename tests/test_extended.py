@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import goldens
+import epszeta
 from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
-                     ek_ratio_large_real, epsilon, epsilon_any,
-                     epsilon_by_quadrature, epsilon_imaginary,
-                     epsilon_large_real, epsilon_large_real_via_zeta,
-                     imaginary_submoduli, k_e_continued, reciprocal_companion,
-                     zeta_any, zeta_imaginary, zeta_large_real)
+                     ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
+                     zeta_any)
+from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
+                   epsilon_large_real_via_zeta, imaginary_submoduli,
+                   k_e_continued, reciprocal_companion, zeta_imaginary,
+                   zeta_large_real)
 
 TABLE_TOL = 5e-7
 
@@ -42,6 +44,10 @@ class TestModulus:
             Modulus(Regime.PURE_IMAGINARY, 0.0)
         with pytest.raises(DomainError):
             Modulus(Regime.STANDARD, math.nan)
+        with pytest.raises(DomainError):
+            Modulus(Regime.STANDARD, True)
+        with pytest.raises(DomainError):
+            Modulus(Regime.PURE_IMAGINARY, True)
 
 
 class TestDerivedModuli:
@@ -126,6 +132,13 @@ class TestEkRatio:
     def test_bad_branch(self):
         with pytest.raises(ValueError):
             ek_ratio_large_real(2.0, "middle")
+        for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(1.0)):
+            with pytest.raises(ValueError):
+                zeta_any(0.5, m, "middle")
+
+    def test_real_below_one(self):
+        assert ek_ratio(Modulus.real(0.5)) == complete_e(0.5) / complete_k(0.5)
+        assert ek_ratio(Modulus.real(1.0)) == 0j  # K diverges at k = 1
 
 
 class TestZetaLargeReal:
@@ -308,6 +321,25 @@ class TestDispatchers:
     def test_error_propagation(self):
         with pytest.raises(DomainError):
             epsilon_any(math.inf, Modulus.real(0.5))
+
+    def test_non_finite_result_is_domain_error(self):
+        # k^2 overflows: the reciprocal reduction would return inf - inf = nan
+        with pytest.raises(DomainError, match=r"x=0\.5.*large_real modulus k=1e\+200"):
+            epsilon_any(0.5, Modulus.real(1e200))
+
+    def test_wrong_regime_is_domain_error(self):
+        with pytest.raises(DomainError):
+            epszeta.imaginary_submoduli(Modulus.real(0.5))
+        with pytest.raises(DomainError):
+            epszeta.k_e_continued(Modulus.imaginary(2.0))
+
+    def test_huge_imaginary_modulus_names_the_cause(self):
+        # from k = 2^26 on, k/sqrt(1+k^2) rounds to 1
+        m = Modulus.imaginary(1e8)
+        for call in (lambda: epsilon_any(0.5, m), lambda: zeta_any(0.5, m),
+                     lambda: epsilon_by_quadrature(0.5, m)):
+            with pytest.raises(DomainError, match="rounds to 1"):
+                call()
 
 
 def test_continuity_across_regimes():

@@ -1,0 +1,45 @@
+import epszeta
+
+# The public surface changes only on purpose: edit this list with it.
+PUBLIC_NAMES = [
+    "ConvergenceError",
+    "DerivedModuli",
+    "DomainError",
+    "ElasticaParams",
+    "EllipticPair",
+    "JacobiTriple",
+    "Modulus",
+    "PlanePoint",
+    "QuadratureResult",
+    "Regime",
+    "amplitude",
+    "complete_e",
+    "complete_k",
+    "ek_ratio",
+    "epsilon",
+    "epsilon_any",
+    "epsilon_by_quadrature",
+    "flexural_point",
+    "imaginary_submoduli",
+    "incomplete_e",
+    "inflexural_point",
+    "integrate",
+    "k_e_continued",
+    "newton_cotes_8",
+    "rc",
+    "rd",
+    "regime_integrand",
+    "rf",
+    "sample_curve",
+    "sncndn",
+    "uniform_grid",
+    "zeta",
+    "zeta_any",
+    "zeta_shift_quarter_period",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(epszeta.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(epszeta, name) is not None
