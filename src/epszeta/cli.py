@@ -124,14 +124,16 @@ def cmd_check(args):
           f"tol {args.tol:g}, seed {args.seed}")
     ok = True
     for name, draw in regimes:
-        worst = 0.0
+        worst, at = 0.0, None
         for _ in range(args.trials):
             m = draw()
             x = rng.uniform(-3.0, 3.0)
             diff = abs(epsilon_any(x, m) - epsilon_by_quadrature(x, m, qtol))
-            worst = max(worst, diff)
+            if at is None or diff > worst:
+                worst, at = diff, (m.k, x)
         ok = ok and worst <= args.tol
-        print(f"  {name:<16} max |transform - quadrature| = {worst:.3e}")
+        print(f"  {name:<16} max |transform - quadrature| = {worst:.3e} "
+              f"at k={at[0]!r}, x={at[1]!r}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 4
 

@@ -3,16 +3,19 @@
 The flexural family (0 < k < 1, inflection points) and the in-flexural
 family (k > 1, inflection-free) are sampled parametrically.  u is arc
 length times omega, so |dP/du| = 1/omega identically along both curves.
+Each kind has one point formula, built once per curve around the AGM
+kernel of its standard-range modulus (jacobi.py): single points and
+sampled curves both go through it, one kernel descent per point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .epsilon_zeta import epsilon
 from .errors import DomainError
-from .extended import Modulus, Regime, epsilon_any
-from .jacobi import complete_e, complete_k, sncndn
+from .extended import Modulus, Regime, _epsilon_large_real, _finite, _reciprocal
+from .jacobi import _Agm
 
 
 @dataclass(frozen=True)
@@ -37,27 +40,56 @@ class PlanePoint(NamedTuple):
     y: float
 
 
+def _flexural(p):
+    # x = (2 (epsilon(u + K) - E) - u)/omega, y = -2k cn(u + K)/omega
+    if not p.k < 1.0:
+        raise DomainError("flexural elastica requires k < 1")
+    k, w = p.k, p.omega
+    agm = _Agm(k)
+    quarter, ek = agm.K, agm.ek
+
+    def point(u):
+        # epsilon(u + K) - E = Z(u + K) + (E/K) u
+        _, cn, _, z = agm.jacobi(u + quarter)
+        return PlanePoint((2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w)
+
+    return point
+
+
+def _inflexural(p):
+    # x = (2 epsilon(u, k) - u)/omega, y = -2k dn(ku, 1/k)/omega, both
+    # from one descent of the kernel of 1/k at ku
+    m = Modulus(Regime.LARGE_REAL, p.k)
+    k, w = m.k, p.omega
+    agm = _reciprocal(k)
+
+    def point(u):
+        _, _, dn, z = agm.jacobi(k * u)
+        eps = _finite("inflexural_point", u, m, _epsilon_large_real(k, u, agm, z))
+        return PlanePoint((2.0 * eps - u) / w, -2.0 * k * dn / w)
+
+    return point
+
+
+_CURVES = {"flexural": _flexural, "inflexural": _inflexural}
+
+
 def flexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflectional elastica (0 < k < 1);
     passes through the origin at u = 0."""
-    if not p.k < 1.0:
-        raise DomainError("flexural elastica requires k < 1")
-    quarter = complete_k(p.k)
-    x = (-u + 2.0 * (epsilon(u + quarter, p.k) - complete_e(p.k))) / p.omega
-    y = -2.0 * p.k * sncndn(u + quarter, p.k).cn / p.omega
-    return PlanePoint(x, y)
+    return _flexural(p)(u)
 
 
 def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflection-free elastica (k > 1);
     starts at (0, -2k/omega).  x = (2 epsilon(u, k) - u)/omega."""
-    x = (2.0 * epsilon_any(u, Modulus(Regime.LARGE_REAL, p.k)) - u) / p.omega
-    y = -2.0 * p.k * sncndn(p.k * u, 1.0 / p.k).dn / p.omega
-    return PlanePoint(x, y)
+    return _inflexural(p)(u)
 
 
 def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
     """n uniformly spaced parameter values with exact endpoints."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"uniform_grid requires an integer n, got {n!r}")
     if not u_min < u_max:
         raise DomainError("uniform_grid requires u_min < u_max")
     if n < 2:
@@ -69,10 +101,8 @@ def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
 def sample_curve(kind: str, p: ElasticaParams, u_min: float, u_max: float,
                  n: int) -> list[PlanePoint]:
     """n points at uniform u spacing for kind in {"flexural", "inflexural"}."""
-    if kind == "flexural":
-        point = flexural_point
-    elif kind == "inflexural":
-        point = inflexural_point
-    else:
+    if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
-    return [point(u, p) for u in uniform_grid(u_min, u_max, n)]
+    grid = uniform_grid(u_min, u_max, n)
+    point = _CURVES[kind](p)
+    return [point(u) for u in grid]

@@ -2,16 +2,18 @@
 
 epsilon(x,k) = integral 0..x dn^2(t,k) dt grows linearly with a periodic
 wobble; zeta is the wobble alone.  Both are odd in x and even in k.
+One descent of the modulus's AGM kernel (jacobi.py) gives Z by King's
+sum, and epsilon = Z + (E/K) x.
 """
 
 import math
 
 from .errors import DomainError
-from .jacobi import amplitude, complete_e, complete_k, incomplete_e, sncndn
+from .jacobi import _Agm, amplitude  # noqa: F401 (a lookup site bench/tests traces)
 
 
 def epsilon(x: float, k: float) -> float:
-    """epsilon(x,k), evaluated as the incomplete E at the amplitude."""
+    """epsilon(x,k) = E(am(x,k), k), evaluated as Z + (E/K) x."""
     k = abs(k)
     if not k <= 1.0:
         raise DomainError("epsilon: moduli beyond 1 belong to the extended-modulus routines")
@@ -21,7 +23,8 @@ def epsilon(x: float, k: float) -> float:
         return float(x)
     if k == 1.0:
         return math.tanh(x)
-    return incomplete_e(amplitude(x, k), k)
+    agm = _Agm(k)
+    return agm.phase(x)[2] + agm.ek * x
 
 
 def zeta(x: float, k: float) -> float:
@@ -39,7 +42,7 @@ def zeta(x: float, k: float) -> float:
         return 0.0
     if k == 1.0:
         return math.tanh(x)
-    return epsilon(x, k) - (complete_e(k) / complete_k(k)) * x
+    return _Agm(k).phase(x)[2]
 
 
 def zeta_shift_quarter_period(x: float, k: float) -> float:
@@ -48,5 +51,12 @@ def zeta_shift_quarter_period(x: float, k: float) -> float:
     k = abs(k)
     if not k < 1.0:
         raise DomainError("zeta_shift_quarter_period requires |k| < 1 (K diverges at 1)")
-    sn, cn, dn = sncndn(x, k)
-    return zeta(x, k) - k * k * sn * cn / dn
+    if not math.isfinite(x):
+        raise DomainError("zeta_shift_quarter_period requires finite x")
+    return _zeta_shifted(_Agm(k), x)
+
+
+def _zeta_shifted(agm, x):
+    # Z(x + K) from one descent at x
+    sn, cn, dn, z = agm.jacobi(x)
+    return z - agm.k * agm.k * sn * cn / dn

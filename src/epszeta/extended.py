@@ -6,8 +6,10 @@ points, and each regime rule below is written once.  Everything reduces
 to the standard-range routines, either through the reciprocal modulus
 1/k (real k > 1; DLMF 22.17.14 and 19.7.3) or through the descending
 pair k1 = k/sqrt(1+k^2), k1p = 1/sqrt(1+k^2) (modulus i*k; DLMF 22.17.8
-and 19.7.2).  Signs of real or imaginary moduli are stripped up front:
-epsilon and zeta are even in the modulus.
+and 19.7.2).  Each rule builds the AGM kernel (jacobi.py) of every
+standard-range modulus it needs once and takes K, E, E/K and Z from it.
+Signs of real or imaginary moduli are stripped up front: epsilon and
+zeta are even in the modulus.
 
 For real k > 1 the complete integrals, and with them zeta, acquire an
 imaginary part, and the two boundary values of the continuation are
@@ -23,9 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .epsilon_zeta import epsilon, zeta, zeta_shift_quarter_period
+from .epsilon_zeta import _zeta_shifted, epsilon, zeta
 from .errors import DomainError
-from .jacobi import EllipticPair, complete_e, complete_k
+from .jacobi import EllipticPair, _Agm
 
 # Below this, 1 - 1/k^2 has no correct digits left and the reciprocal
 # reduction is numerically meaningless.
@@ -97,12 +99,37 @@ def imaginary_submoduli(m: Modulus) -> DerivedModuli:
     return DerivedModuli(k1, 1.0 / h)
 
 
+def _reciprocal(k):
+    # the kernel of 1/k, given its complementary modulus sqrt(1 - 1/k^2)
+    # formed without cancellation as sqrt((k-1)(k+1))/k
+    return _Agm(1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k)
+
+
 def _reciprocal_integrals(k):
-    # 1/k, its complementary modulus sqrt(1 - 1/k^2) formed without
-    # cancellation as sqrt((k-1)(k+1))/k, and (K, E) of each
-    kr = 1.0 / k
-    krc = math.sqrt((k - 1.0) * (k + 1.0)) / k
-    return kr, krc, (complete_k(kr), complete_e(kr)), (complete_k(krc), complete_e(krc))
+    # the kernels of 1/k and of its complementary modulus, each the
+    # complement of the other
+    rec = _reciprocal(k)
+    if not rec.kp < 1.0:
+        raise DomainError(
+            f"real modulus k={k!r} too large: beyond about k = 7e7 (always from 9.5e7 on) "
+            "the complementary modulus sqrt(1 - 1/k^2) of 1/k rounds to 1, where K diverges")
+    return rec, _Agm(rec.kp, rec.k)
+
+
+def _epsilon_large_real(k, x, rec, z):
+    # real k > 1: epsilon(x, k) = k epsilon(kx, 1/k) + (1 - k^2) x
+    #   = x (1 - k^2 (1 - E/K)) + k Z(kx, 1/k),
+    # with rec the kernel of 1/k and z = Z(kx, 1/k); k^2 (1 - E/K) tends to
+    # 1/2, so no two terms of size k^2 x cancel
+    return x * (1.0 - k * k * rec.one_minus_ek) + k * z
+
+
+def _imaginary_parts(m, x=0.0):
+    # E/K and Z(x) of the modulus i*k from one kernel of k1:
+    # E/K = E(k1)/(k1p^2 K(k1)) and Z(x) = Z(x/k1p + K(k1), k1)/k1p
+    k1, k1p = imaginary_submoduli(m)
+    agm = _Agm(k1, k1p)
+    return agm.ek / (k1p * k1p), _zeta_shifted(agm, x / k1p) / k1p
 
 
 def _branch_sign(branch):
@@ -133,16 +160,16 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
     if m.regime is Regime.STANDARD:
         if m.k == 1.0:
             return complex(0.0, 0.0)
-        return complex(complete_e(m.k) / complete_k(m.k), 0.0)
+        return complex(_Agm(m.k).ek, 0.0)
     if m.regime is Regime.LARGE_REAL:
         k = m.k
-        _, _, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
+        rec, comp = _reciprocal_integrals(k)
+        k_rec, e_rec, k_comp, e_comp = rec.K, rec.E, comp.K, comp.E
         denom = k_rec * k_rec + k_comp * k_comp
         re = 1.0 + k * k * (k_rec * (e_rec - k_rec) - e_comp * k_comp) / denom
         im = -s * k * k * (k_comp * (e_rec - k_rec) + e_comp * k_rec) / denom
         return complex(re, im)
-    k1, k1p = imaginary_submoduli(m)
-    return complex(complete_e(k1) / (k1p * k1p * complete_k(k1)), 0.0)
+    return complex(_imaginary_parts(m)[0], 0.0)
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -156,16 +183,17 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
     k = m.k
-    kr, krc, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
-    big_k = complex(k_rec, s * k_comp) / k
-    big_e = k * complex(e_rec - krc * krc * k_rec, -s * (e_comp - kr * kr * k_comp))
+    rec, comp = _reciprocal_integrals(k)
+    big_k = complex(rec.K, s * comp.K) / k
+    big_e = k * complex(rec.E - rec.kp2 * rec.K, -s * (comp.E - comp.kp2 * comp.K))
     return EllipticPair(big_k, big_e)
 
 
 def epsilon_any(x: float, m: Modulus) -> float:
     """epsilon(x, .) dispatched on the modulus regime; real and odd in x in every regime.
 
-    Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x.
+    Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x, summed as
+    x (1 - k^2 (1 - E/K)) + k Z(kx, 1/k) with E, K of 1/k.
     Imaginary i*k: epsilon = Z + (E/K) x.
     """
     if not math.isfinite(x):
@@ -174,9 +202,16 @@ def epsilon_any(x: float, m: Modulus) -> float:
         value = epsilon(x, m.k)
     elif m.regime is Regime.LARGE_REAL:
         k = m.k
-        value = k * epsilon(k * x, 1.0 / k) + (1.0 - k * k) * x
+        # from k = 1.3e154 on k^2 overflows, and the result with it,
+        # whatever the kernel would make of kx
+        if math.isinf(k * k):
+            value = math.inf
+        else:
+            rec = _reciprocal(k)
+            value = _epsilon_large_real(k, x, rec, rec.phase(k * x)[2])
     else:
-        value = ek_ratio(m).real * x + zeta_any(x, m).real
+        ek, z = _imaginary_parts(m, x)
+        value = ek * x + z
     return _finite("epsilon_any", x, m, value)
 
 
@@ -195,13 +230,13 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
         value = complex(zeta(x, m.k), 0.0)
     elif m.regime is Regime.LARGE_REAL:
         k = m.k
-        kr, krc, (k_rec, e_rec), (k_comp, e_comp) = _reciprocal_integrals(k)
-        bracket = e_rec / k_rec + e_comp / k_comp - 1.0
+        rec, comp = _reciprocal_integrals(k)
+        k_rec, k_comp = rec.K, comp.K
+        bracket = rec.ek + comp.ek - 1.0
         denom = k_rec * k_rec + k_comp * k_comp
-        re = k * zeta(k * x, kr) + (k * k * k_comp * k_comp / denom) * bracket * x
+        re = k * rec.phase(k * x)[2] + (k * k * k_comp * k_comp / denom) * bracket * x
         im = s * (k * k * k_rec * k_comp / denom) * bracket * x
         value = complex(re, im)
     else:
-        k1, k1p = imaginary_submoduli(m)
-        value = complex(zeta_shift_quarter_period(x / k1p, k1) / k1p, 0.0)
+        value = complex(_imaginary_parts(m, x)[1], 0.0)
     return _finite("zeta_any", x, m, value)

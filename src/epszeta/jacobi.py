@@ -1,9 +1,45 @@
 """Legendre elliptic integrals and Jacobi elliptic functions for k in [0, 1].
 
-Complete and incomplete integrals reduce to the Carlson forms (DLMF
-19.25); the amplitude follows the descending AGM scheme of DLMF
-22.20(ii) after reducing x into a single period so the phase stays
-small.  Every routine strips the sign of k first: K, E, dn and the
+Every standard-range quantity but the incomplete integral E(phi, k) comes
+from one kernel, `_Agm`, built once per modulus 0 <= k < 1.  It runs the
+descending arithmetic-geometric mean of DLMF 22.20(ii),
+
+    a0 = 1,  b0 = k' = sqrt(1 - k^2),  c0 = k,
+    a(n+1) = (a(n) + b(n))/2,  b(n+1) = sqrt(a(n) b(n)),
+    c(n+1) = (a(n) - b(n))/2 = c(n)^2 / (4 a(n+1)),
+
+taking c from the last form, which keeps full relative precision as
+k -> 0, and stops at the N where the next c would fall below half an ulp
+of min(c1, a(N)).  A caller that knows k' more accurately than
+sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py).  The
+kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
+(DLMF 19.8(i))
+
+    K = pi / (2 a(N)),
+    1 - E/K = sum_{n>=0} 2^(n-1) c(n)^2,   E/K = a1^2 - sum_{n>=2} 2^(n-1) c(n)^2,
+
+each form free of cancellation where the other loses digits (k -> 0 and
+k -> 1), and E = K (E/K).
+
+At any x a single phase descent,
+
+    phi(N) = 2^N a(N) x,  phi(n-1) = (phi(n) + arcsin((c(n)/a(n)) sin phi(n))) / 2,
+
+gives both the amplitude am(x) = phi(0) and King's sum for the zeta
+function, Z(x) = sum_{n=1..N} c(n) sin phi(n) (A&S 17.6); then
+epsilon = Z + (E/K) x and sn, cn, dn follow from phi(0).
+
+The descent first reduces x = x_r + 2K n with |x_r| <= K, once: am(x) =
+am(x_r) + n pi and Z has period 2K.  The rounding error of 2K n is at
+least |n| 2K 2^-53, a quarter of K at |n| = 2^50, so beyond that the
+reduced argument keeps no correct digit and the descent raises
+DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5; K
+grows from pi/2 at k = 0).  At k = 1 the AGM degenerates (b0 = 0) and K
+diverges; the kernel rejects it, and the public routines use the
+hyperbolic closed forms there.
+
+Carlson's RF and RD remain for the incomplete integral E(phi, k) (DLMF
+19.25).  Every routine strips the sign of k first: K, E, dn and the
 amplitude are even in the modulus.
 """
 
@@ -12,6 +48,9 @@ from typing import NamedTuple
 
 from .carlson import rd, rf
 from .errors import DomainError
+
+# Largest period index |n| of the reduction x = x_r + 2K n (module docstring).
+_MAX_PERIODS = 2.0 ** 50
 
 
 class JacobiTriple(NamedTuple):
@@ -27,12 +66,79 @@ class EllipticPair(NamedTuple):
     E: float
 
 
+class _Agm:
+    """Descending AGM of one modulus 0 <= k < 1, built once and descended at any x."""
+
+    __slots__ = ("k", "kp", "kp2", "K", "E", "ek", "one_minus_ek", "_period", "_scale", "_steps")
+
+    def __init__(self, k, kp=None):
+        # kp = sqrt(1 - k^2), passed when the caller knows it more accurately
+        # than (1 - k)(1 + k) of a k that was rounded near 1
+        if not 0.0 <= k < 1.0:
+            raise DomainError(f"the AGM needs 0 <= k < 1 (K diverges at k = 1), got k={k!r}")
+        if kp is None:
+            kp2 = (1.0 - k) * (1.0 + k)
+            kp = math.sqrt(kp2)
+        else:
+            kp2 = kp * kp
+        a, b, c = 1.0, kp, k
+        steps = ()  # (c(n), c(n)/a(n)) for n = N down to 1, the descent's order
+        while True:
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            c = c * c / (4.0 * a)
+            steps = ((c, c / a),) + steps
+            if c * c <= 2.0 ** -51 * a * min(steps[-1][0], a):
+                break
+        n = len(steps)
+        tail = 0.0  # sum over n >= 2 of 2^(n-1) c(n)^2
+        for i in range(n - 1):
+            tail += math.ldexp(steps[i][0] ** 2, n - 1 - i)
+        a1 = 0.5 * (1.0 + kp)
+        self.k, self.kp, self.kp2 = k, kp, kp2
+        self.K = math.pi / (2.0 * a)
+        # E/K and 1 - E/K, each summed where it has no cancellation: E/K as
+        # k -> 1, 1 - E/K = k^2/2 + c1^2 + tail as k -> 0
+        self.ek = a1 * a1 - tail
+        self.one_minus_ek = 0.5 * k * k + steps[-1][0] ** 2 + tail
+        self.E = self.K * self.ek
+        self._period = 2.0 * self.K
+        self._scale = math.ldexp(a, n)
+        self._steps = steps
+
+    def phase(self, x):
+        """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
+        t = x / self._period
+        if not abs(t) <= _MAX_PERIODS:
+            raise DomainError(
+                f"x={x!r} is too large for k={self.k!r}: reduced by the period 2K it keeps "
+                f"no correct digit beyond |x| = 2^51 K = {_MAX_PERIODS * self._period:.3g}")
+        n = round(t)
+        phi = self._scale * (x - self._period * n)
+        z = 0.0
+        for c, r in self._steps:
+            s = math.sin(phi)
+            z += c * s
+            phi = 0.5 * (phi + math.asin(r * s))
+        return phi, n, z
+
+    def jacobi(self, x):
+        """(sn, cn, dn, Z) at x from one descent."""
+        phi, n, z = self.phase(x)
+        sn, cn = math.sin(phi), math.cos(phi)
+        if n % 2:
+            sn, cn = -sn, -cn
+        # dn^2 = k'^2 + k^2 cn^2: both terms positive, no cancellation near
+        # k = 1; k^2 is taken as 1 - k'^2 so that dn = 1 where cn = +-1
+        kp2 = self.kp2
+        return sn, cn, math.sqrt(kp2 + (1.0 - kp2) * cn * cn), z
+
+
 def complete_k(k: float) -> float:
     """Complete elliptic integral of the first kind K(k), |k| < 1."""
     k = abs(k)
     if not k < 1.0:
         raise DomainError("complete_k requires |k| < 1; K diverges logarithmically at |k| = 1")
-    return rf(0.0, (1.0 - k) * (1.0 + k), 1.0)
+    return _Agm(k).K
 
 
 def complete_e(k: float) -> float:
@@ -42,8 +148,7 @@ def complete_e(k: float) -> float:
         raise DomainError("complete_e requires |k| <= 1")
     if k == 1.0:
         return 1.0
-    kp2 = (1.0 - k) * (1.0 + k)
-    return rf(0.0, kp2, 1.0) - (k * k / 3.0) * rd(0.0, kp2, 1.0)
+    return _Agm(k).E
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -87,27 +192,8 @@ def amplitude(x: float, k: float) -> float:
         return float(x)
     if k == 1.0:
         return 2.0 * math.atan(math.tanh(0.5 * x))
-    quarter = complete_k(k)
-    n = round(x / (2.0 * quarter))
-    return _agm_amplitude(x - 2.0 * quarter * n, k) + math.pi * n
-
-
-def _agm_amplitude(x, k):
-    # DLMF 22.20(ii): ascend the AGM, then unwind the phase downward.
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    ratios = []
-    for _ in range(32):
-        half_sum = 0.5 * (a + b)
-        c = 0.5 * (a - b)
-        b = math.sqrt(a * b)
-        a = half_sum
-        ratios.append(c / a)
-        if abs(c) <= 1e-16 * a:
-            break
-    phi = math.ldexp(a * x, len(ratios))
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + math.asin(min(1.0, max(-1.0, r * math.sin(phi)))))
-    return phi
+    phi, n, _ = _Agm(k).phase(x)
+    return phi + math.pi * n
 
 
 def sncndn(x: float, k: float) -> JacobiTriple:
@@ -120,9 +206,5 @@ def sncndn(x: float, k: float) -> JacobiTriple:
     if k == 1.0:
         sech = 1.0 / math.cosh(x)
         return JacobiTriple(math.tanh(x), sech, sech)
-    phi = amplitude(x, k)
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    # dn from k'^2 + k^2 cn^2: both terms positive, no cancellation near k = 1
-    dn = math.sqrt((1.0 - k) * (1.0 + k) + (k * cn) ** 2)
+    sn, cn, dn, _ = _Agm(k).jacobi(x)
     return JacobiTriple(sn, cn, dn)

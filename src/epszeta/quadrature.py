@@ -10,8 +10,8 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .extended import Modulus, Regime, imaginary_submoduli
-from .jacobi import sncndn
+from .extended import Modulus, Regime, _reciprocal, imaginary_submoduli
+from .jacobi import _Agm, sncndn
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
 _NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
@@ -68,17 +68,21 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     """The real integrand whose integral from 0 to x gives epsilon(x, m).
 
     Standard: dn^2(t,k).  Real k > 1: cn^2(kt, 1/k).  Imaginary i*k:
-    1/dn^2(t/k1p, k1).
+    1/dn^2(t/k1p, k1).  The AGM kernel of the standard-range modulus is
+    built once here, so each evaluation is one kernel descent.
     """
     if m.regime is Regime.STANDARD:
-        k = m.k
-        return lambda t: sncndn(t, k).dn ** 2
+        if m.k == 1.0:
+            return lambda t: sncndn(t, 1.0).dn ** 2
+        agm = _Agm(m.k)
+        return lambda t: agm.jacobi(t)[2] ** 2
     if m.regime is Regime.LARGE_REAL:
         k = m.k
-        kr = 1.0 / k
-        return lambda t: sncndn(k * t, kr).cn ** 2
+        agm = _reciprocal(k)
+        return lambda t: agm.jacobi(k * t)[1] ** 2
     k1, k1p = imaginary_submoduli(m)
-    return lambda t: 1.0 / sncndn(t / k1p, k1).dn ** 2
+    agm = _Agm(k1, k1p)
+    return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
 
 
 def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:

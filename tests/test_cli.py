@@ -1,9 +1,10 @@
 import json
 import math
+import re
 
 import pytest
 
-from epszeta import Modulus, zeta_any
+from epszeta import Modulus, epsilon_any, epsilon_by_quadrature, zeta_any
 from epszeta.cli import main
 
 
@@ -152,6 +153,21 @@ class TestCheck:
         _, first, _ = run(capsys, "check", "--trials", "10", "--seed", "1")
         _, second, _ = run(capsys, "check", "--trials", "10", "--seed", "2")
         assert first != second
+
+    def test_worst_gap_names_k_and_x(self, capsys):
+        code, first, _ = run(capsys, "check", "--trials", "10", "--seed", "5")
+        assert code == 0
+        _, second, _ = run(capsys, "check", "--trials", "10", "--seed", "5")
+        assert first == second
+        make = {"standard": Modulus.real, "large_real": Modulus.real,
+                "pure_imaginary": Modulus.imaginary}
+        pattern = r"^  (\w+) +max \|transform - quadrature\| = (\S+) at k=(\S+), x=(\S+)$"
+        lines = re.findall(pattern, first, re.MULTILINE)
+        assert [line[0] for line in lines] == list(make)
+        for name, gap, k, x in lines:
+            # the named input reproduces the reported gap (oracle tol 1e-11 at --tol 1e-9)
+            m, x = make[name](float(k)), float(x)
+            assert f"{abs(epsilon_any(x, m) - epsilon_by_quadrature(x, m, 1e-11)):.3e}" == gap
 
     def test_zero_trials_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

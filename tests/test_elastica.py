@@ -197,3 +197,19 @@ class TestSampleCurve:
         assert grid[0] == 0.0
         assert grid[-1] == 0.3
         assert len(grid) == 4
+
+    def test_uniform_grid_rejects_non_integer_count(self):
+        for n in (2.5, 3.0, True, "4", None):
+            with pytest.raises(DomainError):
+                uniform_grid(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("kind, point, ks", [
+        ("flexural", flexural_point, (0.05, 0.5, 0.95)),
+        ("inflexural", inflexural_point, (1.05, 2.0, 5.0)),
+    ])
+    def test_batch_is_the_single_point_path(self, kind, point, ks):
+        # one point formula serves both: the batch reproduces every point bit for bit
+        for k in ks:
+            p = ElasticaParams(k=k, omega=1.3)
+            batch = sample_curve(kind, p, 0.0, 12.0, 600)
+            assert batch == [point(u, p) for u in uniform_grid(0.0, 12.0, 600)]

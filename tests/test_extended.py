@@ -82,6 +82,13 @@ class TestEpsilonLargeReal:
         for x in (0.3, 1.7):
             assert abs(epsilon_large_real(-x, 2.5) + epsilon_large_real(x, 2.5)) <= 1e-13
 
+    def test_large_modulus_goldens(self):
+        # k epsilon(kx, 1/k) and (1 - k^2) x cancel to about 1/k^2 of their size;
+        # summed as x (1 - k^2 (1 - E/K)) + k Z(kx, 1/k) nothing cancels
+        for k, golden in ((1e3, goldens.EPS_05_R1E3), (1e6, goldens.EPS_05_R1E6),
+                          (1e12, goldens.EPS_05_R1E12)):
+            assert epsilon_large_real(0.5, k) == pytest.approx(golden, rel=1e-15)
+
     def test_reciprocal_vs_zeta_form(self):
         for k in (1.5, 2.0, 5.0):
             for x in np.linspace(-3, 3, 13):

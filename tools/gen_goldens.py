@@ -96,4 +96,32 @@ Kq = mp.ellipk(mq)
 emit("ELASTICA_X_07", f(mp.quad(lambda t: 2 * mp.ellipfun("dn", t + Kq, mq) ** 2 - 1, [0, mp.mpf("0.7")])))
 emit("ELASTICA_Y_07", f(-2 * mp.mpf("0.5") * mp.ellipfun("cn", mp.mpf("0.7") + Kq, mq)))
 
+# the moduli extremes k -> 0 and k -> 1-, at the exact doubles the tests
+# pass; 80 digits, because Z(2.5, 1e-12) is about 1e-25 and comes from
+# epsilon - (E/K) x with epsilon near 2.5
+for tag, k in (("1EM12", 1e-12), ("1M1EM15", 1.0 - 1e-15)):
+    with mp.workdps(80):
+        mk = mp.mpf(k) ** 2
+        emit(f"K_{tag}", f(mp.ellipk(mk)))
+        emit(f"E_{tag}", f(mp.ellipe(mk)))
+        emit(f"EPS_25_{tag}", f(eps_std("2.5", k)))
+        emit(f"ZETA_25_{tag}", f(zeta_std("2.5", k)))
+
+
+def eps_large_real(x, k):
+    # k E(am(kx, 1/k), 1/k) + (1 - k^2) x, with the amplitude from sn and cn
+    # of the argument reduced by 2K(1/k)
+    k, x = mp.mpf(k), mp.mpf(x)
+    m = 1 / (k * k)
+    n = mp.nint(k * x / (2 * mp.ellipk(m)))
+    u0 = k * x - 2 * mp.ellipk(m) * n
+    phi = mp.atan2(mp.ellipfun("sn", u0, m), mp.ellipfun("cn", u0, m)) + n * mp.pi
+    return k * mp.ellipe(phi, m) + (1 - k * k) * x
+
+
+# epsilon at large real k, where the two terms of size k^2 x cancel: 80 digits
+for tag, k in (("1E3", "1e3"), ("1E6", "1e6"), ("1E12", "1e12")):
+    with mp.workdps(80):
+        emit(f"EPS_05_R{tag}", f(eps_large_real("0.5", k)))
+
 print("\n".join(lines))
