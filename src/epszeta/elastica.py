@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
-from .extended import Modulus, Regime, _epsilon_large_real, _finite, _reciprocal
+from .extended import Modulus, Regime, _LargeRealEpsilon
 from .jacobi import _Agm
 
 
@@ -61,11 +61,10 @@ def _inflexural(p):
     # from one descent of the kernel of 1/k at ku
     m = Modulus(Regime.LARGE_REAL, p.k)
     k, w = m.k, p.omega
-    agm = _reciprocal(k)
+    rule = _LargeRealEpsilon(m, "inflexural_point")
 
     def point(u):
-        _, _, dn, z = agm.jacobi(k * u)
-        eps = _finite("inflexural_point", u, m, _epsilon_large_real(k, u, agm, z))
+        eps, dn = rule.at(u)
         return PlanePoint((2.0 * eps - u) / w, -2.0 * k * dn / w)
 
     return point

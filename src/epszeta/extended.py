@@ -101,8 +101,11 @@ def imaginary_submoduli(m: Modulus) -> DerivedModuli:
 
 def _reciprocal(k):
     # the kernel of 1/k, given its complementary modulus sqrt(1 - 1/k^2)
-    # formed without cancellation as sqrt((k-1)(k+1))/k
-    return _Agm(1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k)
+    # formed without cancellation as sqrt((k-1)(k+1))/k.  It rounds to 1
+    # from k = 9.5e7 on, so from 2^27 on it is taken as 1 and (k-1)(k+1),
+    # which overflows from k = 1.3e154, is not formed
+    kp = math.sqrt((k - 1.0) * (k + 1.0)) / k if k < 2.0 ** 27 else 1.0
+    return _Agm(1.0 / k, kp)
 
 
 def _reciprocal_integrals(k):
@@ -116,20 +119,40 @@ def _reciprocal_integrals(k):
     return rec, _Agm(rec.kp, rec.k)
 
 
-def _epsilon_large_real(k, x, rec, z):
-    # real k > 1: epsilon(x, k) = k epsilon(kx, 1/k) + (1 - k^2) x
-    #   = x (1 - k^2 (1 - E/K)) + k Z(kx, 1/k),
-    # with rec the kernel of 1/k and z = Z(kx, 1/k); k^2 (1 - E/K) tends to
-    # 1/2, so no two terms of size k^2 x cancel
-    return x * (1.0 - k * k * rec.one_minus_ek) + k * z
+class _LargeRealEpsilon:
+    # the rule for real k > 1, built once per modulus around the kernel of
+    # 1/k: its at(x) gives epsilon(x, k) and dn(kx, 1/k) from one
+    # descent at kx.  epsilon(x, k) = k epsilon(kx, 1/k) + (1 - k^2) x
+    #   = x (1 - k^2 (1 - E/K)) + k Z(kx, 1/k);
+    # k^2 (1 - E/K) tends to 1/2, so no two terms of size k^2 x cancel
+    __slots__ = ("m", "fn", "rec", "slope")
+
+    def __init__(self, m, fn):
+        self.m, self.fn = m, fn
+        self.rec = _reciprocal(m.k)
+        self.slope = 1.0 - m.k * m.k * self.rec.one_minus_ek
+
+    def at(self, x):
+        # from k = 1.3e154 on k^2 overflows, and epsilon with it, whatever
+        # the kernel would make of kx
+        slope = self.slope
+        if not math.isfinite(slope):
+            raise _no_finite_value(self.fn, x, self.m)
+        k = self.m.k
+        _, _, dn, z = self.rec.jacobi(k * x)
+        return x * slope + k * z, dn
 
 
-def _imaginary_parts(m, x=0.0):
-    # E/K and Z(x) of the modulus i*k from one kernel of k1:
-    # E/K = E(k1)/(k1p^2 K(k1)) and Z(x) = Z(x/k1p + K(k1), k1)/k1p
+def _imaginary(m):
+    # the kernel of k1 for the modulus i*k, built on the exact k1p
     k1, k1p = imaginary_submoduli(m)
-    agm = _Agm(k1, k1p)
-    return agm.ek / (k1p * k1p), _zeta_shifted(agm, x / k1p) / k1p
+    return _Agm(k1, k1p)
+
+
+def _imaginary_parts(agm, x=0.0):
+    # E/K and Z(x) of the modulus i*k from the kernel of k1, agm = _imaginary(m):
+    # E/K = E(k1)/(k1p^2 K(k1)) and Z(x) = Z(x/k1p + K(k1), k1)/k1p
+    return agm.ek / agm.kp2, _zeta_shifted(agm, x / agm.kp) / agm.kp
 
 
 def _branch_sign(branch):
@@ -141,10 +164,14 @@ def _branch_sign(branch):
     raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
+def _no_finite_value(fn, x, m):
+    return DomainError(
+        f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
+
+
 def _finite(fn, x, m, value):
     if not cmath.isfinite(value):
-        raise DomainError(
-            f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
+        raise _no_finite_value(fn, x, m)
     return value
 
 
@@ -169,7 +196,7 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
         re = 1.0 + k * k * (k_rec * (e_rec - k_rec) - e_comp * k_comp) / denom
         im = -s * k * k * (k_comp * (e_rec - k_rec) + e_comp * k_rec) / denom
         return complex(re, im)
-    return complex(_imaginary_parts(m)[0], 0.0)
+    return complex(_imaginary_parts(_imaginary(m))[0], 0.0)
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -201,16 +228,9 @@ def epsilon_any(x: float, m: Modulus) -> float:
     if m.regime is Regime.STANDARD:
         value = epsilon(x, m.k)
     elif m.regime is Regime.LARGE_REAL:
-        k = m.k
-        # from k = 1.3e154 on k^2 overflows, and the result with it,
-        # whatever the kernel would make of kx
-        if math.isinf(k * k):
-            value = math.inf
-        else:
-            rec = _reciprocal(k)
-            value = _epsilon_large_real(k, x, rec, rec.phase(k * x)[2])
+        value = _LargeRealEpsilon(m, "epsilon_any").at(x)[0]
     else:
-        ek, z = _imaginary_parts(m, x)
+        ek, z = _imaginary_parts(_imaginary(m), x)
         value = ek * x + z
     return _finite("epsilon_any", x, m, value)
 
@@ -238,5 +258,5 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
         im = s * (k * k * k_rec * k_comp / denom) * bracket * x
         value = complex(re, im)
     else:
-        value = complex(_imaginary_parts(m, x)[1], 0.0)
+        value = complex(_imaginary_parts(_imaginary(m), x)[1], 0.0)
     return _finite("zeta_any", x, m, value)

@@ -79,8 +79,12 @@ class _Agm:
         if kp is None:
             kp2 = (1.0 - k) * (1.0 + k)
             kp = math.sqrt(kp2)
-        else:
+        elif 0.0 < kp <= 1.0:
             kp2 = kp * kp
+        else:
+            # an infinite or NaN kp would keep the descent from ever stopping
+            raise DomainError(
+                f"the AGM needs a complementary modulus in (0, 1], got kp={kp!r} for k={k!r}")
         a, b, c = 1.0, kp, k
         steps = ()  # (c(n), c(n)/a(n)) for n = N down to 1, the descent's order
         while True:

@@ -10,7 +10,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .extended import Modulus, Regime, _reciprocal, imaginary_submoduli
+from .extended import Modulus, Regime, _imaginary, _reciprocal
 from .jacobi import _Agm, sncndn
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
@@ -80,8 +80,8 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
         k = m.k
         agm = _reciprocal(k)
         return lambda t: agm.jacobi(k * t)[1] ** 2
-    k1, k1p = imaginary_submoduli(m)
-    agm = _Agm(k1, k1p)
+    agm = _imaginary(m)
+    k1p = agm.kp
     return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
 
 

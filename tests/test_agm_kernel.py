@@ -14,6 +14,7 @@ import pytest
 import goldens
 from epszeta import (DomainError, Modulus, amplitude, complete_e, complete_k,
                      epsilon, incomplete_e, rd, rf, sncndn, zeta, zeta_any)
+from epszeta.jacobi import _Agm
 
 MODULI = (1e-12, 1e-6, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15)
 XS = np.concatenate(([-10.0, 0.0, 10.0], np.random.default_rng(61).uniform(-10.0, 10.0, 60)))
@@ -63,6 +64,13 @@ def test_unit_modulus_is_domain_error():
     # beyond about k = 7e7, the complementary modulus of 1/k rounds to 1
     with pytest.raises(DomainError):
         zeta_any(0.5, Modulus.real(1e8))
+
+
+def test_complementary_modulus_outside_unit_interval_is_domain_error():
+    # the descent would never stop on an infinite or NaN k'
+    for kp in (math.inf, math.nan, 0.0, 1.5):
+        with pytest.raises(DomainError, match="complementary modulus"):
+            _Agm(1e-200, kp)
 
 
 class TestPeriodReduction:

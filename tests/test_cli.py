@@ -79,6 +79,12 @@ class TestEval:
         assert out == ""
         assert "domain error" in err and "large_real" in err
 
+    def test_huge_real_modulus_zeta_exits_3(self, capsys):
+        code, out, err = run(capsys, "eval", "--fn", "zeta", "--x", "0.5", "--k", "1e200")
+        assert code == 3
+        assert out == ""
+        assert "domain error" in err and "k=1e+200" in err
+
     def test_bad_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["eval", "--fn", "gamma", "--x", "0.5", "--k", "0.5"])
@@ -135,6 +141,13 @@ class TestElastica:
                            "--omega", "1", "--u-min", "0", "--u-max", "1",
                            "--samples", "3")
         assert code == 3
+        assert "domain error" in err
+
+    def test_inflexural_huge_k_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "elastica", "--kind", "inflexural", "--k", "1e200",
+                             "--u-min", "0", "--u-max", "1", "--samples", "3")
+        assert code == 3
+        assert out == ""
         assert "domain error" in err
 
 

@@ -105,6 +105,14 @@ class TestInflexural:
         with pytest.raises(DomainError):
             inflexural_point(0.1, ElasticaParams(k=0.5))
 
+    def test_huge_modulus_is_domain_error(self):
+        # k^2 overflows: x has no finite value
+        p = ElasticaParams(k=1e200)
+        with pytest.raises(DomainError, match="no finite value"):
+            inflexural_point(0.5, p)
+        with pytest.raises(DomainError, match="no finite value"):
+            sample_curve("inflexural", p, 0.0, 1.0, 5)
+
 
 def arc_speed_squared(point, u, p, h=1e-5):
     xm, ym = point(u - h, p)

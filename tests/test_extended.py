@@ -334,6 +334,16 @@ class TestDispatchers:
         with pytest.raises(DomainError, match=r"x=0\.5.*large_real modulus k=1e\+200"):
             epsilon_any(0.5, Modulus.real(1e200))
 
+    def test_huge_real_modulus_is_domain_error(self):
+        # k^2 and (k-1)(k+1) overflow; every large-real route must raise,
+        # not return garbage or stall in the AGM
+        m = Modulus.real(1e200)
+        for call in (lambda: zeta_any(0.5, m), lambda: ek_ratio(m),
+                     lambda: epszeta.k_e_continued(m), lambda: epsilon_any(0.0, m),
+                     lambda: epsilon_by_quadrature(0.5, m)):
+            with pytest.raises(DomainError):
+                call()
+
     def test_wrong_regime_is_domain_error(self):
         with pytest.raises(DomainError):
             epszeta.imaginary_submoduli(Modulus.real(0.5))
