@@ -93,6 +93,8 @@ def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
         raise DomainError("uniform_grid requires u_min < u_max")
     if n < 2:
         raise DomainError("uniform_grid requires n >= 2")
+    if not math.isfinite(u_max - u_min):
+        raise DomainError(f"uniform_grid requires a finite span, got [{u_min!r}, {u_max!r}]")
     step = (u_max - u_min) / (n - 1)
     return [u_min + i * step for i in range(n - 1)] + [u_max]
 

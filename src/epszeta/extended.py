@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .epsilon_zeta import _zeta_shifted, epsilon, zeta
 from .errors import DomainError
-from .jacobi import EllipticPair, _Agm
+from .jacobi import EllipticPair, _Agm, _kernel
 
 # Below this, 1 - 1/k^2 has no correct digits left and the reciprocal
 # reduction is numerically meaningless.
@@ -149,7 +149,7 @@ def _imaginary(m):
     return _Agm(k1, k1p)
 
 
-def _imaginary_parts(agm, x=0.0):
+def _imaginary_parts(agm, x):
     # E/K and Z(x) of the modulus i*k from the kernel of k1, agm = _imaginary(m):
     # E/K = E(k1)/(k1p^2 K(k1)) and Z(x) = Z(x/k1p + K(k1), k1)/k1p
     return agm.ek / agm.kp2, _zeta_shifted(agm, x / agm.kp) / agm.kp
@@ -185,9 +185,7 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
     """
     s = _branch_sign(branch)
     if m.regime is Regime.STANDARD:
-        if m.k == 1.0:
-            return complex(0.0, 0.0)
-        return complex(_Agm(m.k).ek, 0.0)
+        return complex(_kernel(m.k).ek, 0.0)
     if m.regime is Regime.LARGE_REAL:
         k = m.k
         rec, comp = _reciprocal_integrals(k)
@@ -196,7 +194,8 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
         re = 1.0 + k * k * (k_rec * (e_rec - k_rec) - e_comp * k_comp) / denom
         im = -s * k * k * (k_comp * (e_rec - k_rec) + e_comp * k_rec) / denom
         return complex(re, im)
-    return complex(_imaginary_parts(_imaginary(m))[0], 0.0)
+    agm = _imaginary(m)
+    return complex(agm.ek / agm.kp2, 0.0)
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -212,7 +211,10 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     k = m.k
     rec, comp = _reciprocal_integrals(k)
     big_k = complex(rec.K, s * comp.K) / k
-    big_e = k * complex(rec.E - rec.kp2 * rec.K, -s * (comp.E - comp.kp2 * comp.K))
+    # Re E/k = E(1/k) - (1 - 1/k^2) K(1/k) cancels to 1/(2k^2) of its terms;
+    # K(1/k) (1/k^2 - (1 - E/K)) is the same value with no cancellation
+    big_e = k * complex(rec.K * (rec.k * rec.k - rec.one_minus_ek),
+                        -s * (comp.E - comp.kp2 * comp.K))
     return EllipticPair(big_k, big_e)
 
 

@@ -33,14 +33,21 @@ The descent first reduces x = x_r + 2K n with |x_r| <= K, once: am(x) =
 am(x_r) + n pi and Z has period 2K.  The rounding error of 2K n is at
 least |n| 2K 2^-53, a quarter of K at |n| = 2^50, so beyond that the
 reduced argument keeps no correct digit and the descent raises
-DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5; K
-grows from pi/2 at k = 0).  At k = 1 the AGM degenerates (b0 = 0) and K
-diverges; the kernel rejects it, and the public routines use the
-hyperbolic closed forms there.
+DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
+3.5e15 at k = 0, where K = pi/2 is smallest).
 
-Carlson's RF and RD remain for the incomplete integral E(phi, k) (DLMF
-19.25).  Every routine strips the sign of k first: K, E, dn and the
-amplitude are even in the modulus.
+Every public routine here and in epsilon_zeta.py but `incomplete_e` is
+`_kernel(k)` and at most one descent.  `_kernel` is the one check of k:
+it strips the sign (K, E, dn and am are even in k) and raises DomainError
+naming k outside |k| <= 1, NaN included.  At k = 1, where the AGM
+degenerates (b0 = 0) and K diverges, it returns the limit `_Unit`: K =
+inf, E = 1, am = gd x (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x
+(22.5(ii)).  The descent is the one check of x and names a non-finite x
+as such.  `complete_k` and `zeta_shift_quarter_period` have no value at
+k = 1 and build `_Agm`, which rejects it.
+
+Carlson's RF and RD remain for E(phi, k) (DLMF 19.25), the independent
+route the tests check the kernel against; it keeps its own checks.
 """
 
 import math
@@ -75,7 +82,7 @@ class _Agm:
         # kp = sqrt(1 - k^2), passed when the caller knows it more accurately
         # than (1 - k)(1 + k) of a k that was rounded near 1
         if not 0.0 <= k < 1.0:
-            raise DomainError(f"the AGM needs 0 <= k < 1 (K diverges at k = 1), got k={k!r}")
+            raise DomainError(f"the AGM kernel needs 0 <= k < 1, got k={k!r}")
         if kp is None:
             kp2 = (1.0 - k) * (1.0 + k)
             kp = math.sqrt(kp2)
@@ -113,9 +120,7 @@ class _Agm:
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
         t = x / self._period
         if not abs(t) <= _MAX_PERIODS:
-            raise DomainError(
-                f"x={x!r} is too large for k={self.k!r}: reduced by the period 2K it keeps "
-                f"no correct digit beyond |x| = 2^51 K = {_MAX_PERIODS * self._period:.3g}")
+            raise _bad_x(self, x)
         n = round(t)
         phi = self._scale * (x - self._period * n)
         z = 0.0
@@ -137,22 +142,50 @@ class _Agm:
         return sn, cn, math.sqrt(kp2 + (1.0 - kp2) * cn * cn), z
 
 
+class _Unit:
+    """The k = 1 limit of `_Agm` (module docstring): phase gives (gd x, 0, tanh x)."""
+
+    __slots__ = ()
+    k, K, E, ek, one_minus_ek = 1.0, math.inf, 1.0, 0.0, 1.0
+    _period = math.inf  # K diverges, so x is not reduced
+
+    def phase(self, x):
+        if not math.isfinite(x):
+            raise _bad_x(self, x)
+        return 2.0 * math.atan(math.tanh(0.5 * x)), 0, math.tanh(x)
+
+    def jacobi(self, x):
+        t = self.phase(x)[2]
+        # cosh overflows from |x| = 710.5 on, where sech x rounds to 2 e^-|x|
+        sech = 1.0 / math.cosh(x) if abs(x) < 710.0 else 2.0 * math.exp(-abs(x))
+        return t, sech, sech, t
+
+
+def _bad_x(agm, x):
+    # the descent's one check of x failed: x is not finite or beyond the reduction bound
+    if not math.isfinite(x):
+        return DomainError(f"x={x!r} is not finite (k={agm.k!r})")
+    return DomainError(
+        f"x={x!r} is too large for k={agm.k!r}: reduced by the period 2K it keeps "
+        f"no correct digit beyond |x| = 2^51 K = {_MAX_PERIODS * agm._period:.3g}")
+
+
+def _kernel(k):
+    """The AGM kernel of |k|, or its limit at |k| = 1; the one check of a standard modulus."""
+    a = abs(k)
+    if not a <= 1.0:
+        raise DomainError(f"k={k!r} is outside the standard range |k| <= 1")
+    return _Agm(a) if a < 1.0 else _Unit()
+
+
 def complete_k(k: float) -> float:
     """Complete elliptic integral of the first kind K(k), |k| < 1."""
-    k = abs(k)
-    if not k < 1.0:
-        raise DomainError("complete_k requires |k| < 1; K diverges logarithmically at |k| = 1")
-    return _Agm(k).K
+    return _Agm(abs(k)).K
 
 
 def complete_e(k: float) -> float:
     """Complete elliptic integral of the second kind E(k), |k| <= 1."""
-    k = abs(k)
-    if not k <= 1.0:
-        raise DomainError("complete_e requires |k| <= 1")
-    if k == 1.0:
-        return 1.0
-    return _Agm(k).E
+    return _kernel(k).E
 
 
 def incomplete_e(phi: float, k: float) -> float:
@@ -187,28 +220,11 @@ def amplitude(x: float, k: float) -> float:
     Satisfies am(x + 2K, k) = am(x, k) + pi; degenerates to the identity
     at k = 0 and to the Gudermannian at k = 1.
     """
-    k = abs(k)
-    if not k <= 1.0:
-        raise DomainError("amplitude requires |k| <= 1")
-    if not math.isfinite(x):
-        raise DomainError("amplitude requires finite x")
-    if k == 0.0:
-        return float(x)
-    if k == 1.0:
-        return 2.0 * math.atan(math.tanh(0.5 * x))
-    phi, n, _ = _Agm(k).phase(x)
+    phi, n, _ = _kernel(k).phase(x)
     return phi + math.pi * n
 
 
 def sncndn(x: float, k: float) -> JacobiTriple:
-    """Jacobi sn, cn, dn at (x, k); k = 1 uses the hyperbolic closed forms."""
-    k = abs(k)
-    if not k <= 1.0:
-        raise DomainError("sncndn requires |k| <= 1")
-    if not math.isfinite(x):
-        raise DomainError("sncndn requires finite x")
-    if k == 1.0:
-        sech = 1.0 / math.cosh(x)
-        return JacobiTriple(math.tanh(x), sech, sech)
-    sn, cn, dn, _ = _Agm(k).jacobi(x)
+    """Jacobi sn, cn, dn at (x, k); k = 1 gives tanh, sech, sech."""
+    sn, cn, dn, _ = _kernel(k).jacobi(x)
     return JacobiTriple(sn, cn, dn)

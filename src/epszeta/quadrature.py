@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .extended import Modulus, Regime, _imaginary, _reciprocal
-from .jacobi import _Agm, sncndn
+from .jacobi import _kernel
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
 _NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
@@ -72,9 +72,7 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     built once here, so each evaluation is one kernel descent.
     """
     if m.regime is Regime.STANDARD:
-        if m.k == 1.0:
-            return lambda t: sncndn(t, 1.0).dn ** 2
-        agm = _Agm(m.k)
+        agm = _kernel(m.k)
         return lambda t: agm.jacobi(t)[2] ** 2
     if m.regime is Regime.LARGE_REAL:
         k = m.k
@@ -95,5 +93,9 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     if not math.isfinite(x):
         raise DomainError("epsilon_by_quadrature requires finite x")
     f = regime_integrand(m)
-    value = integrate(f, 0.0, abs(x), tol).value
+    try:
+        value = integrate(f, 0.0, abs(x), tol).value
+    except DomainError as exc:  # the integrand sees kt or t/k1p, not the caller's x
+        raise DomainError(f"epsilon_by_quadrature(x={x!r}) fails for the {m.regime.value} "
+                          f"modulus k={m.k!r}: {exc}") from exc
     return value if x >= 0.0 else -value

@@ -82,6 +82,10 @@ class TestPeriodReduction:
         for x in (1e17, -1e17):
             with pytest.raises(DomainError, match=r"x=-?1e\+17.*k=0\.5"):
                 fn(x, 0.5)
+        # at k = 0 too, from 2^51 K = 2^50 pi (3.5e15) on
+        for x in (4e15, -1e17):
+            with pytest.raises(DomainError, match=r"too large for k=0\.0"):
+                fn(x, 0.0)
 
     @pytest.mark.parametrize("fn", ROUTINES)
     def test_within_the_bound_returns(self, fn):

@@ -136,6 +136,13 @@ class TestElastica:
                   "--u-min", "0", "--u-max", "1", "--samples", "1"])
         assert info.value.code == 2
 
+    def test_infinite_bound_is_domain_error(self, capsys):
+        # the error names the bounds, not the nan grid point they would give
+        code, _, err = run(capsys, "elastica", "--kind", "flexural", "--k", "0.5",
+                           "--u-min=-inf", "--u-max", "0", "--samples", "3")
+        assert code == 3
+        assert "uniform_grid requires a finite span, got [-inf, 0.0]" in err
+
     def test_flexural_large_k_is_domain_error(self, capsys):
         code, _, err = run(capsys, "elastica", "--kind", "flexural", "--k", "2",
                            "--omega", "1", "--u-min", "0", "--u-max", "1",

@@ -210,6 +210,10 @@ class TestSampleCurve:
         for n in (2.5, 3.0, True, "4", None):
             with pytest.raises(DomainError):
                 uniform_grid(0.0, 1.0, n)
+        # and a span u_max - u_min that is not finite, which would make nan points
+        for u_min, u_max in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
+            with pytest.raises(DomainError, match="finite span"):
+                uniform_grid(u_min, u_max, 3)
 
     @pytest.mark.parametrize("kind, point, ks", [
         ("flexural", flexural_point, (0.05, 0.5, 0.95)),

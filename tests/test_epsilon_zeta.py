@@ -7,6 +7,7 @@ import goldens
 from epszeta import (DomainError, Modulus, amplitude, complete_k, epsilon,
                      epsilon_by_quadrature, incomplete_e, sncndn, zeta,
                      zeta_shift_quarter_period)
+from test_jacobi import XS, assert_names_bad_arguments
 
 # printed table values carry six decimals
 TABLE_TOL = 5e-7
@@ -25,12 +26,16 @@ class TestEpsilon:
         assert epsilon(0.0, 0.7) == 0.0
         assert epsilon(0.8, 0.0) == 0.8
         assert epsilon(0.5, 1.0) == math.tanh(0.5)
+        for x in XS:
+            assert epsilon(x, 0.0) == x
+            assert epsilon(x, 1.0) == math.tanh(x)
 
     def test_rejects_large_modulus(self):
         with pytest.raises(DomainError):
             epsilon(0.5, 1.2)
         with pytest.raises(DomainError):
             epsilon(math.inf, 0.5)
+        assert_names_bad_arguments(epsilon)
 
 
 class TestZeta:
@@ -46,10 +51,14 @@ class TestZeta:
         assert zeta(0.5, 0.0) == 0.0
         # at |k| = 1 the slope E/K vanishes and Z collapses onto epsilon
         assert zeta(0.5, 1.0) == epsilon(0.5, 1.0)
+        for x in XS:
+            assert zeta(x, 0.0) == 0.0
+            assert zeta(x, 1.0) == math.tanh(x)
 
     def test_rejects_large_modulus(self):
         with pytest.raises(DomainError):
             zeta(0.5, -1.2)
+        assert_names_bad_arguments(zeta)
 
 
 class TestZetaShift:
@@ -75,6 +84,12 @@ class TestZetaShift:
     def test_rejects_unit_modulus(self):
         with pytest.raises(DomainError):
             zeta_shift_quarter_period(0.3, 1.0)
+        for k in (math.nan, math.inf, 1.5):
+            with pytest.raises(DomainError, match=f"k={k!r}"):
+                zeta_shift_quarter_period(0.3, k)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"x={x!r}"):
+                zeta_shift_quarter_period(x, 0.5)
 
 
 def test_odd_in_x():

@@ -146,6 +146,7 @@ class TestEkRatio:
     def test_real_below_one(self):
         assert ek_ratio(Modulus.real(0.5)) == complete_e(0.5) / complete_k(0.5)
         assert ek_ratio(Modulus.real(1.0)) == 0j  # K diverges at k = 1
+        assert ek_ratio(Modulus.real(0.0)) == 1.0
 
 
 class TestZetaLargeReal:
@@ -211,6 +212,16 @@ class TestKEContinued:
             diff = k * k_e_continued(k).K - complete_k(1.0 / k)
             assert abs(diff.real) <= 1e-13
             assert abs(diff.imag) == pytest.approx(complete_k(krc), rel=1e-13)
+
+    def test_large_modulus_goldens(self):
+        # Re E = k (E - k'^2 K) of 1/k, whose two terms cancel to about
+        # 1/(2k^2) of their size: 1e-14 relative on both parts up to k = 5e7
+        for tag, k in (("10", 10.0), ("1E3", 1e3), ("1E6", 1e6), ("5E7", 5e7)):
+            pair = k_e_continued(k)
+            for got, ref in ((pair.K, getattr(goldens, f"KK_R{tag}")),
+                             (pair.E, getattr(goldens, f"EE_R{tag}"))):
+                assert got.real == pytest.approx(ref.real, rel=1e-14), (tag, got, ref)
+                assert got.imag == pytest.approx(ref.imag, rel=1e-14), (tag, got, ref)
 
     def test_ratio_consistency(self):
         for k in (1.3, 2.0, 8.0):
@@ -343,6 +354,9 @@ class TestDispatchers:
                      lambda: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError):
                 call()
+        # the quadrature names the caller's x and k, not its integrand's kx and 1/k
+        with pytest.raises(DomainError, match=r"x=0\.5.*k=1e\+200"):
+            epsilon_by_quadrature(0.5, m)
 
     def test_wrong_regime_is_domain_error(self):
         with pytest.raises(DomainError):

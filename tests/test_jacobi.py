@@ -9,6 +9,24 @@ from epszeta import (DomainError, amplitude, complete_e, complete_k,
                      incomplete_e, sncndn)
 from test_carlson import agm_complete_k_e
 
+# moduli outside |k| <= 1 and non-finite arguments of the standard routines
+BAD_K = (math.nan, math.inf, 1.5)
+BAD_X = (math.nan, math.inf, -math.inf)
+# the degenerate moduli k = 0 and k = 1 checked on a grid of x
+XS = (0.0, 1e-300, -1e-8, 0.3, -0.5, 2.0, -7.25, 30.0, -700.0)
+
+
+def assert_names_bad_arguments(fn):
+    # the one check of k and the one check of x name the argument at fault
+    for k in BAD_K:
+        with pytest.raises(DomainError, match=f"k={k!r}"):
+            fn(0.5, k)
+    for x in BAD_X:
+        with pytest.raises(DomainError, match=f"x={x!r}"):
+            fn(x, 0.5)
+        with pytest.raises(DomainError, match=f"x={x!r}"):
+            fn(x, 1.0)
+
 
 class TestCompleteK:
     def test_circular_case(self):
@@ -29,6 +47,9 @@ class TestCompleteK:
             complete_k(1.0)
         with pytest.raises(DomainError):
             complete_k(1.5)
+        for k in BAD_K:
+            with pytest.raises(DomainError, match=f"k={k!r}"):
+                complete_k(k)
 
 
 class TestCompleteE:
@@ -51,6 +72,9 @@ class TestCompleteE:
     def test_outside_domain(self):
         with pytest.raises(DomainError):
             complete_e(1.0000001)
+        for k in BAD_K:
+            with pytest.raises(DomainError, match=f"k={k!r}"):
+                complete_e(k)
 
 
 def test_legendre_relation():
@@ -114,6 +138,9 @@ class TestAmplitude:
         # k = 1 is the Gudermannian
         for x in (-3.0, -0.4, 0.7, 5.0):
             assert amplitude(x, 1) == pytest.approx(math.asin(math.tanh(x)), abs=1e-14)
+        for x in XS:
+            assert amplitude(x, 0) == x
+            assert amplitude(x, 1) == 2.0 * math.atan(math.tanh(0.5 * x))
 
     def test_golden_values(self):
         assert amplitude(3.0, 0.8) == pytest.approx(goldens.AM_3_08, rel=1e-13)
@@ -148,6 +175,7 @@ class TestAmplitude:
             amplitude(0.5, 1.01)
         with pytest.raises(DomainError):
             amplitude(math.nan, 0.5)
+        assert_names_bad_arguments(amplitude)
 
 
 class TestSncndn:
@@ -165,6 +193,14 @@ class TestSncndn:
         assert dn == pytest.approx(1.0 / math.cosh(0.5), rel=1e-15)
         assert sn == pytest.approx(math.tanh(0.5), rel=1e-15)
         assert cn == dn
+        for x in XS:
+            sech = 1.0 / math.cosh(x)
+            assert sncndn(x, 1) == (math.tanh(x), sech, sech)
+        # beyond |x| = 710.5 cosh overflows; sech is 2 e^-|x| there
+        assert sncndn(-720.0, 1) == (-1.0, 2.0 * math.exp(-720.0), 2.0 * math.exp(-720.0))
+
+    def test_domain(self):
+        assert_names_bad_arguments(sncndn)
 
     def test_pythagorean_identities(self):
         rng = np.random.default_rng(25)

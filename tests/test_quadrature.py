@@ -83,6 +83,10 @@ class TestRegimeIntegrands:
         f = regime_integrand(Modulus.real(0.7))
         assert f(0.0) == 1.0
         assert f(1.3) == pytest.approx(sncndn(1.3, 0.7).dn ** 2, rel=1e-15)
+        # dn = sech at k = 1
+        f = regime_integrand(Modulus.real(1.0))
+        for t in (0.0, 1e-300, -0.4, 2.0, -30.0, 700.0):
+            assert f(t) == (1.0 / math.cosh(t)) ** 2
 
     def test_large_real_is_reciprocal_cn_squared(self):
         f = regime_integrand(Modulus.real(2.0))

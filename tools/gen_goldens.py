@@ -124,4 +124,11 @@ for tag, k in (("1E3", "1e3"), ("1E6", "1e6"), ("1E12", "1e12")):
     with mp.workdps(80):
         emit(f"EPS_05_R{tag}", f(eps_large_real("0.5", k)))
 
+# the pair (K, E) continued to large real k, principal branch (the library's
+# "lower"): the real part of E cancels in E(1/k) - (1 - 1/k^2) K(1/k)
+for tag, k in (("10", "10"), ("1E3", "1e3"), ("1E6", "1e6"), ("5E7", "5e7")):
+    m = mp.mpf(k) ** 2
+    emit(f"KK_R{tag}", c(mp.ellipk(m)))
+    emit(f"EE_R{tag}", c(mp.ellipe(m)))
+
 print("\n".join(lines))
