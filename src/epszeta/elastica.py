@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
-from .extended import Modulus, Regime, _LargeRealEpsilon
+from .extended import Modulus, Regime, _LargeReal
 from .jacobi import _Agm
 
 
@@ -61,10 +61,10 @@ def _inflexural(p):
     # from one descent of the kernel of 1/k at ku
     m = Modulus(Regime.LARGE_REAL, p.k)
     k, w = m.k, p.omega
-    rule = _LargeRealEpsilon(m, "inflexural_point")
+    rule = _LargeReal(m)
 
     def point(u):
-        eps, dn = rule.at(u)
+        eps, dn, _ = rule.at(u, "inflexural_point")
         return PlanePoint((2.0 * eps - u) / w, -2.0 * k * dn / w)
 
     return point

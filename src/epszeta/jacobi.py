@@ -11,7 +11,9 @@ descending arithmetic-geometric mean of DLMF 22.20(ii),
 taking c from the last form, which keeps full relative precision as
 k -> 0, and stops at the N where the next c would fall below half an ulp
 of min(c1, a(N)).  A caller that knows k' more accurately than
-sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py).  The
+sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py); with
+k' given, k = 1 is admitted too, as the rounded complement of a tiny
+modulus (K = pi/(2 a(N)) needs only b0 = k' > 0).  The
 kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
 (DLMF 19.8(i))
 
@@ -80,8 +82,8 @@ class _Agm:
 
     def __init__(self, k, kp=None):
         # kp = sqrt(1 - k^2), passed when the caller knows it more accurately
-        # than (1 - k)(1 + k) of a k that was rounded near 1
-        if not 0.0 <= k < 1.0:
+        # than (1 - k)(1 + k) of a k that was rounded near 1, which may be 1
+        if not (0.0 <= k < 1.0 or k == 1.0 and kp is not None):
             raise DomainError(f"the AGM kernel needs 0 <= k < 1, got k={k!r}")
         if kp is None:
             kp2 = (1.0 - k) * (1.0 + k)

@@ -10,7 +10,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .extended import Modulus, Regime, _imaginary, _reciprocal
+from .extended import Modulus, Regime, _LargeReal, _failed, _imaginary
 from .jacobi import _kernel
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
@@ -75,10 +75,9 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
         agm = _kernel(m.k)
         return lambda t: agm.jacobi(t)[2] ** 2
     if m.regime is Regime.LARGE_REAL:
-        k = m.k
-        agm = _reciprocal(k)
+        k, agm = m.k, _LargeReal(m).rec
         return lambda t: agm.jacobi(k * t)[1] ** 2
-    agm = _imaginary(m)
+    agm = _imaginary(m)[0]
     k1p = agm.kp
     return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
 
@@ -96,6 +95,5 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     try:
         value = integrate(f, 0.0, abs(x), tol).value
     except DomainError as exc:  # the integrand sees kt or t/k1p, not the caller's x
-        raise DomainError(f"epsilon_by_quadrature(x={x!r}) fails for the {m.regime.value} "
-                          f"modulus k={m.k!r}: {exc}") from exc
+        raise _failed("epsilon_by_quadrature", x, m, exc) from exc
     return value if x >= 0.0 else -value

@@ -5,6 +5,7 @@ epsilon = E(am(x), k) share no code with the kernel's AGM and King's
 sum, so they serve as its oracle; mpmath goldens pin the moduli extremes.
 """
 
+import cmath
 import math
 
 import mpmath as mp
@@ -61,9 +62,12 @@ def test_unit_modulus_is_domain_error():
     # the AGM degenerates at k = 1 (b0 = 0); K diverges
     with pytest.raises(DomainError):
         complete_k(1.0)
-    # beyond about k = 7e7, the complementary modulus of 1/k rounds to 1
+    # with k' given, k = 1 is the rounded complement of a tiny modulus (that
+    # of 1/k from k = 9.5e7 on): K = ln(4/k') to within k'^2
     with pytest.raises(DomainError):
-        zeta_any(0.5, Modulus.real(1e8))
+        _Agm(1.0)
+    assert _Agm(1.0, 1e-8).K == pytest.approx(math.log(4e8), rel=1e-15)
+    assert cmath.isfinite(zeta_any(0.5, Modulus.real(1e8)))
 
 
 def test_complementary_modulus_outside_unit_interval_is_domain_error():

@@ -105,6 +105,12 @@ class TestInflexural:
         with pytest.raises(DomainError):
             inflexural_point(0.1, ElasticaParams(k=0.5))
 
+    def test_descent_failure_names_the_caller(self):
+        # the descent sees ku = 1e16 and 1/k; the error names u and k
+        with pytest.raises(DomainError, match=r"inflexural_point\(x=10000000000\.0\) fails "
+                                              r"for the large_real modulus k=1000000\.0"):
+            inflexural_point(1e10, ElasticaParams(k=1e6))
+
     def test_huge_modulus_is_domain_error(self):
         # k^2 overflows: x has no finite value
         p = ElasticaParams(k=1e200)

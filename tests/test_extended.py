@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +245,35 @@ class TestKEContinued:
         assert math.isfinite(pair.K.real) and math.isfinite(pair.K.imag)
 
 
+@pytest.mark.parametrize("tag, k, x", [("1P1EM9", 1.0 + 1e-9, 0.5), ("1E8", 1e8, 0.5),
+                                       ("1E12", 1e12, 0.5), ("1E150", 1e150, 5e-149)])
+def test_large_real_goldens(tag, k, x):
+    # from where K(1/k) diverges to where k^2 nears overflow; relative to the
+    # modulus of the value, since Im E vanishes as k -> 1+
+    m = Modulus.real(k)
+    pair = epszeta.k_e_continued(m)
+    for got, name in ((zeta_any(x, m), "ZETA"), (ek_ratio(m), "EK"),
+                      (pair.K, "KK"), (pair.E, "EE")):
+        ref = getattr(goldens, f"{name}_R{tag}")
+        assert abs(got - ref) <= 1e-14 * abs(ref), (name, got, ref)
+
+
+def test_large_real_range_is_the_modulus_range():
+    # every large-real route returns a finite value from 1 + 1e-12 up to the
+    # largest k with a finite k^2, and Modulus rejects the next float by name
+    top = 1.3407807929942596e154
+    for k in (1.0 + 1e-12, 1.0 + 1e-9, 2.0, 1e8, 1e100, top):
+        m = Modulus.real(k)
+        x = 0.5 / k  # kx stays within the reach of the period reduction
+        values = (epsilon_any(x, m), zeta_any(x, m), ek_ratio(m), *epszeta.k_e_continued(m),
+                  *epszeta.inflexural_point(x, epszeta.ElasticaParams(k=k)))
+        assert all(cmath.isfinite(v) for v in values), k
+    beyond = math.nextafter(top, math.inf)
+    assert math.isinf(beyond * beyond)
+    with pytest.raises(DomainError, match=re.escape(f"k={beyond!r}")):
+        Modulus.real(beyond)
+
+
 def test_legendre_collapse_of_bracket():
     # K(1/k) K(1/k') [E/K + E'/K' - 1] = pi/2
     for k in (1.2, 2.0, 10.0):
@@ -341,22 +372,22 @@ class TestDispatchers:
             epsilon_any(math.inf, Modulus.real(0.5))
 
     def test_non_finite_result_is_domain_error(self):
-        # k^2 overflows: the reciprocal reduction would return inf - inf = nan
-        with pytest.raises(DomainError, match=r"x=0\.5.*large_real modulus k=1e\+200"):
+        # k^2 overflows, where the reciprocal reduction would return inf - inf
+        # = nan; Modulus, which cannot see x, rejects k
+        with pytest.raises(DomainError, match=r"large_real modulus k=1e\+200"):
             epsilon_any(0.5, Modulus.real(1e200))
 
     def test_huge_real_modulus_is_domain_error(self):
         # k^2 and (k-1)(k+1) overflow; every large-real route must raise,
         # not return garbage or stall in the AGM
-        m = Modulus.real(1e200)
-        for call in (lambda: zeta_any(0.5, m), lambda: ek_ratio(m),
-                     lambda: epszeta.k_e_continued(m), lambda: epsilon_any(0.0, m),
-                     lambda: epsilon_by_quadrature(0.5, m)):
+        for call in (lambda m: zeta_any(0.5, m), lambda m: ek_ratio(m),
+                     lambda m: epszeta.k_e_continued(m), lambda m: epsilon_any(0.0, m),
+                     lambda m: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError):
-                call()
+                call(Modulus.real(1e200))
         # the quadrature names the caller's x and k, not its integrand's kx and 1/k
-        with pytest.raises(DomainError, match=r"x=0\.5.*k=1e\+200"):
-            epsilon_by_quadrature(0.5, m)
+        with pytest.raises(DomainError, match=r"x=1e\+16.*k=2\.0"):
+            epsilon_by_quadrature(1e16, Modulus.real(2.0))
 
     def test_wrong_regime_is_domain_error(self):
         with pytest.raises(DomainError):
@@ -364,13 +395,22 @@ class TestDispatchers:
         with pytest.raises(DomainError):
             epszeta.k_e_continued(Modulus.imaginary(2.0))
 
+    @pytest.mark.parametrize("fn, x, m", [
+        ("epsilon_any", 1e10, Modulus.real(1e6)), ("zeta_any", 1e10, Modulus.real(1e6)),
+        ("epsilon_any", 1e15, Modulus.imaginary(1e3)),
+        ("zeta_any", 1e15, Modulus.imaginary(1e3))])
+    def test_descent_failure_names_the_caller(self, fn, x, m):
+        # the descent sees kx or x/k1p and 1/k or k1; the error names x and k
+        with pytest.raises(DomainError, match=re.escape(
+                f"{fn}(x={x!r}) fails for the {m.regime.value} modulus k={m.k!r}")):
+            getattr(epszeta, fn)(x, m)
+
     def test_huge_imaginary_modulus_names_the_cause(self):
         # from k = 2^26 on, k/sqrt(1+k^2) rounds to 1
-        m = Modulus.imaginary(1e8)
-        for call in (lambda: epsilon_any(0.5, m), lambda: zeta_any(0.5, m),
-                     lambda: epsilon_by_quadrature(0.5, m)):
+        for call in (lambda m: epsilon_any(0.5, m), lambda m: zeta_any(0.5, m),
+                     lambda m: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError, match="rounds to 1"):
-                call()
+                call(Modulus.imaginary(1e8))
 
 
 def test_continuity_across_regimes():

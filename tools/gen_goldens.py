@@ -131,4 +131,18 @@ for tag, k in (("10", "10"), ("1E3", "1e3"), ("1E6", "1e6"), ("5E7", "5e7")):
     emit(f"KK_R{tag}", c(mp.ellipk(m)))
     emit(f"EE_R{tag}", c(mp.ellipe(m)))
 
+# zeta, E/K and (K, E) at large real k, principal branch, from 1 + 1e-9, where
+# K(1/k) diverges, to 1e150, where x shrinks so that kx stays reducible; the
+# moduli and arguments are the exact doubles the tests pass, and the digits
+# grow with k because epsilon cancels between terms of size k^2 x
+for tag, k, x in (("1P1EM9", 1.0 + 1e-9, 0.5), ("1E8", 1e8, 0.5), ("1E12", 1e12, 0.5),
+                  ("1E150", 1e150, 5e-149)):
+    with mp.workdps(2 * int(mp.log10(k)) + 40):
+        m = mp.mpf(k) ** 2
+        ek = mp.ellipe(m) / mp.ellipk(m)
+        emit(f"ZETA_R{tag}", c(eps_large_real(x, k) - ek * mp.mpf(x)))
+        emit(f"EK_R{tag}", c(ek))
+        emit(f"KK_R{tag}", c(mp.ellipk(m)))
+        emit(f"EE_R{tag}", c(mp.ellipe(m)))
+
 print("\n".join(lines))
