@@ -11,10 +11,10 @@ applies the machinery to bent-rod curves.
 from .carlson import rc, rd, rf
 from .elastica import (ElasticaParams, PlanePoint, flexural_point,
                        inflexural_point, sample_curve, uniform_grid)
-from .epsilon_zeta import epsilon, zeta, zeta_shift_quarter_period
+from .epsilon_zeta import epsilon, zeta
 from .errors import ConvergenceError, DomainError
-from .extended import (DerivedModuli, Modulus, Regime, ek_ratio, epsilon_any,
-                       imaginary_submoduli, k_e_continued, zeta_any)
+from .extended import (Modulus, Regime, ek_ratio, epsilon_any, k_e_continued,
+                       zeta_any)
 from .jacobi import (EllipticPair, JacobiTriple, amplitude, complete_e,
                      complete_k, incomplete_e, sncndn)
 from .quadrature import (QuadratureResult, epsilon_by_quadrature, integrate,
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "DerivedModuli",
     "DomainError",
     "ElasticaParams",
     "EllipticPair",
@@ -41,7 +40,6 @@ __all__ = [
     "epsilon_any",
     "epsilon_by_quadrature",
     "flexural_point",
-    "imaginary_submoduli",
     "incomplete_e",
     "inflexural_point",
     "integrate",
@@ -56,5 +54,4 @@ __all__ = [
     "uniform_grid",
     "zeta",
     "zeta_any",
-    "zeta_shift_quarter_period",
 ]

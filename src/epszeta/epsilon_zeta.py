@@ -7,7 +7,7 @@ checks k and gives the k = 1 limit, and descends it once at x: King's
 sum gives Z, and epsilon = Z + (E/K) x.
 """
 
-from .jacobi import _Agm, _kernel, amplitude  # noqa: F401 (a lookup site bench/tests traces)
+from .jacobi import _kernel, amplitude  # noqa: F401 (a lookup site bench/tests traces)
 
 
 def epsilon(x: float, k: float) -> float:
@@ -23,15 +23,3 @@ def zeta(x: float, k: float) -> float:
     epsilon, i.e. tanh.
     """
     return _kernel(k).phase(x)[2]
-
-
-def zeta_shift_quarter_period(x: float, k: float) -> float:
-    """Z(x + K, k) computed without leaving the primary cell:
-    Z(x + K) = Z(x) - k^2 sn(x) cn(x) / dn(x); |k| < 1, as K diverges at 1."""
-    return _zeta_shifted(_Agm(abs(k)), x)
-
-
-def _zeta_shifted(agm, x):
-    # Z(x + K) from one descent at x
-    sn, cn, dn, z = agm.jacobi(x)
-    return z - agm.k * agm.k * sn * cn / dn

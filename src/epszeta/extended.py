@@ -2,42 +2,65 @@
 
 A `Modulus` is the one place where a modulus is validated, its range
 included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
-the entry points, and each regime rule below is written once.
-Everything reduces to the standard-range AGM kernel (jacobi.py), built
-once per modulus, either of the reciprocal modulus 1/k (real k > 1; DLMF
-22.17.14 and 19.7.3) or of the descending pair k1 = k/sqrt(1+k^2), k1p =
-1/sqrt(1+k^2) (modulus i*k; DLMF 22.17.8 and 19.7.2).  Signs of moduli
-are stripped up front: epsilon and zeta are even in the modulus.
+the entry points.  Each regime has one rule, a private class built once
+per call from the `Modulus` around one standard-range AGM kernel
+(jacobi.py).  The three rules answer the same four calls: `ek(s)`, E/K
+of the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
+`integrand()`, the real function whose integral from 0 to x is epsilon
+(the quadrature oracle's).  `_rule(m)` picks the rule from one table
+keyed by the regime, the only branch on the regime that evaluates
+anything.  Signs of moduli are stripped up front: epsilon and zeta are
+even in the modulus.
 
-For real k > 1, by Legendre's relation E K' + E' K - K K' = pi/2 (DLMF
-19.7.1), K, 1 - E/K and Z of 1/k and K', the K of its complement
-sqrt(1 - 1/k^2), give everything.  With s the branch sign, slope =
-1 - k^2 (1 - E/K), which tends to 1/2 without cancellation, and half =
-(pi/2) k^2 / (K^2 + K'^2):
+`_Standard`, 0 <= k <= 1, is the kernel of k itself (`jacobi._kernel`,
+with its k = 1 limit) behind `epsilon` and `zeta` of epsilon_zeta.py;
+its E/K is the kernel's and its integrand dn^2(t, k).
+
+`_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
+22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
+sqrt(1 - 1/k^2) formed without cancellation.  By Legendre's relation
+E K' + E' K - K K' = pi/2 (DLMF 19.7.1), K, 1 - E/K and Z of 1/k and
+K', E' of its complement give everything.  With s the branch sign,
+slope = 1 - k^2 (1 - E/K), which tends to 1/2 without cancellation,
+half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
 
     epsilon(x, k) = x slope + k Z(kx, 1/k)
     Z(x, k)       = k Z(kx, 1/k) + half (K'/K) x + i s half x
     E/K of k      = slope - half K'/K - i s half
     K(k)          = (K + i s K')/k
-    E(k)          = k (K (1/k^2 - (1 - E/K)) - i s (pi/(2K) + K' ((1 - E/K) - 1/k^2)))
+    E(k)          = k (K (1/k^2 - (1 - E/K)) - i s K' (k_c^2 - (1 - E'/K')))
 
-The two branches are complex conjugates; the default "lower" one makes
-Im Z(x,k) negative for x > 0.  epsilon stays real in every regime.
+The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
+once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels.  The integrand is
+cn^2(kt, 1/k).  The two branches are complex conjugates; the default
+"lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
 
-`Modulus` raises DomainError naming k outside the ranges: standard
-0 <= k <= 1; large-real from 1 + 1e-12 while k^2 is finite (to 1.34e154);
-pure-imaginary 0 < k < 2^26 (6.7e7), from where k1 rounds to 1.  A
-dispatcher names its x, regime and k when its result is not finite or
-its descent at kx or x/k1p fails.
+`_Imaginary`, the modulus i*k, reduces through the descending pair
+(DLMF 22.17.8 and 19.7.2) on the kernel of k1 = k/h, built on the exact
+complement k1p = 1/h with h = hypot(1, k).  E/K of i*k is
+E(k1)/(k1p^2 K(k1)), and with u = x/k1p
+
+    Z(x, i*k) = Z(u + K(k1), k1)/k1p = (Z(u) - k1^2 sn cn/dn)/k1p,
+
+from one descent at u inside the primary cell; epsilon = Z + (E/K) x
+and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay real.
+
+The ranges stay in `Modulus.__post_init__`, its own chain over the
+regimes, because a modulus is checked once where it is made, before
+any rule or kernel exists: it raises DomainError naming k outside
+standard 0 <= k <= 1; large-real from 1 + 1e-12 while k^2 is finite (to
+1.34e154); pure-imaginary 0 < k < 2^26 (6.7e7), from where k1 rounds to
+1.  A dispatcher checks that x is finite, and names its x, regime and k
+when the rule's descent at x, kx or x/k1p fails or its result is not
+finite.
 """
 
 import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .epsilon_zeta import _zeta_shifted, epsilon, zeta
+from .epsilon_zeta import epsilon, zeta
 from .errors import DomainError
 from .jacobi import EllipticPair, _Agm, _kernel
 
@@ -97,19 +120,25 @@ class Modulus:
         return cls(Regime.PURE_IMAGINARY, k)
 
 
-class DerivedModuli(NamedTuple):
-    """Descending pair for an imaginary modulus i*k; k1^2 + k1p^2 = 1."""
-    k1: float
-    k1p: float
+class _Standard:
+    # the rule for 0 <= k <= 1 (module docstring): the routines of epsilon_zeta.py
+    __slots__ = ("k",)
 
+    def __init__(self, m):
+        self.k = m.k
 
-def imaginary_submoduli(m: Modulus) -> DerivedModuli:
-    """k1 = k/sqrt(1+k^2) and k1p = 1/sqrt(1+k^2) of the modulus i*k, both in (0, 1)."""
-    if m.regime is not Regime.PURE_IMAGINARY:
-        raise DomainError(
-            f"imaginary_submoduli requires a pure-imaginary modulus, got {m.regime.value}")
-    h = math.hypot(1.0, m.k)
-    return DerivedModuli(m.k / h, 1.0 / h)
+    def ek(self, s):
+        return complex(_kernel(self.k).ek, 0.0)
+
+    def epsilon(self, x):
+        return epsilon(x, self.k)
+
+    def zeta(self, x, s):
+        return complex(zeta(x, self.k), 0.0)
+
+    def integrand(self):
+        agm = _kernel(self.k)
+        return lambda t: agm.jacobi(t)[2] ** 2
 
 
 class _LargeReal:
@@ -126,13 +155,27 @@ class _LargeReal:
         self.slope = 1.0 - k * k * self.rec.one_minus_ek
 
     def legendre(self):
-        # (K', half, half K'/K), which epsilon and dn do not need; from k = 9.5e7
-        # on the complement of 1/k rounds to 1, and its kernel takes kp = 1/k.
-        # k^2 is scaled by a factor below 1, as (pi/2) k^2 can overflow
+        # (comp, half, half K'/K) with comp the kernel of the complement of
+        # 1/k, which epsilon and dn do not need; from k = 9.5e7 on that
+        # complement rounds to 1, and comp takes kp = 1/k.  k^2 is scaled by
+        # a factor below 1, as (pi/2) k^2 can overflow
         rec, k = self.rec, self.m.k
-        k_comp = _Agm(rec.kp, rec.k).K
-        half = k * k * (0.5 * math.pi / (rec.K * rec.K + k_comp * k_comp))
-        return k_comp, half, half * k_comp / rec.K
+        comp = _Agm(rec.kp, rec.k)
+        half = k * k * (0.5 * math.pi / (rec.K * rec.K + comp.K * comp.K))
+        return comp, half, half * comp.K / rec.K
+
+    def ek(self, s):
+        _, half, drift = self.legendre()
+        return complex(self.slope - drift, -s * half)
+
+    def epsilon(self, x):
+        k = self.m.k
+        return x * self.slope + k * self.rec.phase(k * x)[2]
+
+    def zeta(self, x, s):
+        k = self.m.k
+        _, half, drift = self.legendre()
+        return complex(k * self.rec.phase(k * x)[2] + drift * x, s * half * x)
 
     def at(self, x, fn):
         k = self.m.k
@@ -143,21 +186,48 @@ class _LargeReal:
         z *= k
         return x * self.slope + z, dn, z
 
-
-def _imaginary(m):
-    # the kernel of k1 for the modulus i*k, built on the exact k1p, and the
-    # modulus's E/K = E(k1)/(k1p^2 K(k1))
-    k1, k1p = imaginary_submoduli(m)
-    agm = _Agm(k1, k1p)
-    return agm, agm.ek / agm.kp2
+    def integrand(self):
+        k, agm = self.m.k, self.rec
+        return lambda t: agm.jacobi(k * t)[1] ** 2
 
 
-def _imaginary_zeta(fn, x, m, agm):
-    # Z(x) of the modulus i*k = Z(x/k1p + K(k1), k1)/k1p, one descent at x/k1p
-    try:
-        return _zeta_shifted(agm, x / agm.kp) / agm.kp
-    except DomainError as exc:
-        raise _failed(fn, x, m, exc) from exc
+class _Imaginary:
+    # the rule for the modulus i*k (module docstring): the kernel of k1, built
+    # on the exact k1p, and the modulus's E/K = E(k1)/(k1p^2 K(k1))
+    __slots__ = ("agm", "slope")
+
+    def __init__(self, m):
+        h = math.hypot(1.0, m.k)
+        self.agm = _Agm(m.k / h, 1.0 / h)
+        self.slope = self.agm.ek / self.agm.kp2
+
+    def ek(self, s):
+        return complex(self.slope, 0.0)
+
+    def epsilon(self, x):
+        return self.slope * x + self._z(x)
+
+    def zeta(self, x, s):
+        return complex(self._z(x), 0.0)
+
+    def _z(self, x):
+        # Z(u + K(k1), k1)/k1p from one descent at u = x/k1p
+        agm = self.agm
+        sn, cn, dn, z = agm.jacobi(x / agm.kp)
+        return (z - agm.k * agm.k * sn * cn / dn) / agm.kp
+
+    def integrand(self):
+        agm, k1p = self.agm, self.agm.kp
+        return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
+
+
+_RULES = {Regime.STANDARD: _Standard, Regime.LARGE_REAL: _LargeReal,
+          Regime.PURE_IMAGINARY: _Imaginary}
+
+
+def _rule(m):
+    # the rule of the modulus's regime, built once per call
+    return _RULES[m.regime](m)
 
 
 def _branch_sign(branch):
@@ -170,11 +240,21 @@ def _branch_sign(branch):
 
 
 def _failed(fn, x, m, exc):
-    # a descent names the kx or x/k1p and the 1/k or k1 it saw, not the caller's x and k
-    return DomainError(f"{fn}(x={x!r}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
+    # a descent names the kx or x/k1p and the 1/k or k1 it saw, and the
+    # bisection its own interval, not the caller's x and k: an error of the
+    # same type that names them
+    return type(exc)(f"{fn}(x={x!r}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
 
 
-def _finite(fn, x, m, value):
+def _evaluate(fn, x, m, run):
+    # run(rule) for epsilon_any and zeta_any on a finite x; a descent error
+    # or a non-finite value names the caller's x, the regime and k
+    if not math.isfinite(x):
+        raise DomainError(f"{fn} requires finite x")
+    try:
+        value = run(_rule(m))
+    except DomainError as exc:
+        raise _failed(fn, x, m, exc) from exc
     if not cmath.isfinite(value):
         raise DomainError(
             f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
@@ -188,14 +268,7 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
     branch makes Im E/K positive and so Im Z negative for x > 0.  At
     k = 1 the ratio vanishes (K diverges).
     """
-    s = _branch_sign(branch)
-    if m.regime is Regime.STANDARD:
-        return complex(_kernel(m.k).ek, 0.0)
-    if m.regime is Regime.LARGE_REAL:
-        rule = _LargeReal(m)
-        _, half, drift = rule.legendre()
-        return complex(rule.slope - drift, -s * half)
-    return complex(_imaginary(m)[1], 0.0)
+    return _rule(m).ek(_branch_sign(branch))
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -204,18 +277,22 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     Both entries are complex; the branches are conjugates, and the ratio
     E/K of the returned pair matches ek_ratio on the same branch.  Against
     mpmath, |error| <= 3.1e-15 |K| and |E| from k = 1 + 1e-11 to 1e150;
-    Im E, which vanishes as k -> 1+, keeps fewer digits of its own there.
+    Im E, which vanishes as k -> 1+, is within 6e-16 of itself there.
     """
     s = _branch_sign(branch)
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
     rule = _LargeReal(m)
-    rec, k_comp = rule.rec, rule.legendre()[0]
-    # Re E/k = E(1/k) - (1 - 1/k^2) K(1/k) without its cancellation, and
-    # Im E/k = E' - K'/k^2 with E' from Legendre's relation
+    rec, comp = rule.rec, rule.legendre()[0]
+    # Re E/k = E(1/k) - (1 - 1/k^2) K(1/k) without its cancellation; Im E/k =
+    # -s (E' - K'/k^2), summed as K' (k_c^2 - (1 - E'/K')) up to k = sqrt(2),
+    # so that it keeps its digits as it vanishes at k -> 1+, and above with E'
+    # from Legendre's relation
     r2, q = rec.k * rec.k, rec.one_minus_ek
-    big_k = complex(rec.K, s * k_comp) / m.k
-    big_e = m.k * complex(rec.K * (r2 - q), -s * (0.5 * math.pi / rec.K + k_comp * (q - r2)))
+    im = (comp.K * (rec.kp2 - comp.one_minus_ek) if rec.kp2 <= 0.5
+          else 0.5 * math.pi / rec.K + comp.K * (q - r2))
+    big_k = complex(rec.K, s * comp.K) / m.k
+    big_e = m.k * complex(rec.K * (r2 - q), -s * im)
     return EllipticPair(big_k, big_e)
 
 
@@ -225,16 +302,7 @@ def epsilon_any(x: float, m: Modulus) -> float:
     Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x, summed
     as in the module docstring.  Imaginary i*k: epsilon = Z + (E/K) x.
     """
-    if not math.isfinite(x):
-        raise DomainError("epsilon_any requires finite x")
-    if m.regime is Regime.STANDARD:
-        value = epsilon(x, m.k)
-    elif m.regime is Regime.LARGE_REAL:
-        value = _LargeReal(m).at(x, "epsilon_any")[0]
-    else:
-        agm, ek = _imaginary(m)
-        value = ek * x + _imaginary_zeta("epsilon_any", x, m, agm)
-    return _finite("epsilon_any", x, m, value)
+    return _evaluate("epsilon_any", x, m, lambda rule: rule.epsilon(x))
 
 
 def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
@@ -245,14 +313,4 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     Imaginary i*k: Z(x/k1p + K(k1), k1)/k1p, shifted inside the primary cell.
     """
     s = _branch_sign(branch)
-    if not math.isfinite(x):
-        raise DomainError("zeta_any requires finite x")
-    if m.regime is Regime.STANDARD:
-        value = complex(zeta(x, m.k), 0.0)
-    elif m.regime is Regime.LARGE_REAL:
-        rule = _LargeReal(m)
-        _, half, drift = rule.legendre()
-        value = complex(rule.at(x, "zeta_any")[2] + drift * x, s * half * x)
-    else:
-        value = complex(_imaginary_zeta("zeta_any", x, m, _imaginary(m)[0]), 0.0)
-    return _finite("zeta_any", x, m, value)
+    return _evaluate("zeta_any", x, m, lambda rule: rule.zeta(x, s))

@@ -45,8 +45,8 @@ naming k outside |k| <= 1, NaN included.  At k = 1, where the AGM
 degenerates (b0 = 0) and K diverges, it returns the limit `_Unit`: K =
 inf, E = 1, am = gd x (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x
 (22.5(ii)).  The descent is the one check of x and names a non-finite x
-as such.  `complete_k` and `zeta_shift_quarter_period` have no value at
-k = 1 and build `_Agm`, which rejects it.
+as such.  `complete_k` has no value at k = 1 and builds `_Agm`, which
+rejects it.
 
 Carlson's RF and RD remain for E(phi, k) (DLMF 19.25), the independent
 route the tests check the kernel against; it keeps its own checks.

@@ -10,8 +10,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .extended import Modulus, Regime, _LargeReal, _failed, _imaginary
-from .jacobi import _kernel
+from .extended import Modulus, _failed, _rule
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
 _NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
@@ -68,18 +67,11 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     """The real integrand whose integral from 0 to x gives epsilon(x, m).
 
     Standard: dn^2(t,k).  Real k > 1: cn^2(kt, 1/k).  Imaginary i*k:
-    1/dn^2(t/k1p, k1).  The AGM kernel of the standard-range modulus is
-    built once here, so each evaluation is one kernel descent.
+    1/dn^2(t/k1p, k1).  It is the `integrand()` of the modulus's regime
+    rule (extended.py), which builds the AGM kernel of the standard-range
+    modulus once, so each evaluation is one kernel descent.
     """
-    if m.regime is Regime.STANDARD:
-        agm = _kernel(m.k)
-        return lambda t: agm.jacobi(t)[2] ** 2
-    if m.regime is Regime.LARGE_REAL:
-        k, agm = m.k, _LargeReal(m).rec
-        return lambda t: agm.jacobi(k * t)[1] ** 2
-    agm = _imaginary(m)[0]
-    k1p = agm.kp
-    return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
+    return _rule(m).integrand()
 
 
 def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
@@ -94,6 +86,7 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     f = regime_integrand(m)
     try:
         value = integrate(f, 0.0, abs(x), tol).value
-    except DomainError as exc:  # the integrand sees kt or t/k1p, not the caller's x
+    except (DomainError, ConvergenceError) as exc:
+        # the integrand sees kt or t/k1p and the bisection its own interval, not the caller's x
         raise _failed("epsilon_by_quadrature", x, m, exc) from exc
     return value if x >= 0.0 else -value

@@ -4,14 +4,14 @@ The library validates a modulus only in `Modulus` and evaluates it only
 through the dispatchers.  These adapters keep the tests' call sites in
 the (x, k) form of the paper: each builds `Modulus(regime, k)`, so a
 bad k raises DomainError exactly as the library does, and calls the
-dispatcher.  The last two forms exist only as independent cross-checks.
+dispatcher.  The last three forms exist only as independent cross-checks.
 """
 
 import math
 
 from epszeta import (Modulus, Regime, complete_e, complete_k, ek_ratio,
-                     epsilon_any, imaginary_submoduli as _submoduli,
-                     k_e_continued as _k_e_continued, zeta, zeta_any)
+                     epsilon_any, k_e_continued as _k_e_continued, zeta,
+                     zeta_any)
 
 
 def _large(k):
@@ -47,7 +47,10 @@ def zeta_imaginary(x, k):
 
 
 def imaginary_submoduli(k):
-    return _submoduli(_imaginary(k))
+    """k1 = k/sqrt(1+k^2) and k1p = 1/sqrt(1+k^2) of the modulus i*k, from hypot."""
+    _imaginary(k)
+    h = math.hypot(1.0, k)
+    return k / h, 1.0 / h
 
 
 def epsilon_large_real_via_zeta(x, k):

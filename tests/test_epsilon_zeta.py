@@ -6,7 +6,8 @@ import pytest
 import goldens
 from epszeta import (DomainError, Modulus, amplitude, complete_k, epsilon,
                      epsilon_by_quadrature, incomplete_e, sncndn, zeta,
-                     zeta_shift_quarter_period)
+                     zeta_any)
+from raw_k import imaginary_submoduli
 from test_jacobi import XS, assert_names_bad_arguments
 
 # printed table values carry six decimals
@@ -61,35 +62,46 @@ class TestZeta:
         assert_names_bad_arguments(zeta)
 
 
+def shifted_zeta(x, k):
+    """Z of the modulus i*k as the quarter-period shift of the standard Z,
+    Z(x/k1p + K(k1), k1)/k1p, with k1 and k1p formed from hypot (raw_k)."""
+    k1, k1p = imaginary_submoduli(k)
+    return zeta(x / k1p + complete_k(k1), k1) / k1p
+
+
 class TestZetaShift:
+    # the imaginary rule evaluates Z(u + K) = Z(u) - k1^2 sn cn/dn in the
+    # primary cell; zeta_any must agree with the shift taken literally
     def test_vanishes_at_origin(self):
         # Z(K) = 0: the right-hand side has sn*cn/dn = 0 at x = 0
-        assert zeta_shift_quarter_period(0.0, 0.5) == 0.0
+        assert zeta_any(0.0, Modulus.imaginary(0.5)) == 0j
 
     def test_matches_direct_evaluation(self):
-        assert zeta_shift_quarter_period(0.3, 0.6) == pytest.approx(
-            zeta(0.3 + complete_k(0.6), 0.6), abs=1e-12)
+        assert zeta_any(0.3, Modulus.imaginary(0.6)).real == pytest.approx(
+            shifted_zeta(0.3, 0.6), abs=1e-12)
 
     def test_randomized_agreement(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
             x = rng.uniform(-3, 3)
-            k = rng.uniform(0.05, 0.9)
-            assert zeta_shift_quarter_period(x, k) == pytest.approx(
-                zeta(x + complete_k(k), k), abs=1e-12)
+            k = rng.uniform(0.05, 2.0)
+            assert zeta_any(x, Modulus.imaginary(k)).real == pytest.approx(
+                shifted_zeta(x, k), abs=1e-12)
 
     def test_zero_modulus(self):
-        assert zeta_shift_quarter_period(0.5, 0.0) == 0.0
+        # i*0 is the standard k = 0, where Z vanishes identically
+        assert zeta_any(0.5, Modulus.imaginary(0.0)) == 0j
 
     def test_rejects_unit_modulus(self):
-        with pytest.raises(DomainError):
-            zeta_shift_quarter_period(0.3, 1.0)
-        for k in (math.nan, math.inf, 1.5):
-            with pytest.raises(DomainError, match=f"k={k!r}"):
-                zeta_shift_quarter_period(0.3, k)
+        # k1 rounds to 1, where K(k1) diverges, from k = 2^26 on
+        with pytest.raises(DomainError, match="rounds to 1"):
+            Modulus.imaginary(2.0 ** 26)
+        for k in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                Modulus.imaginary(k)
         for x in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match=f"x={x!r}"):
-                zeta_shift_quarter_period(x, 0.5)
+            with pytest.raises(DomainError, match="finite x"):
+                zeta_any(x, Modulus.imaginary(0.5))
 
 
 def test_odd_in_x():

@@ -53,16 +53,30 @@ class TestModulus:
 
 
 class TestDerivedModuli:
+    # the pair k1, k1p of i*k is internal to the imaginary rule; the tests
+    # form it from hypot (raw_k) and check the rule through its E/K
     def test_pythagorean_invariant(self):
         for k in (1e-4, 0.3, 1.0, 7.5, 1e4):
             k1, k1p = imaginary_submoduli(k)
             assert 0.0 < k1 < 1.0 and 0.0 < k1p < 1.0
             assert abs(k1 * k1 + k1p * k1p - 1.0) <= 1e-15
+        # E/K of i*k = E(k1)/(k1p^2 K(k1)); at k = 1e4 the test's own
+        # complete_k(k1) rounds its complement, so it stops at 7.5
+        for k in (1e-4, 0.3, 1.0, 7.5):
+            k1, k1p = imaginary_submoduli(k)
+            r = ek_ratio(Modulus.imaginary(k))
+            assert r.imag == 0.0
+            assert r.real == pytest.approx(
+                complete_e(k1) / (k1p * k1p * complete_k(k1)), rel=1e-14)
 
     def test_values(self):
+        # at k = 1 both are sqrt(1/2), so E/K of i is 2 E/K of sqrt(1/2)
         k1, k1p = imaginary_submoduli(1.0)
         assert k1 == pytest.approx(math.sqrt(0.5), rel=1e-15)
         assert k1p == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        r = math.sqrt(0.5)
+        assert ek_ratio(Modulus.imaginary(1.0)).real == pytest.approx(
+            2.0 * complete_e(r) / complete_k(r), rel=1e-15)
 
     def test_reciprocal_companion(self):
         for k in (1.2, 2.0, 10.0):
@@ -236,6 +250,15 @@ class TestKEContinued:
         assert upper.K == pair.K.conjugate()
         assert upper.E == pair.E.conjugate()
 
+    def test_imaginary_e_near_one(self):
+        # Im E vanishes like pi/2 (k - 1), so it is bounded relative to itself,
+        # which the relative-to-|E| goldens of test_large_real_goldens are not
+        for tag, k in (("1P1EM11", 1.0 + 1e-11), ("1P1EM9", 1.0 + 1e-9)):
+            ref = getattr(goldens, f"IM_EE_R{tag}")
+            for branch, sign in (("lower", 1.0), ("upper", -1.0)):
+                got = k_e_continued(k, branch).E.imag
+                assert abs(got - sign * ref) <= 1e-15 * ref, (tag, branch, got, ref)
+
     def test_near_one_boundary(self):
         # inside the rejected sliver
         with pytest.raises(DomainError):
@@ -390,8 +413,9 @@ class TestDispatchers:
             epsilon_by_quadrature(1e16, Modulus.real(2.0))
 
     def test_wrong_regime_is_domain_error(self):
+        # k_e_continued is the one public routine bound to a single regime
         with pytest.raises(DomainError):
-            epszeta.imaginary_submoduli(Modulus.real(0.5))
+            epszeta.k_e_continued(Modulus.real(0.5))
         with pytest.raises(DomainError):
             epszeta.k_e_continued(Modulus.imaginary(2.0))
 
@@ -411,6 +435,29 @@ class TestDispatchers:
                      lambda m: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError, match="rounds to 1"):
                 call(Modulus.imaginary(1e8))
+
+
+@pytest.mark.parametrize("m", [
+    Modulus.real(0.0), Modulus.real(0.5), Modulus.real(1.0), Modulus.real(1.0 + 1e-9),
+    Modulus.real(2.0), Modulus.real(1e8),
+    *(Modulus.imaginary(10.0 ** e) for e in range(-6, 7))], ids=repr)
+def test_rule_contract(m):
+    # every regime rule answers the same calls the same way: Z = epsilon - (E/K) x,
+    # conjugate branches that coincide off the large-real regime, Z(0) = 0.
+    # The identity holds to the rounding of its largest term, which at k = 1e8
+    # is (E/K) x of about 4e7, not epsilon
+    lower, upper = ek_ratio(m), ek_ratio(m, "upper")
+    assert upper == lower.conjugate()
+    if m.regime is not Regime.LARGE_REAL:
+        assert upper == lower
+    for x in (-7.3, -0.4, 0.25, 1.0, 3.3):
+        x = x / m.k if m.k > 1e3 else x  # kx stays within the period reduction
+        eps = epsilon_any(x, m)
+        z = zeta_any(x, m)
+        scale = max(1.0, abs(eps), abs(lower * x))
+        assert abs(z - (eps - lower * x)) <= 1e-13 * scale, (x, z, eps)
+        assert zeta_any(x, m, "upper") == z.conjugate()
+    assert zeta_any(0.0, m) == 0j and zeta_any(0.0, m, "upper") == 0j
 
 
 def test_continuity_across_regimes():

@@ -3,7 +3,6 @@ import epszeta
 # The public surface changes only on purpose: edit this list with it.
 PUBLIC_NAMES = [
     "ConvergenceError",
-    "DerivedModuli",
     "DomainError",
     "ElasticaParams",
     "EllipticPair",
@@ -20,7 +19,6 @@ PUBLIC_NAMES = [
     "epsilon_any",
     "epsilon_by_quadrature",
     "flexural_point",
-    "imaginary_submoduli",
     "incomplete_e",
     "inflexural_point",
     "integrate",
@@ -35,7 +33,6 @@ PUBLIC_NAMES = [
     "uniform_grid",
     "zeta",
     "zeta_any",
-    "zeta_shift_quarter_period",
 ]
 
 

@@ -127,3 +127,11 @@ class TestEpsilonByQuadrature:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             epsilon_by_quadrature(math.nan, Modulus.real(0.5), 1e-10)
+
+    def test_no_convergence_names_the_caller(self):
+        # the bisection names only its own interval; the error adds x, the
+        # regime and k and keeps the bisection's message
+        m = Modulus.imaginary(1e4)
+        with pytest.raises(ConvergenceError, match=r"^epsilon_by_quadrature\(x=0\.5\) fails "
+                           r"for the pure_imaginary modulus k=10000\.0: no convergence to tol="):
+            epsilon_by_quadrature(0.5, m)

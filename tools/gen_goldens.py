@@ -145,4 +145,10 @@ for tag, k, x in (("1P1EM9", 1.0 + 1e-9, 0.5), ("1E8", 1e8, 0.5), ("1E12", 1e12,
         emit(f"KK_R{tag}", c(mp.ellipk(m)))
         emit(f"EE_R{tag}", c(mp.ellipe(m)))
 
+# Im E at real k just above 1, where it vanishes like pi/2 (k - 1) and the
+# tests bound it relative to itself; the exact doubles the tests pass
+for tag, k in (("1P1EM11", 1.0 + 1e-11), ("1P1EM9", 1.0 + 1e-9)):
+    with mp.workdps(60):
+        emit(f"IM_EE_R{tag}", f(mp.im(mp.ellipe(mp.mpf(k) ** 2))))
+
 print("\n".join(lines))
