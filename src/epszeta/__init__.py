@@ -2,13 +2,14 @@
 
 The standard definitions cover k in [0, 1]; the extended routines reach
 real k > 1 (where zeta turns complex) and pure imaginary moduli i*k by
-reducing everything to the standard range.  A self-contained Carlson/AGM
-core supplies the elliptic building blocks, an adaptive Newton-Cotes
-integrator provides an independent cross-check, and the elastica module
-applies the machinery to bent-rod curves.
+reducing everything to the standard range.  A self-contained core, one
+descending AGM per modulus with Carlson's RF for F(phi, k), supplies the
+elliptic building blocks, an adaptive Newton-Cotes integrator provides
+an independent cross-check, and the elastica module applies the
+machinery to bent-rod curves.
 """
 
-from .carlson import rc, rd, rf
+from .carlson import rf
 from .elastica import (ElasticaParams, PlanePoint, flexural_point,
                        inflexural_point, sample_curve, uniform_grid)
 from .epsilon_zeta import epsilon, zeta
@@ -45,8 +46,6 @@ __all__ = [
     "integrate",
     "k_e_continued",
     "newton_cotes_8",
-    "rc",
-    "rd",
     "regime_integrand",
     "rf",
     "sample_curve",

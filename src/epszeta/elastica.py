@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
-from .extended import Modulus, Regime, _LargeReal
+from .extended import Modulus, Regime, _failed, _LargeReal
 from .jacobi import _Agm
 
 
@@ -44,13 +44,17 @@ def _flexural(p):
     # x = (2 (epsilon(u + K) - E) - u)/omega, y = -2k cn(u + K)/omega
     if not p.k < 1.0:
         raise DomainError("flexural elastica requires k < 1")
-    k, w = p.k, p.omega
+    m = Modulus(Regime.STANDARD, p.k)
+    k, w = m.k, p.omega
     agm = _Agm(k)
     quarter, ek = agm.K, agm.ek
 
     def point(u):
-        # epsilon(u + K) - E = Z(u + K) + (E/K) u
-        _, cn, _, z = agm.jacobi(u + quarter)
+        # epsilon(u + K) - E = Z(u + K) + (E/K) u; the descent names u + K
+        try:
+            _, cn, _, z = agm.jacobi(u + quarter)
+        except DomainError as exc:
+            raise _failed("flexural_point", u, m, exc) from exc
         return PlanePoint((2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w)
 
     return point

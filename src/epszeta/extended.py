@@ -50,9 +50,9 @@ regimes, because a modulus is checked once where it is made, before
 any rule or kernel exists: it raises DomainError naming k outside
 standard 0 <= k <= 1; large-real from 1 + 1e-12 while k^2 is finite (to
 1.34e154); pure-imaginary 0 < k < 2^26 (6.7e7), from where k1 rounds to
-1.  A dispatcher checks that x is finite, and names its x, regime and k
-when the rule's descent at x, kx or x/k1p fails or its result is not
-finite.
+1.  The rule's descent at x, kx or x/k1p is the one check of x, a
+non-finite x included; a dispatcher names its x, regime and k when that
+descent fails or its result is not finite.
 """
 
 import cmath
@@ -84,21 +84,21 @@ class Modulus:
     def __post_init__(self):
         if isinstance(self.k, bool) or not (
                 isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise DomainError("modulus must be a finite real number")
+            raise DomainError(f"modulus must be a finite real number, got k={self.k!r}")
         if self.regime is Regime.STANDARD:
             if not 0.0 <= self.k <= 1.0:
-                raise DomainError("standard regime requires k in [0, 1]")
+                raise DomainError(f"standard regime requires k in [0, 1], got k={self.k!r}")
         elif self.regime is Regime.LARGE_REAL:
             if not self.k >= _MIN_LARGE:
                 raise DomainError(
-                    "large-real regime requires k > 1; moduli in (1, 1 + 1e-12) are "
-                    "numerically meaningless and rejected")
+                    f"large-real regime requires k > 1, got k={self.k!r}; moduli in "
+                    "(1, 1 + 1e-12) are numerically meaningless and rejected")
             if not math.isfinite(self.k * self.k):
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
         else:
             if not self.k > 0.0:
-                raise DomainError("pure-imaginary regime requires k > 0")
+                raise DomainError(f"pure-imaginary regime requires k > 0, got k={self.k!r}")
             if self.k / math.hypot(1.0, self.k) == 1.0:
                 raise DomainError(f"pure_imaginary modulus k={self.k!r}: k1 = k/sqrt(1+k^2) "
                                   "rounds to 1 from k = 2^26 on, where K(k1) diverges")
@@ -247,10 +247,8 @@ def _failed(fn, x, m, exc):
 
 
 def _evaluate(fn, x, m, run):
-    # run(rule) for epsilon_any and zeta_any on a finite x; a descent error
-    # or a non-finite value names the caller's x, the regime and k
-    if not math.isfinite(x):
-        raise DomainError(f"{fn} requires finite x")
+    # run(rule) for epsilon_any and zeta_any; a descent error (a non-finite
+    # x included) or a non-finite value names the caller's x, the regime and k
     try:
         value = run(_rule(m))
     except DomainError as exc:

@@ -1,8 +1,8 @@
 """Legendre elliptic integrals and Jacobi elliptic functions for k in [0, 1].
 
-Every standard-range quantity but the incomplete integral E(phi, k) comes
-from one kernel, `_Agm`, built once per modulus 0 <= k < 1.  It runs the
-descending arithmetic-geometric mean of DLMF 22.20(ii),
+Every standard-range quantity comes from one kernel, `_Agm`, built once
+per modulus 0 <= k < 1.  It runs the descending arithmetic-geometric
+mean of DLMF 22.20(ii),
 
     a0 = 1,  b0 = k' = sqrt(1 - k^2),  c0 = k,
     a(n+1) = (a(n) + b(n))/2,  b(n+1) = sqrt(a(n) b(n)),
@@ -38,24 +38,26 @@ reduced argument keeps no correct digit and the descent raises
 DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 3.5e15 at k = 0, where K = pi/2 is smallest).
 
-Every public routine here and in epsilon_zeta.py but `incomplete_e` is
-`_kernel(k)` and at most one descent.  `_kernel` is the one check of k:
-it strips the sign (K, E, dn and am are even in k) and raises DomainError
-naming k outside |k| <= 1, NaN included.  At k = 1, where the AGM
-degenerates (b0 = 0) and K diverges, it returns the limit `_Unit`: K =
-inf, E = 1, am = gd x (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x
-(22.5(ii)).  The descent is the one check of x and names a non-finite x
-as such.  `complete_k` has no value at k = 1 and builds `_Agm`, which
+Every public routine here and in epsilon_zeta.py is `_kernel(k)` and at
+most one descent.  `_kernel` is the one check of k: it strips the sign
+(K, E, dn and am are even in k) and raises DomainError naming k outside
+|k| <= 1, NaN included.  At k = 1, where the AGM degenerates (b0 = 0)
+and K diverges, it returns the limit `_Unit`: K = inf, E = 1, am = gd x
+(DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  The
+descent is the one check of x and names a non-finite x as such.  `complete_k` has no value at k = 1 and builds `_Agm`, which
 rejects it.
 
-Carlson's RF and RD remain for E(phi, k) (DLMF 19.25), the independent
-route the tests check the kernel against; it keeps its own checks.
+`incomplete_e` is epsilon at the argument F(phi, k), since epsilon(x) =
+E(am(x)) (DLMF 22.16(ii)): it reduces phi by pi once, takes F on the
+half cell from Carlson's RF (DLMF 19.25(i)), where am(F) = phi, and adds
+2E per period.  At k = 1, F = artanh(sin phi) and tanh F = sin phi.  It
+names a non-finite phi before reducing it.
 """
 
 import math
 from typing import NamedTuple
 
-from .carlson import rd, rf
+from .carlson import rf
 from .errors import DomainError
 
 # Largest period index |n| of the reduction x = x_r + 2K n (module docstring).
@@ -194,26 +196,18 @@ def incomplete_e(phi: float, k: float) -> float:
     """Incomplete second-kind integral E(phi,k) = integral 0..phi sqrt(1 - k^2 sin^2 t) dt.
 
     Odd in phi and defined for all real phi through the quasi-period
-    E(phi + pi, k) = E(phi, k) + 2 E(k).
+    E(phi + pi, k) = E(phi, k) + 2 E(k).  On the half cell |phi| <= pi/2
+    it is epsilon(F(phi, k), k), with F = sin phi RF(cos^2 phi,
+    1 - k^2 sin^2 phi, 1) (DLMF 19.25(i), 22.16(ii)).
     """
-    k = abs(k)
-    if not k <= 1.0:
-        raise DomainError("incomplete_e requires |k| <= 1")
+    agm = _kernel(k)
     if not math.isfinite(phi):
-        raise DomainError("incomplete_e requires finite phi")
+        raise DomainError(f"phi={phi!r} is not finite (k={agm.k!r})")
     n = round(phi / math.pi)
-    value = _e_half_cell(phi - n * math.pi, k)
-    if n:
-        value += 2.0 * n * complete_e(k)
-    return value
-
-
-def _e_half_cell(phi, k):
-    # |phi| <= pi/2: Carlson reduction, DLMF 19.25
-    s = math.sin(phi)
-    c = math.cos(phi)
-    w = (1.0 - k * s) * (1.0 + k * s)
-    return s * rf(c * c, w, 1.0) - (k * k / 3.0) * s ** 3 * rd(c * c, w, 1.0)
+    phi -= n * math.pi
+    s, c, k = math.sin(phi), math.cos(phi), agm.k
+    f = s * rf(c * c, (1.0 - k * s) * (1.0 + k * s), 1.0)
+    return agm.phase(f)[2] + agm.ek * f + 2.0 * n * agm.E
 
 
 def amplitude(x: float, k: float) -> float:

@@ -81,8 +81,6 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     formulas.  Every regime integrand is even in t, so negative x is
     folded through the origin and the result is exactly odd in x.
     """
-    if not math.isfinite(x):
-        raise DomainError("epsilon_by_quadrature requires finite x")
     f = regime_integrand(m)
     try:
         value = integrate(f, 0.0, abs(x), tol).value

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import goldens
-from epszeta import DomainError, rc, rd, rf
+from carlson_ref import rc, rd
+from epszeta import DomainError, rf
 
 
 def agm_complete_k_e(k):

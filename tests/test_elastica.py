@@ -62,6 +62,12 @@ class TestFlexural:
         with pytest.raises(DomainError):
             flexural_point(0.1, ElasticaParams(k=2.0))
 
+    def test_descent_failure_names_the_caller(self):
+        # the descent sees u + K; the error names u and k
+        with pytest.raises(DomainError, match=r"flexural_point\(x=1e\+16\) fails "
+                                              r"for the standard modulus k=0\.5"):
+            flexural_point(1e16, ElasticaParams(0.5))
+
 
 class TestInflexural:
     def test_start_point(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestZetaShift:
             with pytest.raises(DomainError):
                 Modulus.imaginary(k)
         for x in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="finite x"):
+            with pytest.raises(DomainError, match=re.escape(f"x={x!r}")):
                 zeta_any(x, Modulus.imaginary(0.5))
 
 

@@ -51,6 +51,15 @@ class TestModulus:
         with pytest.raises(DomainError):
             Modulus(Regime.PURE_IMAGINARY, True)
 
+    @pytest.mark.parametrize("regime, k", [
+        (Regime.STANDARD, math.nan), (Regime.LARGE_REAL, math.inf),
+        (Regime.PURE_IMAGINARY, -math.inf), (Regime.STANDARD, 2.0),
+        (Regime.LARGE_REAL, 1.0 + 1e-13), (Regime.PURE_IMAGINARY, 0.0),
+        (Regime.PURE_IMAGINARY, -1.0)])
+    def test_rejection_names_k(self, regime, k):
+        with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
+            Modulus(regime, k)
+
 
 class TestDerivedModuli:
     # the pair k1, k1p of i*k is internal to the imaginary rule; the tests

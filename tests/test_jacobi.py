@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,15 +18,15 @@ BAD_X = (math.nan, math.inf, -math.inf)
 XS = (0.0, 1e-300, -1e-8, 0.3, -0.5, 2.0, -7.25, 30.0, -700.0)
 
 
-def assert_names_bad_arguments(fn):
-    # the one check of k and the one check of x name the argument at fault
+def assert_names_bad_arguments(fn, arg="x"):
+    # the one check of k and the one check of x (named arg) name the argument at fault
     for k in BAD_K:
         with pytest.raises(DomainError, match=f"k={k!r}"):
             fn(0.5, k)
     for x in BAD_X:
-        with pytest.raises(DomainError, match=f"x={x!r}"):
+        with pytest.raises(DomainError, match=f"{arg}={x!r}"):
             fn(x, 0.5)
-        with pytest.raises(DomainError, match=f"x={x!r}"):
+        with pytest.raises(DomainError, match=f"{arg}={x!r}"):
             fn(x, 1.0)
 
 
@@ -98,6 +100,29 @@ class TestIncompleteE:
         # |phi| > pi/2 goes through the quasi-period extension
         assert incomplete_e(2.5, 0.6) == pytest.approx(goldens.IE_25_06, rel=1e-14)
 
+    @pytest.mark.parametrize("tag, phi, k", [
+        ("PI2_1M1EM15", math.pi / 2, 1.0 - 1e-15),
+        ("PI2P1EM9_1M1EM15", math.pi / 2 + 1e-9, 1.0 - 1e-15),
+        ("3PI2_1M1EM15", 3 * math.pi / 2, 1.0 - 1e-15),
+        ("PI2M1EM12_1M1EM12", math.pi / 2 - 1e-12, 1.0 - 1e-12),
+        ("07_1", 0.7, 1.0), ("07_1EM9", 0.7, 1e-9)])
+    def test_hard_corner_goldens(self, tag, phi, k):
+        # F(phi, k) at and next to K as k -> 1-, and the moduli 1 and 1e-9
+        ref = getattr(goldens, f"IE_{tag}")
+        assert abs(incomplete_e(phi, k) - ref) <= 2e-15 * abs(ref)
+
+    def test_mpmath_grid(self):
+        # as k -> 1 the kernel's E and E/K are only within 6e-15 of themselves
+        # (the rounding of c(n+1) = c(n)^2/(4 a(n+1)) compounds), and E(phi)
+        # keeps up to three times that where 2nE and E(phi - n pi) cancel
+        rng = np.random.default_rng(28)
+        with mp.workdps(40):
+            for _ in range(200):
+                phi = float(rng.uniform(-20.0, 20.0))
+                k = float(1.0 - 10.0 ** rng.uniform(-15.0, 0.0))
+                ref = float(mp.ellipe(mp.mpf(phi), mp.mpf(k) ** 2))
+                assert abs(incomplete_e(phi, k) - ref) <= 2e-14 * max(1.0, abs(ref)), (phi, k)
+
     def test_quadrature(self):
         ref, _ = quad(lambda t: math.sqrt(1.0 - (0.5 * math.sin(t)) ** 2),
                       0, 0.7, epsabs=0, epsrel=1e-12)
@@ -124,6 +149,9 @@ class TestIncompleteE:
             incomplete_e(0.5, 1.5)
         with pytest.raises(DomainError):
             incomplete_e(math.inf, 0.5)
+        assert_names_bad_arguments(incomplete_e, "phi")
+        with pytest.raises(DomainError, match=re.escape("phi=nan is not finite (k=0.5)")):
+            incomplete_e(math.nan, 0.5)
 
 
 class TestAmplitude:

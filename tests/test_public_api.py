@@ -24,8 +24,6 @@ PUBLIC_NAMES = [
     "integrate",
     "k_e_continued",
     "newton_cotes_8",
-    "rc",
-    "rd",
     "regime_integrand",
     "rf",
     "sample_curve",

@@ -9,6 +9,8 @@ Run from the repository root:
     python3 tools/gen_goldens.py > tests/goldens.py
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -150,5 +152,16 @@ for tag, k, x in (("1P1EM9", 1.0 + 1e-9, 0.5), ("1E8", 1e8, 0.5), ("1E12", 1e12,
 for tag, k in (("1P1EM11", 1.0 + 1e-11), ("1P1EM9", 1.0 + 1e-9)):
     with mp.workdps(60):
         emit(f"IM_EE_R{tag}", f(mp.im(mp.ellipe(mp.mpf(k) ** 2))))
+
+# E(phi, k) at its hard corners: phi at and next to odd multiples of pi/2
+# as k -> 1-, where F(phi, k) reaches K and K diverges, and the moduli
+# 1 and 1e-9; phi and k are the exact doubles the tests pass
+for tag, phi, k in (("PI2_1M1EM15", math.pi / 2, 1.0 - 1e-15),
+                    ("PI2P1EM9_1M1EM15", math.pi / 2 + 1e-9, 1.0 - 1e-15),
+                    ("3PI2_1M1EM15", 3 * math.pi / 2, 1.0 - 1e-15),
+                    ("PI2M1EM12_1M1EM12", math.pi / 2 - 1e-12, 1.0 - 1e-12),
+                    ("07_1", 0.7, 1.0), ("07_1EM9", 0.7, 1e-9)):
+    with mp.workdps(60):
+        emit(f"IE_{tag}", f(mp.ellipe(mp.mpf(phi), mp.mpf(k) ** 2)))
 
 print("\n".join(lines))
