@@ -18,8 +18,7 @@ from .extended import (Modulus, Regime, ek_ratio, epsilon_any, k_e_continued,
                        zeta_any)
 from .jacobi import (EllipticPair, JacobiTriple, amplitude, complete_e,
                      complete_k, incomplete_e, sncndn)
-from .quadrature import (QuadratureResult, epsilon_by_quadrature, integrate,
-                         newton_cotes_8, regime_integrand)
+from .quadrature import epsilon_by_quadrature, regime_integrand
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "JacobiTriple",
     "Modulus",
     "PlanePoint",
-    "QuadratureResult",
     "Regime",
     "amplitude",
     "complete_e",
@@ -43,9 +41,7 @@ __all__ = [
     "flexural_point",
     "incomplete_e",
     "inflexural_point",
-    "integrate",
     "k_e_continued",
-    "newton_cotes_8",
     "regime_integrand",
     "rf",
     "sample_curve",

@@ -4,8 +4,11 @@ The flexural family (0 < k < 1, inflection points) and the in-flexural
 family (k > 1, inflection-free) are sampled parametrically.  u is arc
 length times omega, so |dP/du| = 1/omega identically along both curves.
 Each kind has one point formula, built once per curve around the AGM
-kernel of its standard-range modulus (jacobi.py): single points and
-sampled curves both go through it, one kernel descent per point.
+kernel `agm` of its modulus's regime rule, `_rule(m)` in extended.py:
+the kernel of k itself for the flexural curve, of 1/k for the
+in-flexural one.  Single points and sampled curves both go through it,
+one kernel descent per point; `Modulus` checks k, and a failed descent
+is re-raised through `_failed`, naming the caller's u and k.
 """
 
 import math
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError
-from .extended import Modulus, Regime, _failed, _LargeReal
-from .jacobi import _Agm
+from .extended import Modulus, Regime, _failed, _rule
 
 
 @dataclass(frozen=True)
@@ -42,11 +44,8 @@ class PlanePoint(NamedTuple):
 
 def _flexural(p):
     # x = (2 (epsilon(u + K) - E) - u)/omega, y = -2k cn(u + K)/omega
-    if not p.k < 1.0:
-        raise DomainError("flexural elastica requires k < 1")
     m = Modulus(Regime.STANDARD, p.k)
-    k, w = m.k, p.omega
-    agm = _Agm(k)
+    k, w, agm = m.k, p.omega, _rule(m).agm
     quarter, ek = agm.K, agm.ek
 
     def point(u):
@@ -61,15 +60,19 @@ def _flexural(p):
 
 
 def _inflexural(p):
-    # x = (2 epsilon(u, k) - u)/omega, y = -2k dn(ku, 1/k)/omega, both
-    # from one descent of the kernel of 1/k at ku
+    # x = (2 epsilon(u, k) - u)/omega, y = -2k dn(ku, 1/k)/omega, with
+    # epsilon(u, k) = u slope + k Z(ku, 1/k): one descent of the kernel of 1/k
     m = Modulus(Regime.LARGE_REAL, p.k)
-    k, w = m.k, p.omega
-    rule = _LargeReal(m)
+    rule = _rule(m)
+    k, w, agm, slope = m.k, p.omega, rule.agm, rule.slope
 
     def point(u):
-        eps, dn, _ = rule.at(u, "inflexural_point")
-        return PlanePoint((2.0 * eps - u) / w, -2.0 * k * dn / w)
+        # the descent names ku and 1/k
+        try:
+            _, _, dn, z = agm.jacobi(k * u)
+        except DomainError as exc:
+            raise _failed("inflexural_point", u, m, exc) from exc
+        return PlanePoint((2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w)
 
     return point
 

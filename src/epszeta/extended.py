@@ -2,19 +2,23 @@
 
 A `Modulus` is the one place where a modulus is validated, its range
 included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
-the entry points.  Each regime has one rule, a private class built once
-per call from the `Modulus` around one standard-range AGM kernel
-(jacobi.py).  The three rules answer the same four calls: `ek(s)`, E/K
-of the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
+the entry points.  Each regime has one rule, a private class that
+holds two things under the same names in every regime: `m`, the
+`Modulus` it was built from, and `agm`, the one standard-range AGM
+kernel (jacobi.py) its values descend.  `_rule(m)` builds it, once per
+call or per curve, from one table keyed by the regime: the only place
+that builds a rule and the only branch on the regime that evaluates
+anything.  The three rules answer the same four calls: `ek(s)`, E/K of
+the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
 `integrand()`, the real function whose integral from 0 to x is epsilon
-(the quadrature oracle's).  `_rule(m)` picks the rule from one table
-keyed by the regime, the only branch on the regime that evaluates
-anything.  Signs of moduli are stripped up front: epsilon and zeta are
-even in the modulus.
+(the quadrature oracle's).  The elastica curves read `agm` (and the
+large-real `slope`) and descend it themselves, once per point.  Signs
+of moduli are stripped up front: epsilon and zeta are even in the
+modulus.
 
-`_Standard`, 0 <= k <= 1, is the kernel of k itself (`jacobi._kernel`,
-with its k = 1 limit) behind `epsilon` and `zeta` of epsilon_zeta.py;
-its E/K is the kernel's and its integrand dn^2(t, k).
+`_Standard`, 0 <= k <= 1, descends the kernel of k itself
+(`jacobi._kernel`, with its k = 1 limit): Z is King's sum and epsilon =
+Z + (E/K) x; its E/K is the kernel's and its integrand dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -31,9 +35,10 @@ half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
     E(k)          = k (K (1/k^2 - (1 - E/K)) - i s K' (k_c^2 - (1 - E'/K')))
 
 The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
-once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels.  The integrand is
-cn^2(kt, 1/k).  The two branches are complex conjugates; the default
-"lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
+once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels; `pair(s)` gives
+this (K, E) for `k_e_continued`.  The integrand is cn^2(kt, 1/k).  The
+two branches are complex conjugates; the default "lower" one makes
+Im Z(x,k) negative for x > 0.  epsilon stays real.
 
 `_Imaginary`, the modulus i*k, reduces through the descending pair
 (DLMF 22.17.8 and 19.7.2) on the kernel of k1 = k/h, built on the exact
@@ -60,7 +65,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .epsilon_zeta import epsilon, zeta
 from .errors import DomainError
 from .jacobi import EllipticPair, _Agm, _kernel
 
@@ -121,82 +125,87 @@ class Modulus:
 
 
 class _Standard:
-    # the rule for 0 <= k <= 1 (module docstring): the routines of epsilon_zeta.py
-    __slots__ = ("k",)
+    # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself
+    __slots__ = ("m", "agm")
 
     def __init__(self, m):
-        self.k = m.k
+        self.m = m
+        self.agm = _kernel(m.k)
 
     def ek(self, s):
-        return complex(_kernel(self.k).ek, 0.0)
+        return complex(self.agm.ek, 0.0)
 
     def epsilon(self, x):
-        return epsilon(x, self.k)
+        agm = self.agm
+        return agm.phase(x)[2] + agm.ek * x
 
     def zeta(self, x, s):
-        return complex(zeta(x, self.k), 0.0)
+        return complex(self.agm.phase(x)[2], 0.0)
 
     def integrand(self):
-        agm = _kernel(self.k)
+        agm = self.agm
         return lambda t: agm.jacobi(t)[2] ** 2
 
 
 class _LargeReal:
     # the rule for real k > 1 (module docstring), built once per modulus on
-    # the kernel of 1/k; at(x, fn) gives epsilon(x, k), dn(kx, 1/k) and
-    # k Z(kx, 1/k) from one descent at kx, or an error naming fn, x and k
-    __slots__ = ("m", "rec", "slope")
+    # the kernel of 1/k
+    __slots__ = ("m", "agm", "slope")
 
     def __init__(self, m):
         k = m.k
         self.m = m
         # the complement sqrt(1 - 1/k^2) of 1/k, formed without cancellation
-        self.rec = _Agm(1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k)
-        self.slope = 1.0 - k * k * self.rec.one_minus_ek
+        self.agm = _Agm(1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k)
+        self.slope = 1.0 - k * k * self.agm.one_minus_ek
 
     def legendre(self):
         # (comp, half, half K'/K) with comp the kernel of the complement of
         # 1/k, which epsilon and dn do not need; from k = 9.5e7 on that
         # complement rounds to 1, and comp takes kp = 1/k.  k^2 is scaled by
         # a factor below 1, as (pi/2) k^2 can overflow
-        rec, k = self.rec, self.m.k
-        comp = _Agm(rec.kp, rec.k)
-        half = k * k * (0.5 * math.pi / (rec.K * rec.K + comp.K * comp.K))
-        return comp, half, half * comp.K / rec.K
+        agm, k = self.agm, self.m.k
+        comp = _Agm(agm.kp, agm.k)
+        half = k * k * (0.5 * math.pi / (agm.K * agm.K + comp.K * comp.K))
+        return comp, half, half * comp.K / agm.K
 
     def ek(self, s):
         _, half, drift = self.legendre()
         return complex(self.slope - drift, -s * half)
 
+    def pair(self, s):
+        # (K(k), E(k)) on the branch of sign s.  Re E/k = E(1/k) - (1 - 1/k^2)
+        # K(1/k) without its cancellation; Im E/k = -s (E' - K'/k^2) keeps its
+        # digits as it vanishes at k -> 1+ up to k = sqrt(2), and takes E' from
+        # Legendre's relation above (module docstring)
+        agm, k = self.agm, self.m.k
+        comp = self.legendre()[0]
+        r2, q = agm.k * agm.k, agm.one_minus_ek
+        im = (comp.K * (agm.kp2 - comp.one_minus_ek) if agm.kp2 <= 0.5
+              else 0.5 * math.pi / agm.K + comp.K * (q - r2))
+        return EllipticPair(complex(agm.K, s * comp.K) / k, k * complex(agm.K * (r2 - q), -s * im))
+
     def epsilon(self, x):
         k = self.m.k
-        return x * self.slope + k * self.rec.phase(k * x)[2]
+        return x * self.slope + k * self.agm.phase(k * x)[2]
 
     def zeta(self, x, s):
         k = self.m.k
         _, half, drift = self.legendre()
-        return complex(k * self.rec.phase(k * x)[2] + drift * x, s * half * x)
-
-    def at(self, x, fn):
-        k = self.m.k
-        try:
-            _, _, dn, z = self.rec.jacobi(k * x)
-        except DomainError as exc:
-            raise _failed(fn, x, self.m, exc) from exc
-        z *= k
-        return x * self.slope + z, dn, z
+        return complex(k * self.agm.phase(k * x)[2] + drift * x, s * half * x)
 
     def integrand(self):
-        k, agm = self.m.k, self.rec
+        k, agm = self.m.k, self.agm
         return lambda t: agm.jacobi(k * t)[1] ** 2
 
 
 class _Imaginary:
     # the rule for the modulus i*k (module docstring): the kernel of k1, built
     # on the exact k1p, and the modulus's E/K = E(k1)/(k1p^2 K(k1))
-    __slots__ = ("agm", "slope")
+    __slots__ = ("m", "agm", "slope")
 
     def __init__(self, m):
+        self.m = m
         h = math.hypot(1.0, m.k)
         self.agm = _Agm(m.k / h, 1.0 / h)
         self.slope = self.agm.ek / self.agm.kp2
@@ -280,18 +289,7 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     s = _branch_sign(branch)
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
-    rule = _LargeReal(m)
-    rec, comp = rule.rec, rule.legendre()[0]
-    # Re E/k = E(1/k) - (1 - 1/k^2) K(1/k) without its cancellation; Im E/k =
-    # -s (E' - K'/k^2), summed as K' (k_c^2 - (1 - E'/K')) up to k = sqrt(2),
-    # so that it keeps its digits as it vanishes at k -> 1+, and above with E'
-    # from Legendre's relation
-    r2, q = rec.k * rec.k, rec.one_minus_ek
-    im = (comp.K * (rec.kp2 - comp.one_minus_ek) if rec.kp2 <= 0.5
-          else 0.5 * math.pi / rec.K + comp.K * (q - r2))
-    big_k = complex(rec.K, s * comp.K) / m.k
-    big_e = m.k * complex(rec.K * (r2 - q), -s * im)
-    return EllipticPair(big_k, big_e)
+    return _rule(m).pair(s)
 
 
 def epsilon_any(x: float, m: Modulus) -> float:

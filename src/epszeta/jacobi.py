@@ -8,9 +8,13 @@ mean of DLMF 22.20(ii),
     a(n+1) = (a(n) + b(n))/2,  b(n+1) = sqrt(a(n) b(n)),
     c(n+1) = (a(n) - b(n))/2 = c(n)^2 / (4 a(n+1)),
 
-taking c from the last form, which keeps full relative precision as
-k -> 0, and stops at the N where the next c would fall below half an ulp
-of min(c1, a(N)).  A caller that knows k' more accurately than
+taking c(n+1) = (a(n) - b(n))/2 while b(n) < a(n)/2, where it has no
+cancellation (only while k' < 1/2 at the start: b/a rises to 1 at each
+step), and c(n)^2 / (4 a(n+1)) after that, which keeps full relative
+precision as c -> 0.  Squaring c(n) at every step instead compounds its
+rounding near k = 1, and E/K below cancels it up to 6e-15 relative.
+The descent stops at the N where the next c would fall below half an
+ulp of min(c1, a(N)).  A caller that knows k' more accurately than
 sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py); with
 k' given, k = 1 is admitted too, as the rounded complement of a tiny
 modulus (K = pi/(2 a(N)) needs only b0 = k' > 0).  The
@@ -44,8 +48,8 @@ most one descent.  `_kernel` is the one check of k: it strips the sign
 |k| <= 1, NaN included.  At k = 1, where the AGM degenerates (b0 = 0)
 and K diverges, it returns the limit `_Unit`: K = inf, E = 1, am = gd x
 (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  The
-descent is the one check of x and names a non-finite x as such.  `complete_k` has no value at k = 1 and builds `_Agm`, which
-rejects it.
+descent is the one check of x and names a non-finite x as such.
+`complete_k` has no value at |k| = 1 and raises there, naming k.
 
 `incomplete_e` is epsilon at the argument F(phi, k), since epsilon(x) =
 E(am(x)) (DLMF 22.16(ii)): it reduces phi by pi once, takes F on the
@@ -98,6 +102,12 @@ class _Agm:
                 f"the AGM needs a complementary modulus in (0, 1], got kp={kp!r} for k={k!r}")
         a, b, c = 1.0, kp, k
         steps = ()  # (c(n), c(n)/a(n)) for n = N down to 1, the descent's order
+        while b < 0.5 * a:
+            # c(n+1) = (a(n) - b(n))/2 while it has no cancellation (module
+            # docstring); c > a/4 here, so the descent cannot stop yet
+            c = 0.5 * (a - b)
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            steps = ((c, c / a),) + steps
         while True:
             a, b = 0.5 * (a + b), math.sqrt(a * b)
             c = c * c / (4.0 * a)
@@ -184,7 +194,10 @@ def _kernel(k):
 
 def complete_k(k: float) -> float:
     """Complete elliptic integral of the first kind K(k), |k| < 1."""
-    return _Agm(abs(k)).K
+    big_k = _kernel(k).K
+    if big_k == math.inf:
+        raise DomainError(f"K diverges at k={k!r}: complete_k needs |k| < 1")
+    return big_k
 
 
 def complete_e(k: float) -> float:

@@ -35,8 +35,12 @@ def newton_cotes_8(f: Callable[[float], float], a: float, b: float) -> float:
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> QuadratureResult:
     """Integral of f over [a, b] with adaptive bisection.
 
-    For smooth f, |value - true integral| <= max(tol, err_estimate).
-    Raises ConvergenceError if 48 subdivision levels do not reach tol.
+    err_estimate sums the Richardson estimates |delta|/1023 of the
+    accepted intervals.  It bounds the error only where f is smooth
+    enough on each interval that halving the step gains the factor 2^10
+    the estimate assumes; where f is not, the true error can exceed
+    both tol and err_estimate by orders of magnitude.  Raises
+    ConvergenceError if 48 subdivision levels do not reach tol.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a <= b):
         raise DomainError("integrate requires finite a <= b")

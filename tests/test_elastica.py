@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,7 +60,8 @@ class TestFlexural:
             assert abs(flexural_point(u, p).y) <= 2.0 * 0.8 / 2.0 + 1e-12
 
     def test_rejects_large_modulus(self):
-        with pytest.raises(DomainError):
+        # Modulus is the range check, and it names k
+        with pytest.raises(DomainError, match=re.escape("k=2.0")):
             flexural_point(0.1, ElasticaParams(k=2.0))
 
     def test_descent_failure_names_the_caller(self):

@@ -10,6 +10,7 @@ import epszeta
 from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
                      ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
                      zeta_any)
+from epszeta.extended import _rule
 from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    epsilon_large_real_via_zeta, imaginary_submoduli,
                    k_e_continued, reciprocal_companion, zeta_imaginary,
@@ -467,6 +468,50 @@ def test_rule_contract(m):
         assert abs(z - (eps - lower * x)) <= 1e-13 * scale, (x, z, eps)
         assert zeta_any(x, m, "upper") == z.conjugate()
     assert zeta_any(0.0, m) == 0j and zeta_any(0.0, m, "upper") == 0j
+    # every rule is its modulus and the kernel of its standard-range modulus
+    rule = _rule(m)
+    assert rule.m is m
+    if m.regime is Regime.STANDARD:
+        reduced = m.k
+    elif m.regime is Regime.LARGE_REAL:
+        reduced = 1.0 / m.k
+    else:
+        reduced = m.k / math.hypot(1.0, m.k)
+    assert rule.agm.k == reduced
+    assert (rule.agm.K == math.inf) is (reduced == 1.0)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def conditioning_bound(x, m, ref):
+    """8u (max(1, |ref|) + |x| d): what rounding the value and x to doubles allows.
+
+    d is the largest |epsilon'(t) - Re E/K| over a period, the slope by
+    which moving x by its rounding moves the periodic part: epsilon' is
+    dn^2 in [k'^2, 1] for k <= 1, cn^2(kt, 1/k) in [0, 1] for real k > 1
+    and nd^2 in [1, 1 + k^2] for i*k.  It bounds epsilon and Z alike.
+    """
+    if m.regime is Regime.STANDARD:
+        lo, hi = 1.0 - m.k * m.k, 1.0
+    elif m.regime is Regime.LARGE_REAL:
+        lo, hi = 0.0, 1.0
+    else:
+        lo, hi = 1.0, 1.0 + m.k * m.k
+    slope = ek_ratio(m).real
+    d = max(hi - slope, slope - lo)
+    return 8.0 * UNIT_ROUNDOFF * (max(1.0, abs(ref)) + abs(x) * d)
+
+
+@pytest.mark.parametrize("ktag, m", [("05", Modulus.real(0.5)), ("R2", Modulus.real(2.0)),
+                                     ("I2", Modulus.imaginary(2.0))], ids=repr)
+@pytest.mark.parametrize("xtag, x", [("1E6", 1e6), ("M1E6", -1e6), ("1E12", 1e12)])
+def test_large_x_goldens(ktag, m, xtag, x):
+    # at large |x| the error grows with |x| as the conditioning of the
+    # functions in x allows, and no further
+    for got, name in ((epsilon_any(x, m), "EPS"), (zeta_any(x, m), "ZETA")):
+        ref = getattr(goldens, f"{name}_X{xtag}_{ktag}")
+        assert abs(got - ref) <= conditioning_bound(x, m, ref), (name, got, ref)
 
 
 def test_continuity_across_regimes():

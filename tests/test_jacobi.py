@@ -45,12 +45,13 @@ class TestCompleteK:
         assert complete_k(-0.5) == complete_k(0.5)
 
     def test_divergence_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="K diverges"):
             complete_k(1.0)
         with pytest.raises(DomainError):
             complete_k(1.5)
-        for k in BAD_K:
-            with pytest.raises(DomainError, match=f"k={k!r}"):
+        # the message names the k passed, not its magnitude
+        for k in BAD_K + (-2.0, -1.0):
+            with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
                 complete_k(k)
 
 
@@ -112,16 +113,16 @@ class TestIncompleteE:
         assert abs(incomplete_e(phi, k) - ref) <= 2e-15 * abs(ref)
 
     def test_mpmath_grid(self):
-        # as k -> 1 the kernel's E and E/K are only within 6e-15 of themselves
-        # (the rounding of c(n+1) = c(n)^2/(4 a(n+1)) compounds), and E(phi)
-        # keeps up to three times that where 2nE and E(phi - n pi) cancel
+        # E(phi) keeps up to a few times the error of the kernel's E and E/K
+        # (within 1e-15 of themselves as k -> 1) where 2nE and E(phi - n pi)
+        # cancel: 1.25e-15 at worst on twenty such grids (seeds 20-39)
         rng = np.random.default_rng(28)
         with mp.workdps(40):
             for _ in range(200):
                 phi = float(rng.uniform(-20.0, 20.0))
                 k = float(1.0 - 10.0 ** rng.uniform(-15.0, 0.0))
                 ref = float(mp.ellipe(mp.mpf(phi), mp.mpf(k) ** 2))
-                assert abs(incomplete_e(phi, k) - ref) <= 2e-14 * max(1.0, abs(ref)), (phi, k)
+                assert abs(incomplete_e(phi, k) - ref) <= 4e-15 * max(1.0, abs(ref)), (phi, k)
 
     def test_quadrature(self):
         ref, _ = quad(lambda t: math.sqrt(1.0 - (0.5 * math.sin(t)) ** 2),

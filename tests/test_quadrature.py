@@ -5,8 +5,8 @@ import pytest
 
 import goldens
 from epszeta import (ConvergenceError, DomainError, Modulus,
-                     epsilon_by_quadrature, integrate, newton_cotes_8,
-                     regime_integrand, sncndn)
+                     epsilon_by_quadrature, regime_integrand, sncndn)
+from epszeta.quadrature import integrate, newton_cotes_8
 
 
 class TestBaseRule:

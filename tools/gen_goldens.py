@@ -110,15 +110,20 @@ for tag, k in (("1EM12", 1e-12), ("1M1EM15", 1.0 - 1e-15)):
         emit(f"ZETA_25_{tag}", f(zeta_std("2.5", k)))
 
 
+def reduced(u, m):
+    # (phi, sn, cn, dn) at u for the parameter m, with the amplitude phi =
+    # am(u | m) from sn and cn of the argument reduced by 2K(m)
+    n = mp.nint(u / (2 * mp.ellipk(m)))
+    u0 = u - 2 * mp.ellipk(m) * n
+    sn, cn, dn = (mp.ellipfun(fn, u0, m) for fn in ("sn", "cn", "dn"))
+    return mp.atan2(sn, cn) + n * mp.pi, sn, cn, dn
+
+
 def eps_large_real(x, k):
-    # k E(am(kx, 1/k), 1/k) + (1 - k^2) x, with the amplitude from sn and cn
-    # of the argument reduced by 2K(1/k)
+    # k E(am(kx, 1/k), 1/k) + (1 - k^2) x
     k, x = mp.mpf(k), mp.mpf(x)
     m = 1 / (k * k)
-    n = mp.nint(k * x / (2 * mp.ellipk(m)))
-    u0 = k * x - 2 * mp.ellipk(m) * n
-    phi = mp.atan2(mp.ellipfun("sn", u0, m), mp.ellipfun("cn", u0, m)) + n * mp.pi
-    return k * mp.ellipe(phi, m) + (1 - k * k) * x
+    return k * mp.ellipe(reduced(k * x, m)[0], m) + (1 - k * k) * x
 
 
 # epsilon at large real k, where the two terms of size k^2 x cancel: 80 digits
@@ -163,5 +168,34 @@ for tag, phi, k in (("PI2_1M1EM15", math.pi / 2, 1.0 - 1e-15),
                     ("07_1", 0.7, 1.0), ("07_1EM9", 0.7, 1e-9)):
     with mp.workdps(60):
         emit(f"IE_{tag}", f(mp.ellipe(mp.mpf(phi), mp.mpf(k) ** 2)))
+
+# epsilon and Z at large |x| for k = 0.5, real k = 2 (principal branch) and
+# i*2, where the error of a double-precision value grows with |x| (the
+# tests' conditioning bound): epsilon = E(am(x), k) for k = 0.5, the
+# large-real form above for k = 2, and for i*k with k1 = k/h, h =
+# sqrt(1 + k^2) and u = x h, (E(am(u, k1), k1) - k1^2 sn cn/dn) h (DLMF
+# 22.17.8, 22.16.27); Z = epsilon - (E/K) x, complex only for k = 2
+def eps_reduced(x, k):
+    m = mp.mpf(k) ** 2
+    return mp.ellipe(reduced(mp.mpf(x), m)[0], m)
+
+
+def eps_imaginary(x, k):
+    k, x = mp.mpf(k), mp.mpf(x)
+    h = mp.sqrt(1 + k * k)
+    m1 = (k / h) ** 2
+    phi, sn, cn, dn = reduced(x * h, m1)
+    return (mp.ellipe(phi, m1) - m1 * sn * cn / dn) * h
+
+
+for ktag, m, eps in (("05", mp.mpf("0.25"), lambda x: eps_reduced(x, "0.5")),
+                     ("R2", mp.mpf(4), lambda x: eps_large_real(x, 2)),
+                     ("I2", mp.mpf(-4), lambda x: eps_imaginary(x, 2))):
+    for xtag, x in (("1E6", 1e6), ("M1E6", -1e6), ("1E12", 1e12)):
+        with mp.workdps(60):
+            e = eps(x)
+            z = e - mp.ellipe(m) / mp.ellipk(m) * mp.mpf(x)
+            emit(f"EPS_X{xtag}_{ktag}", f(e))
+            emit(f"ZETA_X{xtag}_{ktag}", c(z) if ktag == "R2" else f(z))
 
 print("\n".join(lines))
