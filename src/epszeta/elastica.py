@@ -27,14 +27,12 @@ class ElasticaParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError("elastica requires finite k > 0")
+        for name, v in (("k", self.k), ("omega", self.omega)):
+            if isinstance(v, bool) or not (
+                    isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+                raise DomainError(f"elastica requires finite {name} > 0, got {name}={v!r}")
         if self.k == 1.0:
             raise DomainError("k = 1 is the borderline solitary loop and is not supported")
-        if isinstance(self.omega, bool) or not (
-                isinstance(self.omega, (int, float)) and math.isfinite(self.omega)
-                and self.omega > 0.0):
-            raise DomainError("elastica requires finite omega > 0")
 
 
 class PlanePoint(NamedTuple):
@@ -97,9 +95,10 @@ def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"uniform_grid requires an integer n, got {n!r}")
     if not u_min < u_max:
-        raise DomainError("uniform_grid requires u_min < u_max")
+        raise DomainError(f"uniform_grid requires u_min < u_max, got u_min={u_min!r}, "
+                          f"u_max={u_max!r}")
     if n < 2:
-        raise DomainError("uniform_grid requires n >= 2")
+        raise DomainError(f"uniform_grid requires n >= 2, got n={n!r}")
     if not math.isfinite(u_max - u_min):
         raise DomainError(f"uniform_grid requires a finite span, got [{u_min!r}, {u_max!r}]")
     step = (u_max - u_min) / (n - 1)

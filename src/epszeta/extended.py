@@ -55,7 +55,9 @@ regimes, because a modulus is checked once where it is made, before
 any rule or kernel exists: it raises DomainError naming k outside
 standard 0 <= k <= 1; large-real from 1 + 1e-12 while k^2 is finite (to
 1.34e154); pure-imaginary 0 < k < 2^26 (6.7e7), from where k1 rounds to
-1.  The rule's descent at x, kx or x/k1p is the one check of x, a
+1.  `Modulus.real` and `Modulus.imaginary` take |k| as a float first and
+refuse, as non-real, a bool (numpy's too), a string and what float()
+cannot convert.  The rule's descent at x, kx or x/k1p is the one check of x, a
 non-finite x included; a dispatcher names its x, regime and k when that
 descent fails or its result is not finite.
 """
@@ -73,6 +75,26 @@ from .jacobi import EllipticPair, _Agm, _kernel
 _MIN_LARGE = 1.0 + 1e-12
 
 
+def _not_real(k):
+    try:
+        shown = repr(k)
+    except Exception:  # an int past the int-to-str digit limit, for one
+        shown = f"<{type(k).__name__} without a repr>"
+    return DomainError(f"modulus must be a finite real number, got k={shown}")
+
+
+def _magnitude(k):
+    # |k| as a float; float() would also take a bool (numpy's too) and parse a string
+    if type(k) is float:  # the common case, checked first to keep it cheap
+        return abs(k)
+    if type(k).__name__ not in ("bool", "bool_") and not isinstance(k, (str, bytes, bytearray)):
+        try:
+            return abs(float(k))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _not_real(k)
+
+
 class Regime(enum.Enum):
     STANDARD = "standard"
     LARGE_REAL = "large_real"
@@ -88,15 +110,15 @@ class Modulus:
     def __post_init__(self):
         if isinstance(self.k, bool) or not (
                 isinstance(self.k, (int, float)) and math.isfinite(self.k)):
-            raise DomainError(f"modulus must be a finite real number, got k={self.k!r}")
+            raise _not_real(self.k)
         if self.regime is Regime.STANDARD:
             if not 0.0 <= self.k <= 1.0:
                 raise DomainError(f"standard regime requires k in [0, 1], got k={self.k!r}")
         elif self.regime is Regime.LARGE_REAL:
             if not self.k >= _MIN_LARGE:
-                raise DomainError(
-                    f"large-real regime requires k > 1, got k={self.k!r}; moduli in "
-                    "(1, 1 + 1e-12) are numerically meaningless and rejected")
+                sliver = ("; moduli in (1, 1 + 1e-12) are numerically meaningless and rejected"
+                          if self.k > 1.0 else "")
+                raise DomainError(f"large-real regime requires k > 1, got k={self.k!r}{sliver}")
             if not math.isfinite(self.k * self.k):
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
@@ -110,7 +132,7 @@ class Modulus:
     @classmethod
     def real(cls, k: float) -> "Modulus":
         """Real modulus: |k| <= 1 is standard, |k| > 1 large-real."""
-        k = abs(float(k))
+        k = _magnitude(k)
         if k <= 1.0:
             return cls(Regime.STANDARD, k)
         return cls(Regime.LARGE_REAL, k)
@@ -118,7 +140,7 @@ class Modulus:
     @classmethod
     def imaginary(cls, k: float) -> "Modulus":
         """Imaginary modulus i*k; k = 0 collapses to the standard regime."""
-        k = abs(float(k))
+        k = _magnitude(k)
         if k == 0.0:
             return cls(Regime.STANDARD, 0.0)
         return cls(Regime.PURE_IMAGINARY, k)

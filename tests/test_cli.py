@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from epszeta import Modulus, epsilon_any, epsilon_by_quadrature, zeta_any
+from epszeta import Modulus, epsilon, epsilon_any, epsilon_by_quadrature, zeta_any
 from epszeta.cli import main
 
 
@@ -39,27 +39,41 @@ class TestEval:
         assert code == 0
         assert out.strip() == "0.663361 + 0.419309i"
 
-    def test_json_round_trip(self, capsys):
-        code, out, _ = run(capsys, "eval", "--fn", "zeta", "--x", "0.5",
-                           "--k", "2", "--format", "json")
+    # one input per regime, plus the upper branch of large-real zeta
+    RECORDS = [("epsilon", "0.5", "real", "lower"), ("zeta", "0.5", "real", "lower"),
+               ("epsilon", "2", "real", "lower"), ("zeta", "2", "real", "lower"),
+               ("zeta", "2", "real", "upper"), ("epsilon", "2", "imaginary", "lower"),
+               ("zeta", "2", "imaginary", "lower")]
+
+    @pytest.mark.parametrize("fn, k, modulus, branch", RECORDS)
+    def test_json_round_trip(self, capsys, fn, k, modulus, branch):
+        code, out, _ = run(capsys, "eval", "--fn", fn, "--x", "0.5", "--k", k,
+                           "--modulus", modulus, "--branch", branch, "--format", "json")
         assert code == 0
         record = json.loads(out)
-        assert set(record) == {"fn", "x", "k", "regime", "re", "im"}
-        expect = zeta_any(0.5, Modulus.real(2.0))
-        assert record["re"] == expect.real
-        assert record["im"] == expect.imag
-        assert record["regime"] == "large_real"
+        m = getattr(Modulus, modulus)(float(k))
+        expect = (complex(epsilon_any(0.5, m)) if fn == "epsilon"
+                  else zeta_any(0.5, m, branch=branch))
+        assert record == {"fn": fn, "x": 0.5, "k": m.k, "regime": m.regime.value,
+                          "re": expect.real, "im": expect.imag}
 
-    def test_csv_round_trip(self, capsys):
-        code, out, _ = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5",
-                           "--k", "0.5", "--format", "csv")
+    @pytest.mark.parametrize("fn, k, modulus, branch", RECORDS)
+    def test_csv_round_trip(self, capsys, fn, k, modulus, branch):
+        argv = ("eval", "--fn", fn, "--x", "0.5", "--k", k, "--modulus", modulus,
+                "--branch", branch)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
         assert code == 0
         header, row = out.strip().split("\n")
         assert header == "fn,x,k,regime,re,im"
-        fields = row.split(",")
-        from epszeta import epsilon
-        assert float(fields[4]) == epsilon(0.5, 0.5)
-        assert float(fields[5]) == 0.0
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        record = json.loads(out)
+        # the csv carries the json record: the same keys, and values that parse back
+        assert header.split(",") == list(record)
+        for value, field in zip(record.values(), row.split(",")):
+            assert (field if isinstance(value, str) else float(field)) == value
+        if (fn, k, modulus) == ("epsilon", "0.5", "real"):
+            # the standard dispatcher gives the public epsilon bit for bit
+            assert float(row.split(",")[4]) == epsilon(0.5, 0.5)
 
     def test_negative_modulus_sign_stripped(self, capsys):
         code, out, _ = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5", "--k", "-0.5")
@@ -114,6 +128,18 @@ class TestElastica:
         assert lines[0] == "u,x,y"
         assert len(lines) == 6
         assert lines[1] == "0,0,-4"
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "curve.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["elastica", "--kind", "inflexural", "--k", "2", "--u-min", "0",
+                  "--u-max", "1", "--samples", "5", "--out", str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"epszeta elastica: error: cannot write --out {path}: No such file or directory")
+        assert not path.parent.exists()
 
     def test_stdout_output(self, capsys):
         code, out, _ = run(capsys, "elastica", "--kind", "flexural", "--k", "0.5",

@@ -12,18 +12,15 @@ from epszeta import (DomainError, ElasticaParams, complete_e, complete_k,
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            ElasticaParams(k=0.0)
-        with pytest.raises(DomainError):
-            ElasticaParams(k=-0.5)
-        with pytest.raises(DomainError):
-            ElasticaParams(k=1.0)  # borderline solitary loop
-        with pytest.raises(DomainError):
-            ElasticaParams(k=0.5, omega=0.0)
-        with pytest.raises(DomainError):
-            ElasticaParams(k=math.inf)
-        with pytest.raises(DomainError):
-            ElasticaParams(k=0.5, omega=True)
+        for k in (0.0, -0.5, math.inf, math.nan, True, "0.5"):
+            with pytest.raises(DomainError, match=re.escape(f"finite k > 0, got k={k!r}")):
+                ElasticaParams(k=k)
+        with pytest.raises(DomainError, match="borderline solitary loop"):
+            ElasticaParams(k=1.0)
+        for omega in (0.0, -1.0, math.nan, True):
+            with pytest.raises(DomainError,
+                               match=re.escape(f"finite omega > 0, got omega={omega!r}")):
+                ElasticaParams(k=0.5, omega=omega)
 
 
 class TestFlexural:
@@ -110,8 +107,11 @@ class TestInflexural:
             assert lo - 1e-12 <= y <= hi + 1e-12
 
     def test_rejects_small_modulus(self):
-        with pytest.raises(DomainError):
+        # the sentence on the sliver (1, 1 + 1e-12) is for moduli inside it only
+        with pytest.raises(DomainError, match=r"requires k > 1, got k=0\.5$"):
             inflexural_point(0.1, ElasticaParams(k=0.5))
+        with pytest.raises(DomainError, match=r"requires k > 1, got k=0\.5$"):
+            sample_curve("inflexural", ElasticaParams(0.5), 0, 1, 3)
 
     def test_descent_failure_names_the_caller(self):
         # the descent sees ku = 1e16 and 1/k; the error names u and k
@@ -222,12 +222,21 @@ class TestSampleCurve:
 
     def test_uniform_grid_rejects_non_integer_count(self):
         for n in (2.5, 3.0, True, "4", None):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=re.escape(f"integer n, got {n!r}")):
                 uniform_grid(0.0, 1.0, n)
         # and a span u_max - u_min that is not finite, which would make nan points
         for u_min, u_max in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
             with pytest.raises(DomainError, match="finite span"):
                 uniform_grid(u_min, u_max, 3)
+
+    def test_uniform_grid_rejects_empty_range_and_one_point(self):
+        for u_min, u_max in ((2.0, 1.0), (1.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"u_min < u_max, got u_min={u_min!r}, u_max={u_max!r}")):
+                uniform_grid(u_min, u_max, 5)
+        for n in (1, 0, -3):
+            with pytest.raises(DomainError, match=re.escape(f"n >= 2, got n={n!r}")):
+                uniform_grid(0, 1, n)
 
     @pytest.mark.parametrize("kind, point, ks", [
         ("flexural", flexural_point, (0.05, 0.5, 0.95)),

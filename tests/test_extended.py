@@ -33,7 +33,7 @@ class TestModulus:
         assert Modulus.imaginary(0.0).regime is Regime.STANDARD
 
     def test_near_one_sliver_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"k=1\.0000000000001; moduli in \(1, 1 \+ 1e-12\)"):
             Modulus.real(1.0 + 1e-13)
         # 1e-9 above 1 is legitimate, if inaccurate
         assert Modulus.real(1.0 + 1e-9).regime is Regime.LARGE_REAL
@@ -60,6 +60,36 @@ class TestModulus:
     def test_rejection_names_k(self, regime, k):
         with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
             Modulus(regime, k)
+
+    @pytest.mark.parametrize("make", [Modulus.real, Modulus.imaginary])
+    @pytest.mark.parametrize("k", [True, False, "2", "abc", b"0.5", None, 1j,
+                                   pytest.param(10**400, id="10**400")], ids=repr)
+    def test_constructors_reject_what_is_not_a_real_number(self, make, k):
+        # float() would take a bool and parse a string; the constructors refuse
+        # them, and what float() cannot convert, as Modulus refuses a non-real k
+        with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
+            make(k)
+
+    @pytest.mark.parametrize("make", [Modulus.real, Modulus.imaginary])
+    def test_constructors_reject_a_numpy_bool(self, make):
+        with pytest.raises(DomainError, match=re.escape(f"k={np.True_!r}")):
+            make(np.True_)
+
+    @pytest.mark.parametrize("make", [Modulus.real, Modulus.imaginary])
+    def test_refusal_of_an_int_too_long_to_print(self, make):
+        # float() overflows, and repr() refuses past the int-to-str digit limit
+        k = 10**5000
+        try:
+            shown = repr(k)
+        except ValueError:
+            shown = "<int without a repr>"
+        with pytest.raises(DomainError, match=re.escape(f"k={shown}")):
+            make(k)
+
+    @pytest.mark.parametrize("k", [2, np.float64(2.0), np.float32(2.0), np.int64(2)], ids=repr)
+    def test_constructors_convert_numbers(self, k):
+        assert Modulus.real(k) == Modulus(Regime.LARGE_REAL, 2.0)
+        assert Modulus.imaginary(-k) == Modulus(Regime.PURE_IMAGINARY, 2.0)
 
 
 class TestDerivedModuli:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Check that two epszeta source trees give the same outputs on the benchmark's rows.
+"""Check that two epszeta source trees give the same outputs on the benchmark's rows
+and on a fixed list of command lines.
 
     python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
@@ -14,12 +15,23 @@ exception it raised:
 - curve-export: every pool row of seed 1;
 - quadrature-oracle: the first 3000 pool rows of seed 1.
 
-The script prints the number of differing rows per workload and the
-first few of them, and exits 1 on any difference, 0 otherwise.  Each
-side takes about 20 s on a shared 2-vCPU host.
+It also runs each command line of `COMMANDS` through `epszeta.cli.main`
+in-process and records its transcript: the exit code (or the type and
+message of the exception that escaped `main`), then stderr and stdout.
+The list covers `eval` for every regime, function and format plus the
+upper branch, `tables`, `check`, both `elastica` kinds, and the error
+exits: bad flags, domain errors, a tolerance failure and an unwritable
+`--out` (a path under a missing directory, the same on both sides).
+
+The script prints the number of differing rows per workload and of
+differing CLI transcripts, with the first few of each, and exits 1 on
+any difference, 0 otherwise.  Each side takes about 20 s on a shared
+2-vCPU host.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -35,6 +47,46 @@ ROWS = (("mixed-points", 1, None), ("mixed-points", 2, None),
         ("curve-export", 1, None), ("quadrature-oracle", 1, 3000))
 SHOWN = 5        # differing rows printed per workload
 PREVIEW = 300    # characters of an output printed for a differing row
+CLI = "cli transcripts"
+OUT = "{missing}/curve.csv"  # an --out path under a directory that does not exist
+
+
+def _eval(regime, fn, fmt, branch="lower"):
+    k, modulus = {"standard": ("0.7", "real"), "large_real": ("2.5", "real"),
+                  "pure_imaginary": ("2.5", "imaginary")}[regime]
+    return ["eval", "--fn", fn, "--x", "0.8", "--k", k, "--modulus", modulus,
+            "--format", fmt, "--branch", branch]
+
+
+def _elastica(kind, k, *extra):
+    return ["elastica", "--kind", kind, "--k", k, "--omega", "1.5", "--u-min", "-1",
+            "--u-max", "4", "--samples", "40", *extra]
+
+
+COMMANDS = (
+    *(_eval(regime, fn, fmt) for regime in ("standard", "large_real", "pure_imaginary")
+      for fn in ("epsilon", "zeta") for fmt in ("text", "json", "csv")),
+    *(_eval("large_real", "zeta", fmt, "upper") for fmt in ("text", "json", "csv")),
+    ["tables"],
+    ["check", "--trials", "20", "--seed", "7"],
+    _elastica("flexural", "0.6"),
+    _elastica("inflexural", "1.7"),
+    # bad flags: exit 2
+    ["eval", "--fn", "gamma", "--x", "0.5", "--k", "0.5"],
+    ["elastica", "--kind", "flexural", "--k", "0.5", "--u-min", "1", "--u-max", "0",
+     "--samples", "3"],
+    _elastica("inflexural", "1.7", "--out", OUT),
+    # domain errors: exit 3
+    ["eval", "--fn", "epsilon", "--x", "0.5", "--k", "1.0000000000001"],
+    ["eval", "--fn", "zeta", "--x", "0.5", "--k", "1e200"],
+    _elastica("flexural", "2"),
+    _elastica("inflexural", "0.5"),
+    _elastica("flexural", "nan"),
+    ["elastica", "--kind", "flexural", "--k", "0.5", "--omega=-1", "--u-min", "0",
+     "--u-max", "1", "--samples", "3"],
+    # tolerance failure: exit 4
+    ["check", "--trials", "5", "--tol", "1e-18", "--seed", "3"],
+)
 
 
 def outcome(op, row):
@@ -45,26 +97,47 @@ def outcome(op, row):
         return f"{type(exc).__name__}: {exc}"
 
 
-def emit(out):
-    """Write one JSON line per row: [workload, seed, index, digest, preview]."""
+def transcript(argv):
+    """Exit code (or escaped exception), stderr and stdout of one in-process CLI run."""
+    from epszeta.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = f"exit {main(argv)}"
+        except SystemExit as exc:
+            status = f"exit {exc.code}"
+        except Exception as exc:  # an escaped error is an output too
+            status = f"raised {type(exc).__name__}: {exc}"
+    return f"{status}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
+
+
+def emit(out, missing):
+    """Write one JSON line per row: [group, index, row, digest, preview]."""
     from workloads import WORKLOADS
+
+    def write(key, i, row, text):
+        digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+        out.write(json.dumps([key, i, row, digest, text[:PREVIEW]]) + "\n")
+
     for name, seed, n in ROWS:
         workload = WORKLOADS[name]
         for i, row in enumerate(islice(workload.rows(seed), n or workload.pool)):
-            text = outcome(workload.op, row)
-            digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-            out.write(json.dumps([name, seed, i, list(row), digest, text[:PREVIEW]]) + "\n")
+            write(f"{name} seed {seed}", i, list(row), outcome(workload.op, row))
+    for i, argv in enumerate(COMMANDS):
+        argv = [a.format(missing=missing) for a in argv]
+        write(CLI, i, " ".join(argv), transcript(argv))
 
 
-def run_side(src, path):
+def run_side(src, path, missing):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(src).resolve()), str(BENCH)]))
     with open(path, "w") as out:
-        subprocess.run([sys.executable, __file__, "--emit"], env=env, stdout=out, check=True)
+        subprocess.run([sys.executable, __file__, "--emit", missing], env=env, stdout=out,
+                       check=True)
 
 
 def main(argv):
-    if argv == ["--emit"]:
-        emit(sys.stdout)
+    if argv[:1] == ["--emit"]:
+        emit(sys.stdout, argv[1])
         return 0
     if len(argv) != 2 or not all((Path(a) / "epszeta").is_dir() for a in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -72,21 +145,21 @@ def main(argv):
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "parent.jsonl", Path(tmp) / "change.jsonl"]
+        missing = str(Path(tmp) / "missing")
         for src, path in zip(argv, paths):
-            run_side(src, path)
+            run_side(src, path, missing)
         counts, shown = {}, {}
         with open(paths[0]) as a, open(paths[1]) as b:
             for line_a, line_b in zip(a, b, strict=True):
-                name, seed, i, row, digest_a, text_a = json.loads(line_a)
-                digest_b, text_b = json.loads(line_b)[4:]
-                key = f"{name} seed {seed}"
+                key, i, row, digest_a, text_a = json.loads(line_a)
+                digest_b, text_b = json.loads(line_b)[3:]
                 counts.setdefault(key, 0)
                 if digest_a != digest_b:
                     counts[key] += 1
                     if len(shown.setdefault(key, [])) < SHOWN:
                         shown[key].append((i, row, text_a, text_b))
     for key, count in counts.items():
-        print(f"{key}: {count} differing rows")
+        print(f"{key}: {count} differing {'transcripts' if key == CLI else 'rows'}")
         for i, row, text_a, text_b in shown.get(key, []):
             print(f"  row {i} {row}\n    parent: {text_a}\n    change: {text_b}")
     return 1 if any(counts.values()) else 0
