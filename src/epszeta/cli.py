@@ -6,12 +6,13 @@ the same record of six fields.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
 from pathlib import Path
 
-from .elastica import ElasticaParams, sample_curve, uniform_grid
+from .elastica import _CURVES, ElasticaParams, uniform_grid
 from .errors import ConvergenceError, DomainError
 from .extended import Modulus, Regime, ek_ratio, epsilon_any, zeta_any
 from .quadrature import epsilon_by_quadrature
@@ -88,10 +89,10 @@ def cmd_elastica(args):
         args.parser.error("--samples must be at least 2")
     params = ElasticaParams(k=args.k, omega=args.omega)
     us = uniform_grid(args.u_min, args.u_max, args.samples)
-    points = sample_curve(args.kind, params, args.u_min, args.u_max, args.samples)
-    lines = ["u,x,y"]
-    lines += [f"{u:.17g},{x:.17g},{y:.17g}" for u, (x, y) in zip(us, points)]
-    text = "\n".join(lines) + "\n"
+    # each row is formatted as its point is drawn; nothing is written until the
+    # whole curve has been computed, so a domain error leaves no partial CSV
+    text = "u,x,y\n" + "".join(f"{u:.17g},{x:.17g},{y:.17g}\n"
+                                for u, (x, y) in zip(us, _CURVES[args.kind](params, us)))
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -131,7 +132,9 @@ def cmd_check(args):
     return 0 if ok else 4
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="epszeta",
         description="Jacobi epsilon and zeta for real moduli of any size and "
@@ -155,7 +158,7 @@ def build_parser():
     p.set_defaults(func=cmd_tables, parser=p)
 
     p = sub.add_parser("elastica", help="sample an elastica curve to CSV")
-    p.add_argument("--kind", choices=("flexural", "inflexural"), required=True)
+    p.add_argument("--kind", choices=tuple(_CURVES), required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--u-min", type=float, required=True)

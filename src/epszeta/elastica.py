@@ -3,12 +3,14 @@
 The flexural family (0 < k < 1, inflection points) and the in-flexural
 family (k > 1, inflection-free) are sampled parametrically.  u is arc
 length times omega, so |dP/du| = 1/omega identically along both curves.
-Each kind has one point formula, built once per curve around the AGM
-kernel `agm` of its modulus's regime rule, `_rule(m)` in extended.py:
-the kernel of k itself for the flexural curve, of 1/k for the
-in-flexural one.  Single points and sampled curves both go through it,
-one kernel descent per point; `Modulus` checks k, and a failed descent
-is re-raised through `_failed`, naming the caller's u and k.
+Each kind has one point formula, a generator over a grid of u that
+builds the AGM kernel `agm` of its modulus's regime rule, `_rule(m)` in
+extended.py, once per curve (the kernel of k itself for the flexural
+curve, of 1/k for the in-flexural one) and yields (x, y) for each u,
+one kernel descent per point.  Single points, sampled curves and the
+command line's CSV export all go through it; `Modulus` checks k when
+the first point is drawn, and a failed descent is re-raised through
+`_failed`, naming the caller's u and k.
 """
 
 import math
@@ -40,39 +42,33 @@ class PlanePoint(NamedTuple):
     y: float
 
 
-def _flexural(p):
+def _flexural(p, us):
     # x = (2 (epsilon(u + K) - E) - u)/omega, y = -2k cn(u + K)/omega
     m = Modulus(Regime.STANDARD, p.k)
     k, w, agm = m.k, p.omega, _rule(m).agm
     quarter, ek = agm.K, agm.ek
-
-    def point(u):
+    for u in us:
         # epsilon(u + K) - E = Z(u + K) + (E/K) u; the descent names u + K
         try:
             _, cn, _, z = agm.jacobi(u + quarter)
         except DomainError as exc:
             raise _failed("flexural_point", u, m, exc) from exc
-        return PlanePoint((2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w)
-
-    return point
+        yield (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
 
 
-def _inflexural(p):
+def _inflexural(p, us):
     # x = (2 epsilon(u, k) - u)/omega, y = -2k dn(ku, 1/k)/omega, with
     # epsilon(u, k) = u slope + k Z(ku, 1/k): one descent of the kernel of 1/k
     m = Modulus(Regime.LARGE_REAL, p.k)
     rule = _rule(m)
     k, w, agm, slope = m.k, p.omega, rule.agm, rule.slope
-
-    def point(u):
+    for u in us:
         # the descent names ku and 1/k
         try:
             _, _, dn, z = agm.jacobi(k * u)
         except DomainError as exc:
             raise _failed("inflexural_point", u, m, exc) from exc
-        return PlanePoint((2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w)
-
-    return point
+        yield (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
 
 
 _CURVES = {"flexural": _flexural, "inflexural": _inflexural}
@@ -81,13 +77,15 @@ _CURVES = {"flexural": _flexural, "inflexural": _inflexural}
 def flexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflectional elastica (0 < k < 1);
     passes through the origin at u = 0."""
-    return _flexural(p)(u)
+    (point,) = _flexural(p, (u,))
+    return PlanePoint._make(point)
 
 
 def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflection-free elastica (k > 1);
     starts at (0, -2k/omega).  x = (2 epsilon(u, k) - u)/omega."""
-    return _inflexural(p)(u)
+    (point,) = _inflexural(p, (u,))
+    return PlanePoint._make(point)
 
 
 def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
@@ -110,6 +108,4 @@ def sample_curve(kind: str, p: ElasticaParams, u_min: float, u_max: float,
     """n points at uniform u spacing for kind in {"flexural", "inflexural"}."""
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
-    grid = uniform_grid(u_min, u_max, n)
-    point = _CURVES[kind](p)
-    return [point(u) for u in grid]
+    return list(map(PlanePoint._make, _CURVES[kind](p, uniform_grid(u_min, u_max, n))))

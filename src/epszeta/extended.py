@@ -65,6 +65,7 @@ descent fails or its result is not finite.
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -73,6 +74,7 @@ from .jacobi import EllipticPair, _Agm, _kernel
 # Below this, 1 - 1/k^2 has no correct digits left and the reciprocal
 # reduction is numerically meaningless.
 _MIN_LARGE = 1.0 + 1e-12
+_MAX_FLOAT = sys.float_info.max
 
 
 def _not_real(k):
@@ -108,8 +110,10 @@ class Modulus:
     k: float
 
     def __post_init__(self):
+        # compared with the largest float, not by math.isfinite, which raises
+        # OverflowError on an int past the float range; NaN fails both ways
         if isinstance(self.k, bool) or not (
-                isinstance(self.k, (int, float)) and math.isfinite(self.k)):
+                isinstance(self.k, (int, float)) and abs(self.k) <= _MAX_FLOAT):
             raise _not_real(self.k)
         if self.regime is Regime.STANDARD:
             if not 0.0 <= self.k <= 1.0:
@@ -119,7 +123,7 @@ class Modulus:
                 sliver = ("; moduli in (1, 1 + 1e-12) are numerically meaningless and rejected"
                           if self.k > 1.0 else "")
                 raise DomainError(f"large-real regime requires k > 1, got k={self.k!r}{sliver}")
-            if not math.isfinite(self.k * self.k):
+            if not self.k * self.k <= _MAX_FLOAT:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
         else:

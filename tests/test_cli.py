@@ -1,10 +1,14 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import re
 
 import pytest
 
-from epszeta import Modulus, epsilon, epsilon_any, epsilon_by_quadrature, zeta_any
+from epszeta import (ElasticaParams, Modulus, epsilon, epsilon_any, epsilon_by_quadrature,
+                     sample_curve, uniform_grid, zeta_any)
 from epszeta.cli import main
 
 
@@ -182,6 +186,56 @@ class TestElastica:
         assert code == 3
         assert out == ""
         assert "domain error" in err
+
+
+class TestExportInOnePass:
+    # the benchmark's export shape: 600 samples on [0, 12]
+    EXPORT = ("elastica", "--kind", "inflexural", "--k", "1.7", "--u-min", "0",
+              "--u-max", "12", "--samples", "600")
+
+    @pytest.mark.parametrize("kind, k", [("flexural", 0.6), ("inflexural", 1.7)])
+    @pytest.mark.parametrize("omega, u_min", [(1.0, 0.0), (2.5, 0.0), (1.3, -4.5)])
+    def test_bytes_are_the_grid_and_the_sampled_curve(self, capsys, kind, k, omega, u_min):
+        code, out, err = run(capsys, "elastica", "--kind", kind, "--k", repr(k),
+                             "--omega", repr(omega), f"--u-min={u_min!r}", "--u-max", "12",
+                             "--samples", "600")
+        assert (code, err) == (0, "")
+        us = uniform_grid(u_min, 12.0, 600)
+        points = sample_curve(kind, ElasticaParams(k=k, omega=omega), u_min, 12.0, 600)
+        assert out == "u,x,y\n" + "".join("%.17g,%.17g,%.17g\n" % (u, x, y)
+                                          for u, (x, y) in zip(us, points))
+
+    def test_error_exits_leave_the_next_export_unchanged(self, capsys, tmp_path):
+        # one parser serves every call of the process
+        code, first, _ = run(capsys, *self.EXPORT)
+        assert code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "--fn", "gamma", "--x", "0.5", "--k", "0.5"])
+        assert info.value.code == 2
+        assert run(capsys, "eval", "--fn", "epsilon", "--x", "0.5", "--k", "1e200")[0] == 3
+        with pytest.raises(SystemExit) as info:
+            main([*self.EXPORT, "--out", str(tmp_path / "missing" / "curve.csv")])
+        assert info.value.code == 2
+        capsys.readouterr()
+        code, last, err = run(capsys, *self.EXPORT)
+        assert (code, err) == (0, "")
+        assert last == first
+
+    def test_export_leaves_no_reference_cycles(self):
+        # a parser built per call left some 400 objects per export that only the
+        # cyclic collector frees, and made the export's peak memory wander
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(list(self.EXPORT))
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(list(self.EXPORT))
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0 and len(out.getvalue().splitlines()) == 601
+        assert unreachable == 0
 
 
 class TestCheck:

@@ -61,6 +61,17 @@ class TestModulus:
         with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
             Modulus(regime, k)
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_int_past_the_float_range_is_not_real(self, regime):
+        # math.isfinite raises OverflowError on such an int; Modulus refuses it as
+        # the constructors do
+        with pytest.raises(DomainError, match=r"finite real number, got k=10{400}$"):
+            Modulus(regime, 10**400)
+
+    def test_large_real_int_whose_square_overflows(self):
+        with pytest.raises(DomainError, match=r"k=10{200}: its k\^2 overflows"):
+            Modulus(Regime.LARGE_REAL, 10**200)
+
     @pytest.mark.parametrize("make", [Modulus.real, Modulus.imaginary])
     @pytest.mark.parametrize("k", [True, False, "2", "abc", b"0.5", None, 1j,
                                    pytest.param(10**400, id="10**400")], ids=repr)

@@ -19,9 +19,13 @@ It also runs each command line of `COMMANDS` through `epszeta.cli.main`
 in-process and records its transcript: the exit code (or the type and
 message of the exception that escaped `main`), then stderr and stdout.
 The list covers `eval` for every regime, function and format plus the
-upper branch, `tables`, `check`, both `elastica` kinds, and the error
-exits: bad flags, domain errors, a tolerance failure and an unwritable
-`--out` (a path under a missing directory, the same on both sides).
+upper branch, `tables`, `check`, both `elastica` kinds (also in the
+benchmark's export shape, 600 samples on [0, 12]), and the error exits:
+bad flags, domain errors, a tolerance failure and an unwritable `--out`
+(a path under a missing directory, the same on both sides).  All of
+them run in one process, in order, and the list ends with an export
+repeated after the error exits, so that a parser or other state kept
+from one call to the next is covered.
 
 The script prints the number of differing rows per workload and of
 differing CLI transcripts, with the first few of each, and exits 1 on
@@ -63,6 +67,12 @@ def _elastica(kind, k, *extra):
             "--u-max", "4", "--samples", "40", *extra]
 
 
+def _bench_export(kind, k):
+    # the curve-export workload's command line (bench/workloads.py)
+    return ["elastica", "--kind", kind, "--k", k, "--u-min", "0", "--u-max", "12.0",
+            "--samples", "600"]
+
+
 COMMANDS = (
     *(_eval(regime, fn, fmt) for regime in ("standard", "large_real", "pure_imaginary")
       for fn in ("epsilon", "zeta") for fmt in ("text", "json", "csv")),
@@ -71,6 +81,8 @@ COMMANDS = (
     ["check", "--trials", "20", "--seed", "7"],
     _elastica("flexural", "0.6"),
     _elastica("inflexural", "1.7"),
+    _bench_export("flexural", "0.35"),
+    _bench_export("inflexural", "3.2"),
     # bad flags: exit 2
     ["eval", "--fn", "gamma", "--x", "0.5", "--k", "0.5"],
     ["elastica", "--kind", "flexural", "--k", "0.5", "--u-min", "1", "--u-max", "0",
@@ -86,6 +98,8 @@ COMMANDS = (
      "--u-max", "1", "--samples", "3"],
     # tolerance failure: exit 4
     ["check", "--trials", "5", "--tol", "1e-18", "--seed", "3"],
+    # the same export as above, after every error exit
+    _elastica("flexural", "0.6"),
 )
 
 
