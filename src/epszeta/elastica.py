@@ -9,8 +9,9 @@ extended.py, once per curve (the kernel of k itself for the flexural
 curve, of 1/k for the in-flexural one) and yields (x, y) for each u,
 one kernel descent per point.  Single points, sampled curves and the
 command line's CSV export all go through it; `Modulus` checks k when
-the first point is drawn, and a failed descent is re-raised through
-`_failed`, naming the caller's u and k.
+the first point is drawn, a failed descent is re-raised through
+`_failed`, naming the caller's u and k, and a point past the float range
+(a tiny omega scales it) raises DomainError naming u, k and omega.
 """
 
 import math
@@ -53,7 +54,10 @@ def _flexural(p, us):
             _, cn, _, z = agm.jacobi(u + quarter)
         except DomainError as exc:
             raise _failed("flexural_point", u, m, exc) from exc
-        yield (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
+        x, y = (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
+        if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
+            raise _not_finite("flexural_point", u, p)
+        yield x, y
 
 
 def _inflexural(p, us):
@@ -68,7 +72,15 @@ def _inflexural(p, us):
             _, _, dn, z = agm.jacobi(k * u)
         except DomainError as exc:
             raise _failed("inflexural_point", u, m, exc) from exc
-        yield (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
+        x, y = (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
+        if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
+            raise _not_finite("inflexural_point", u, p)
+        yield x, y
+
+
+def _not_finite(fn, u, p):
+    # a point past the float range, as where a tiny omega scales it
+    return DomainError(f"{fn}(u={u!r}) has no finite value for k={p.k!r}, omega={p.omega!r}")
 
 
 _CURVES = {"flexural": _flexural, "inflexural": _inflexural}

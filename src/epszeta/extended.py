@@ -24,9 +24,11 @@ Z + (E/K) x; its E/K is the kernel's and its integrand dn^2(t, k).
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
 sqrt(1 - 1/k^2) formed without cancellation.  By Legendre's relation
 E K' + E' K - K K' = pi/2 (DLMF 19.7.1), K, 1 - E/K and Z of 1/k and
-K', E' of its complement give everything.  With s the branch sign,
-slope = 1 - k^2 (1 - E/K), which tends to 1/2 without cancellation,
-half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
+K', E' of its complement give everything; zeta and E/K need only K',
+which `legendre()` takes from the K-only AGM `jacobi._agm_k`, and
+`pair(s)` alone builds the complement's full kernel, for E'.  With s
+the branch sign, slope = 1 - k^2 (1 - E/K), which tends to 1/2 without
+cancellation, half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
 
     epsilon(x, k) = x slope + k Z(kx, 1/k)
     Z(x, k)       = k Z(kx, 1/k) + half (K'/K) x + i s half x
@@ -69,7 +71,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .jacobi import EllipticPair, _Agm, _kernel
+from .jacobi import EllipticPair, _Agm, _agm_k, _kernel
 
 # Below this, 1 - 1/k^2 has no correct digits left and the reciprocal
 # reduction is numerically meaningless.
@@ -186,26 +188,28 @@ class _LargeReal:
         self.slope = 1.0 - k * k * self.agm.one_minus_ek
 
     def legendre(self):
-        # (comp, half, half K'/K) with comp the kernel of the complement of
-        # 1/k, which epsilon and dn do not need; from k = 9.5e7 on that
-        # complement rounds to 1, and comp takes kp = 1/k.  k^2 is scaled by
-        # a factor below 1, as (pi/2) k^2 can overflow
+        # (half, half K'/K) with K' = K of the complement of 1/k, which
+        # epsilon and dn do not need, from the K-only AGM (`_agm_k`); from
+        # k = 9.5e7 on that complement rounds to 1, and K' takes kp = 1/k.
+        # k^2 is scaled by a factor below 1, as (pi/2) k^2 can overflow
         agm, k = self.agm, self.m.k
-        comp = _Agm(agm.kp, agm.k)
-        half = k * k * (0.5 * math.pi / (agm.K * agm.K + comp.K * comp.K))
-        return comp, half, half * comp.K / agm.K
+        kc = _agm_k(agm.kp, agm.k)
+        half = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
+        return half, half * kc / agm.K
 
     def ek(self, s):
-        _, half, drift = self.legendre()
+        half, drift = self.legendre()
         return complex(self.slope - drift, -s * half)
 
     def pair(self, s):
         # (K(k), E(k)) on the branch of sign s.  Re E/k = E(1/k) - (1 - 1/k^2)
         # K(1/k) without its cancellation; Im E/k = -s (E' - K'/k^2) keeps its
         # digits as it vanishes at k -> 1+ up to k = sqrt(2), and takes E' from
-        # Legendre's relation above (module docstring)
+        # Legendre's relation above (module docstring).  It needs 1 - E'/K' as
+        # well as K', so it builds the full kernel of the complement, the only
+        # caller that does
         agm, k = self.agm, self.m.k
-        comp = self.legendre()[0]
+        comp = _Agm(agm.kp, agm.k)
         r2, q = agm.k * agm.k, agm.one_minus_ek
         im = (comp.K * (agm.kp2 - comp.one_minus_ek) if agm.kp2 <= 0.5
               else 0.5 * math.pi / agm.K + comp.K * (q - r2))
@@ -217,7 +221,7 @@ class _LargeReal:
 
     def zeta(self, x, s):
         k = self.m.k
-        _, half, drift = self.legendre()
+        half, drift = self.legendre()
         return complex(k * self.agm.phase(k * x)[2] + drift * x, s * half * x)
 
     def integrand(self):

@@ -25,7 +25,10 @@ kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
     1 - E/K = sum_{n>=0} 2^(n-1) c(n)^2,   E/K = a1^2 - sum_{n>=2} 2^(n-1) c(n)^2,
 
 each form free of cancellation where the other loses digits (k -> 0 and
-k -> 1), and E = K (E/K).
+k -> 1), and E = K (E/K).  A caller that needs K alone (the K' of the
+large-real rule in extended.py) takes it from `_agm_k(k, k')`, the same
+recurrence with the same stop rule that keeps only a(n) and c(n), and
+gets `_Agm(k, k').K` bit for bit.
 
 At any x a single phase descent,
 
@@ -100,35 +103,37 @@ class _Agm:
             # an infinite or NaN kp would keep the descent from ever stopping
             raise DomainError(
                 f"the AGM needs a complementary modulus in (0, 1], got kp={kp!r} for k={k!r}")
+        a1 = 0.5 * (1.0 + kp)
+        # c1 as the first step below forms it: in the pre-loop if k' < 1/2
+        c1 = 0.5 * (1.0 - kp) if kp < 0.5 else k * k / (4.0 * a1)
         a, b, c = 1.0, kp, k
-        steps = ()  # (c(n), c(n)/a(n)) for n = N down to 1, the descent's order
+        steps = []  # (c(n), c(n)/a(n)) for n = 1 up to N, reversed below
         while b < 0.5 * a:
             # c(n+1) = (a(n) - b(n))/2 while it has no cancellation (module
             # docstring); c > a/4 here, so the descent cannot stop yet
             c = 0.5 * (a - b)
             a, b = 0.5 * (a + b), math.sqrt(a * b)
-            steps = ((c, c / a),) + steps
+            steps.append((c, c / a))
         while True:
             a, b = 0.5 * (a + b), math.sqrt(a * b)
             c = c * c / (4.0 * a)
-            steps = ((c, c / a),) + steps
-            if c * c <= 2.0 ** -51 * a * min(steps[-1][0], a):
+            steps.append((c, c / a))
+            if c * c <= 2.0 ** -51 * a * (c1 if c1 < a else a):
                 break
-        n = len(steps)
-        tail = 0.0  # sum over n >= 2 of 2^(n-1) c(n)^2
-        for i in range(n - 1):
-            tail += math.ldexp(steps[i][0] ** 2, n - 1 - i)
-        a1 = 0.5 * (1.0 + kp)
+        tail = 0.0  # sum over n >= 2 of 2^(n-1) c(n)^2, from the smallest term up
+        for e in range(len(steps) - 1, 0, -1):
+            tail += math.ldexp(steps[e][0] ** 2, e)
+        steps.reverse()  # the descent's order, n = N down to 1
         self.k, self.kp, self.kp2 = k, kp, kp2
         self.K = math.pi / (2.0 * a)
         # E/K and 1 - E/K, each summed where it has no cancellation: E/K as
         # k -> 1, 1 - E/K = k^2/2 + c1^2 + tail as k -> 0
         self.ek = a1 * a1 - tail
-        self.one_minus_ek = 0.5 * k * k + steps[-1][0] ** 2 + tail
+        self.one_minus_ek = 0.5 * k * k + c1 ** 2 + tail
         self.E = self.K * self.ek
         self._period = 2.0 * self.K
-        self._scale = math.ldexp(a, n)
-        self._steps = steps
+        self._scale = math.ldexp(a, len(steps))
+        self._steps = tuple(steps)
 
     def phase(self, x):
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
@@ -154,6 +159,25 @@ class _Agm:
         # k = 1; k^2 is taken as 1 - k'^2 so that dn = 1 where cn = +-1
         kp2 = self.kp2
         return sn, cn, math.sqrt(kp2 + (1.0 - kp2) * cn * cn), z
+
+
+def _agm_k(k, kp):
+    """K of the modulus k with complement 0 < kp <= 1: `_Agm(k, kp).K` bit for bit.
+
+    The same recurrence and stop rule as `_Agm.__init__`, pre-loop and c1
+    included, keeping only a(n) and c(n); k = 1 is admitted with kp given.
+    """
+    a1 = 0.5 * (1.0 + kp)
+    c1 = 0.5 * (1.0 - kp) if kp < 0.5 else k * k / (4.0 * a1)
+    a, b, c = 1.0, kp, k
+    while b < 0.5 * a:
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    while True:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = c * c / (4.0 * a)
+        if c * c <= 2.0 ** -51 * a * (c1 if c1 < a else a):
+            return math.pi / (2.0 * a)
 
 
 class _Unit:

@@ -17,7 +17,8 @@ import goldens
 from carlson_ref import carlson_e, carlson_k_e
 from epszeta import (DomainError, Modulus, amplitude, complete_e, complete_k,
                      epsilon, incomplete_e, sncndn, zeta, zeta_any)
-from epszeta.jacobi import _Agm
+from epszeta.extended import _rule
+from epszeta.jacobi import _Agm, _agm_k
 
 MODULI = (1e-12, 1e-6, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15)
 XS = np.concatenate(([-10.0, 0.0, 10.0], np.random.default_rng(61).uniform(-10.0, 10.0, 60)))
@@ -107,3 +108,41 @@ class TestPeriodReduction:
         assert sncndn(x, k).sn == pytest.approx((-1) ** n * sncndn(xr, k).sn, abs=1e-9)
         assert amplitude(x, k) == pytest.approx(amplitude(xr, k) + n * math.pi, rel=1e-14)
         assert epsilon(x, k) == pytest.approx(epsilon(xr, k) + drift, rel=1e-14)
+
+
+def _k_only_grid():
+    # (k, kp) with kp < 1/2 (the pre-loop runs), k -> 0, a seeded spread, and
+    # k = 1 with kp = 1/k given, the complement of 1/k from k = 9.5e7 on.
+    # k = 1 with any kp < 1/2 is admitted too; there, a loop without the
+    # pre-loop, or with c1 formed another way, stops one step off and moves K
+    # by an ulp on a few of these 2000
+    rng = np.random.default_rng(97)
+    kps = np.concatenate((rng.uniform(1e-300, 0.5, 200), 10.0 ** rng.uniform(-300, -1, 200)))
+    yield from ((math.sqrt((1.0 - kp) * (1.0 + kp)), float(kp)) for kp in kps)
+    yield from ((1.0, float(kp)) for kp in rng.uniform(1e-300, 0.5, 2000))
+    for k in np.concatenate((10.0 ** rng.uniform(-300, -1, 200), rng.uniform(0.0, 1.0, 400))):
+        yield float(k), math.sqrt((1.0 - k) * (1.0 + k))
+    for k in (9.5e7, 1e12, 1e150):
+        yield 1.0, 1.0 / k
+
+
+def test_k_only_agm_is_the_kernel_k_bit_for_bit():
+    for k, kp in _k_only_grid():
+        assert _agm_k(k, kp) == _Agm(k, kp).K, (k, kp)
+
+
+def test_legendre_builds_no_kernel(monkeypatch):
+    # K' of the complement of 1/k comes from the K-only AGM; only pair() builds
+    # the complement's kernel, for 1 - E'/K'
+    rules = [_rule(Modulus.real(k)) for k in (1.5, 2.0, 1e8, 1e150)]
+    built = []
+    init = _Agm.__init__
+    monkeypatch.setattr(_Agm, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for rule in rules:
+        half, drift = rule.legendre()
+        assert drift == half * _agm_k(rule.agm.kp, rule.agm.k) / rule.agm.K
+        rule.ek(-1.0)
+        rule.zeta(0.5 / rule.m.k, -1.0)
+    assert built == []
+    rules[0].pair(-1.0)
+    assert built == [(rules[0].agm.kp, rules[0].agm.k)]

@@ -187,6 +187,20 @@ class TestElastica:
         assert out == ""
         assert "domain error" in err
 
+    # the first point past the float range: flexural y = -2k cn(u + K)/omega
+    # is about 0 at u = 0, inflexural y = -2k/omega there
+    @pytest.mark.parametrize("kind, k, u", [("flexural", "0.5", "0.5"),
+                                            ("inflexural", "2", "0.0")])
+    def test_non_finite_point_is_domain_error(self, capsys, kind, k, u):
+        # a subnormal omega: the export wrote inf,inf rows and exited 0
+        code, out, err = run(capsys, "elastica", "--kind", kind, "--k", k,
+                             "--omega", "1e-310", "--u-min", "0", "--u-max", "1",
+                             "--samples", "3")
+        assert code == 3
+        assert out == ""
+        assert err == (f"domain error: {kind}_point(u={u}) has no finite value "
+                       f"for k={float(k)!r}, omega=1e-310\n")
+
 
 class TestExportInOnePass:
     # the benchmark's export shape: 600 samples on [0, 12]

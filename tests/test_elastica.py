@@ -128,6 +128,23 @@ class TestInflexural:
             sample_curve("inflexural", p, 0.0, 1.0, 5)
 
 
+@pytest.mark.parametrize("kind, point, k", [("flexural", flexural_point, 0.5),
+                                            ("inflexural", inflexural_point, 2.0)])
+class TestNonFinitePoint:
+    # a subnormal omega scales the point past the float range: it returned (inf, inf)
+    def test_point_is_domain_error_naming_u_k_and_omega(self, kind, point, k):
+        with pytest.raises(DomainError, match=rf"{kind}_point\(u=1\.0\) has no finite value "
+                                              rf"for k={k}, omega=1e-310$"):
+            point(1.0, ElasticaParams(k, 1e-310))
+
+    def test_curve_is_domain_error_at_its_first_infinite_point(self, kind, point, k):
+        with pytest.raises(DomainError, match=rf"{kind}_point\(u=0\.5\) has no finite value"):
+            sample_curve(kind, ElasticaParams(k, 1e-310), 0.5, 1.0, 3)
+
+    def test_large_finite_point_is_kept(self, kind, point, k):
+        assert all(math.isfinite(v) for v in point(1.0, ElasticaParams(k, 1e-300)))
+
+
 def arc_speed_squared(point, u, p, h=1e-5):
     xm, ym = point(u - h, p)
     xp, yp = point(u + h, p)

@@ -13,7 +13,10 @@ exception it raised:
 
 - mixed-points: every pool row of seeds 1 and 2;
 - curve-export: every pool row of seed 1;
-- quadrature-oracle: the first 3000 pool rows of seed 1.
+- quadrature-oracle: the first 3000 pool rows of seed 1;
+- `ek_ratio` and `k_e_continued` on both branches, at large-real k with
+  k - 1 log-spread over [1e-12, 1.34e154], the other callers of the
+  large-real rule's Legendre relation besides `zeta_any`.
 
 It also runs each command line of `COMMANDS` through `epszeta.cli.main`
 in-process and records its transcript: the exit code (or the type and
@@ -21,11 +24,12 @@ message of the exception that escaped `main`), then stderr and stdout.
 The list covers `eval` for every regime, function and format plus the
 upper branch, `tables`, `check`, both `elastica` kinds (also in the
 benchmark's export shape, 600 samples on [0, 12]), and the error exits:
-bad flags, domain errors, a tolerance failure and an unwritable `--out`
-(a path under a missing directory, the same on both sides).  All of
-them run in one process, in order, and the list ends with an export
-repeated after the error exits, so that a parser or other state kept
-from one call to the next is covered.
+bad flags, domain errors (a curve point past the float range among
+them), a tolerance failure and an unwritable `--out` (a path under a
+missing directory, the same on both sides).  All of them run in one
+process, in order, and the list ends with an export repeated after the
+error exits, so that a parser or other state kept from one call to the
+next is covered.
 
 The script prints the number of differing rows per workload and of
 differing CLI transcripts, with the first few of each, and exits 1 on
@@ -37,6 +41,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +54,11 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 # (workload, seed, rows from the first; None for the whole pool)
 ROWS = (("mixed-points", 1, None), ("mixed-points", 2, None),
         ("curve-export", 1, None), ("quadrature-oracle", 1, 3000))
+# large-real k for the ek_ratio and k_e_continued rows: 1 + 10^t, t evenly
+# spread so that k runs from 1 + 1e-12 to 1.34e154, where k^2 stays finite
+LARGE_REAL_TOP = math.log10(1.34e154 - 1.0)
+LARGE_REAL_KS = tuple(1.0 + 10.0 ** (-12.0 + (LARGE_REAL_TOP + 12.0) * i / 999)
+                      for i in range(1000))
 SHOWN = 5        # differing rows printed per workload
 PREVIEW = 300    # characters of an output printed for a differing row
 CLI = "cli transcripts"
@@ -96,6 +106,10 @@ COMMANDS = (
     _elastica("flexural", "nan"),
     ["elastica", "--kind", "flexural", "--k", "0.5", "--omega=-1", "--u-min", "0",
      "--u-max", "1", "--samples", "3"],
+    # a subnormal omega scales the points past the float range
+    *(["elastica", "--kind", kind, "--k", k, "--omega", "1e-310", "--u-min", "0",
+       "--u-max", "1", "--samples", "3"] for kind, k in (("flexural", "0.5"),
+                                                         ("inflexural", "2"))),
     # tolerance failure: exit 4
     ["check", "--trials", "5", "--tol", "1e-18", "--seed", "3"],
     # the same export as above, after every error exit
@@ -137,6 +151,12 @@ def emit(out, missing):
         workload = WORKLOADS[name]
         for i, row in enumerate(islice(workload.rows(seed), n or workload.pool)):
             write(f"{name} seed {seed}", i, list(row), outcome(workload.op, row))
+    from epszeta import Modulus, ek_ratio, k_e_continued
+    for fn in (ek_ratio, k_e_continued):
+        rows = [(k, branch) for k in LARGE_REAL_KS for branch in ("lower", "upper")]
+        for i, row in enumerate(rows):
+            write(fn.__name__, i, list(row),
+                  outcome(lambda k, branch: fn(Modulus.real(k), branch), row))
     for i, argv in enumerate(COMMANDS):
         argv = [a.format(missing=missing) for a in argv]
         write(CLI, i, " ".join(argv), transcript(argv))
