@@ -11,7 +11,7 @@ descends the AGM kernel (jacobi.py).
 
 import math
 
-from .errors import DomainError
+from .errors import _MAX_FLOAT, DomainError, _shown
 
 # Duplication stops once the normalized deviations |X|, |Y|, |Z| drop
 # below this cutoff: the remainder of the degree-7 series is below
@@ -25,9 +25,11 @@ def rf(x: float, y: float, z: float) -> float:
     Fully symmetric; at most one argument may be zero.  Arguments are
     sorted on entry so all six orderings give bit-identical results.
     """
+    # checked as given: an int past the float range has no float to check
+    if not all(0.0 <= v <= _MAX_FLOAT for v in (x, y, z)):
+        raise DomainError(f"rf arguments must be finite and non-negative, got "
+                          f"({', '.join(map(_shown, (x, y, z)))})")
     x, y, z = float(x), float(y), float(z)
-    if not all(math.isfinite(v) and v >= 0.0 for v in (x, y, z)):
-        raise DomainError(f"rf arguments must be finite and non-negative, got {(x, y, z)}")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise DomainError("rf diverges when two or more arguments are zero")
     x, y, z = sorted((x, y, z))

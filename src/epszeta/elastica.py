@@ -14,12 +14,12 @@ the first point is drawn, a failed descent is re-raised through
 (a tiny omega scales it) raises DomainError naming u, k and omega.
 """
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import _MAX_FLOAT, DomainError, _shown
 from .extended import Modulus, Regime, _failed, _rule
 
 
@@ -31,9 +31,8 @@ class ElasticaParams:
 
     def __post_init__(self):
         for name, v in (("k", self.k), ("omega", self.omega)):
-            if isinstance(v, bool) or not (
-                    isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"elastica requires finite {name} > 0, got {name}={v!r}")
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0.0 < v <= _MAX_FLOAT):
+                raise DomainError(f"elastica requires finite {name} > 0, got {name}={_shown(v)}")
         if self.k == 1.0:
             raise DomainError("k = 1 is the borderline solitary loop and is not supported")
 
@@ -52,7 +51,7 @@ def _flexural(p, us):
         # epsilon(u + K) - E = Z(u + K) + (E/K) u; the descent names u + K
         try:
             _, cn, _, z = agm.jacobi(u + quarter)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             raise _failed("flexural_point", u, m, exc) from exc
         x, y = (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
         if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
@@ -70,7 +69,7 @@ def _inflexural(p, us):
         # the descent names ku and 1/k
         try:
             _, _, dn, z = agm.jacobi(k * u)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:
             raise _failed("inflexural_point", u, m, exc) from exc
         x, y = (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
         if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
@@ -104,12 +103,12 @@ def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
     """n uniformly spaced parameter values with exact endpoints."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"uniform_grid requires an integer n, got {n!r}")
-    if not u_min < u_max:
-        raise DomainError(f"uniform_grid requires u_min < u_max, got u_min={u_min!r}, "
-                          f"u_max={u_max!r}")
-    if n < 2:
-        raise DomainError(f"uniform_grid requires n >= 2, got n={n!r}")
-    if not math.isfinite(u_max - u_min):
+    if not -_MAX_FLOAT <= u_min < u_max <= _MAX_FLOAT:
+        raise DomainError(f"uniform_grid requires finite u_min < u_max, got "
+                          f"u_min={_shown(u_min)}, u_max={_shown(u_max)}")
+    if not sys.maxsize >= n >= 2:  # sys.maxsize: the longest list there can be
+        raise DomainError(f"uniform_grid requires sys.maxsize >= n >= 2, got n={_shown(n)}")
+    if not u_max - u_min <= _MAX_FLOAT:
         raise DomainError(f"uniform_grid requires a finite span, got [{u_min!r}, {u_max!r}]")
     step = (u_max - u_min) / (n - 1)
     return [u_min + i * step for i in range(n - 1)] + [u_max]

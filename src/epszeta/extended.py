@@ -52,39 +52,33 @@ E(k1)/(k1p^2 K(k1)), and with u = x/k1p
 from one descent at u inside the primary cell; epsilon = Z + (E/K) x
 and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay real.
 
-The ranges stay in `Modulus.__post_init__`, its own chain over the
-regimes, because a modulus is checked once where it is made, before
-any rule or kernel exists: it raises DomainError naming k outside
-standard 0 <= k <= 1; large-real from 1 + 1e-12 while k^2 is finite (to
-1.34e154); pure-imaginary 0 < k < 2^26 (6.7e7), from where k1 rounds to
-1.  `Modulus.real` and `Modulus.imaginary` take |k| as a float first and
-refuse, as non-real, a bool (numpy's too), a string and what float()
-cannot convert.  The rule's descent at x, kx or x/k1p is the one check of x, a
-non-finite x included; a dispatcher names its x, regime and k when that
-descent fails or its result is not finite.
+`Modulus.__post_init__` checks one range per regime, each bound by one
+comparison against a constant: standard 0 <= k <= 1; large-real
+1 < k <= 1.34e154, beyond which k^2 overflows; pure-imaginary
+0 < k < 2^26 (6.7e7), from where k1 rounds to 1.  A refusal names the
+regime, k and the bound it fails.  `Modulus.real` and
+`Modulus.imaginary` take |k| as a float first and refuse, as non-real,
+a bool (numpy's too), a string and what float() cannot convert.  The
+rule's descent at x, kx or x/k1p is the one check of x, a non-finite x
+included; a dispatcher names its x, regime and k when that descent
+fails (an int x past the float range included) or its result is not
+finite.
 """
 
 import cmath
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import _MAX_FLOAT, DomainError, _shown
 from .jacobi import EllipticPair, _Agm, _agm_k, _kernel
 
-# Below this, 1 - 1/k^2 has no correct digits left and the reciprocal
-# reduction is numerically meaningless.
-_MIN_LARGE = 1.0 + 1e-12
-_MAX_FLOAT = sys.float_info.max
+_MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
+_MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
 
 
 def _not_real(k):
-    try:
-        shown = repr(k)
-    except Exception:  # an int past the int-to-str digit limit, for one
-        shown = f"<{type(k).__name__} without a repr>"
-    return DomainError(f"modulus must be a finite real number, got k={shown}")
+    return DomainError(f"modulus must be a finite real number, got k={_shown(k)}")
 
 
 def _magnitude(k):
@@ -121,35 +115,28 @@ class Modulus:
             if not 0.0 <= self.k <= 1.0:
                 raise DomainError(f"standard regime requires k in [0, 1], got k={self.k!r}")
         elif self.regime is Regime.LARGE_REAL:
-            if not self.k >= _MIN_LARGE:
-                sliver = ("; moduli in (1, 1 + 1e-12) are numerically meaningless and rejected"
-                          if self.k > 1.0 else "")
-                raise DomainError(f"large-real regime requires k > 1, got k={self.k!r}{sliver}")
-            if not self.k * self.k <= _MAX_FLOAT:
+            if not self.k > 1.0:
+                raise DomainError(f"large-real regime requires k > 1, got k={self.k!r}")
+            if not self.k <= _MAX_LARGE:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
-        else:
-            if not self.k > 0.0:
-                raise DomainError(f"pure-imaginary regime requires k > 0, got k={self.k!r}")
-            if self.k / math.hypot(1.0, self.k) == 1.0:
-                raise DomainError(f"pure_imaginary modulus k={self.k!r}: k1 = k/sqrt(1+k^2) "
-                                  "rounds to 1 from k = 2^26 on, where K(k1) diverges")
+        elif not self.k > 0.0:  # the pure-imaginary regime from here on
+            raise DomainError(f"pure-imaginary regime requires k > 0, got k={self.k!r}")
+        elif not self.k < _MAX_IMAG:
+            raise DomainError(f"pure_imaginary modulus k={self.k!r}: k1 = k/sqrt(1+k^2) "
+                              "rounds to 1 from k = 2^26 on, where K(k1) diverges")
 
     @classmethod
     def real(cls, k: float) -> "Modulus":
         """Real modulus: |k| <= 1 is standard, |k| > 1 large-real."""
         k = _magnitude(k)
-        if k <= 1.0:
-            return cls(Regime.STANDARD, k)
-        return cls(Regime.LARGE_REAL, k)
+        return cls(Regime.STANDARD if k <= 1.0 else Regime.LARGE_REAL, k)
 
     @classmethod
     def imaginary(cls, k: float) -> "Modulus":
         """Imaginary modulus i*k; k = 0 collapses to the standard regime."""
         k = _magnitude(k)
-        if k == 0.0:
-            return cls(Regime.STANDARD, 0.0)
-        return cls(Regime.PURE_IMAGINARY, k)
+        return cls(Regime.STANDARD if k == 0.0 else Regime.PURE_IMAGINARY, k)
 
 
 class _Standard:
@@ -281,8 +268,10 @@ def _branch_sign(branch):
 def _failed(fn, x, m, exc):
     # a descent names the kx or x/k1p and the 1/k or k1 it saw, and the
     # bisection its own interval, not the caller's x and k: an error of the
-    # same type that names them
-    return type(exc)(f"{fn}(x={x!r}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
+    # same type that names them, a DomainError for the OverflowError of an
+    # int x past the float range
+    kind = DomainError if isinstance(exc, OverflowError) else type(exc)
+    return kind(f"{fn}(x={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
 
 
 def _evaluate(fn, x, m, run):
@@ -290,7 +279,7 @@ def _evaluate(fn, x, m, run):
     # x included) or a non-finite value names the caller's x, the regime and k
     try:
         value = run(_rule(m))
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         raise _failed(fn, x, m, exc) from exc
     if not cmath.isfinite(value):
         raise DomainError(
@@ -313,13 +302,12 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
 
     Both entries are complex; the branches are conjugates, and the ratio
     E/K of the returned pair matches ek_ratio on the same branch.  Against
-    mpmath, |error| <= 3.1e-15 |K| and |E| from k = 1 + 1e-11 to 1e150;
+    mpmath, |error| <= 3.1e-15 |K| and |E| from the float after 1 to 1e150;
     Im E, which vanishes as k -> 1+, is within 6e-16 of itself there.
     """
-    s = _branch_sign(branch)
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
-    return _rule(m).pair(s)
+    return _rule(m).pair(_branch_sign(branch))
 
 
 def epsilon_any(x: float, m: Modulus) -> float:

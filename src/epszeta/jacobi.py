@@ -51,21 +51,22 @@ most one descent.  `_kernel` is the one check of k: it strips the sign
 |k| <= 1, NaN included.  At k = 1, where the AGM degenerates (b0 = 0)
 and K diverges, it returns the limit `_Unit`: K = inf, E = 1, am = gd x
 (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  The
-descent is the one check of x and names a non-finite x as such.
+descent is the one check of x and names an x that is not a finite float
+(nan, an infinity or an int past the float range) as such.
 `complete_k` has no value at |k| = 1 and raises there, naming k.
 
 `incomplete_e` is epsilon at the argument F(phi, k), since epsilon(x) =
 E(am(x)) (DLMF 22.16(ii)): it reduces phi by pi once, takes F on the
 half cell from Carlson's RF (DLMF 19.25(i)), where am(F) = phi, and adds
 2E per period.  At k = 1, F = artanh(sin phi) and tanh F = sin phi.  It
-names a non-finite phi before reducing it.
+names a phi that is not a finite float before reducing it.
 """
 
 import math
 from typing import NamedTuple
 
 from .carlson import rf
-from .errors import DomainError
+from .errors import _MAX_FLOAT, DomainError, _shown
 
 # Largest period index |n| of the reduction x = x_r + 2K n (module docstring).
 _MAX_PERIODS = 2.0 ** 50
@@ -137,7 +138,10 @@ class _Agm:
 
     def phase(self, x):
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
-        t = x / self._period
+        try:
+            t = x / self._period
+        except OverflowError:  # an int x past the float range
+            raise _bad_x(self, x) from None
         if not abs(t) <= _MAX_PERIODS:
             raise _bad_x(self, x)
         n = round(t)
@@ -188,7 +192,7 @@ class _Unit:
     _period = math.inf  # K diverges, so x is not reduced
 
     def phase(self, x):
-        if not math.isfinite(x):
+        if not abs(x) <= _MAX_FLOAT:
             raise _bad_x(self, x)
         return 2.0 * math.atan(math.tanh(0.5 * x)), 0, math.tanh(x)
 
@@ -200,9 +204,10 @@ class _Unit:
 
 
 def _bad_x(agm, x):
-    # the descent's one check of x failed: x is not finite or beyond the reduction bound
-    if not math.isfinite(x):
-        return DomainError(f"x={x!r} is not finite (k={agm.k!r})")
+    # the descent's one check of x failed: x is not a finite float (an int past
+    # the float range included) or beyond the reduction bound
+    if not abs(x) <= _MAX_FLOAT:
+        return DomainError(f"x={_shown(x)} is not a finite float (k={agm.k!r})")
     return DomainError(
         f"x={x!r} is too large for k={agm.k!r}: reduced by the period 2K it keeps "
         f"no correct digit beyond |x| = 2^51 K = {_MAX_PERIODS * agm._period:.3g}")
@@ -212,7 +217,7 @@ def _kernel(k):
     """The AGM kernel of |k|, or its limit at |k| = 1; the one check of a standard modulus."""
     a = abs(k)
     if not a <= 1.0:
-        raise DomainError(f"k={k!r} is outside the standard range |k| <= 1")
+        raise DomainError(f"k={_shown(k)} is outside the standard range |k| <= 1")
     return _Agm(a) if a < 1.0 else _Unit()
 
 
@@ -238,8 +243,8 @@ def incomplete_e(phi: float, k: float) -> float:
     1 - k^2 sin^2 phi, 1) (DLMF 19.25(i), 22.16(ii)).
     """
     agm = _kernel(k)
-    if not math.isfinite(phi):
-        raise DomainError(f"phi={phi!r} is not finite (k={agm.k!r})")
+    if not abs(phi) <= _MAX_FLOAT:
+        raise DomainError(f"phi={_shown(phi)} is not a finite float (k={agm.k!r})")
     n = round(phi / math.pi)
     phi -= n * math.pi
     s, c, k = math.sin(phi), math.cos(phi), agm.k

@@ -6,10 +6,9 @@ estimate |delta|/1023 meets the local tolerance (the rule's local error
 scales as h^11, so halving the step gains a factor of 2^10).
 """
 
-import math
 from typing import Callable, NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import _MAX_FLOAT, ConvergenceError, DomainError
 from .extended import Modulus, _failed, _rule
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
@@ -42,7 +41,7 @@ def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> Qu
     both tol and err_estimate by orders of magnitude.  Raises
     ConvergenceError if 48 subdivision levels do not reach tol.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+    if not -_MAX_FLOAT <= a <= b <= _MAX_FLOAT:
         raise DomainError("integrate requires finite a <= b")
     if not tol > 0.0:
         raise DomainError("integrate requires tol > 0")

@@ -84,11 +84,12 @@ class TestEval:
         assert code == 0
         assert out.strip() == "0.490203"
 
-    def test_sliver_modulus_is_domain_error(self, capsys):
-        code, out, err = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5",
-                             "--k", "1.0000000000001")
-        assert code == 3
-        assert "domain error" in err
+    def test_sliver_modulus_is_evaluated(self, capsys):
+        # k in (1, 1 + 1e-12) is an ordinary large-real modulus
+        code, out, _ = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5",
+                           "--k", "1.0000000000001", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["re"] == epsilon_any(0.5, Modulus.real(1.0000000000001))
 
     def test_non_finite_result_exits_3(self, capsys):
         code, out, err = run(capsys, "eval", "--fn", "epsilon", "--x", "0.5",
@@ -171,7 +172,7 @@ class TestElastica:
         code, _, err = run(capsys, "elastica", "--kind", "flexural", "--k", "0.5",
                            "--u-min=-inf", "--u-max", "0", "--samples", "3")
         assert code == 3
-        assert "uniform_grid requires a finite span, got [-inf, 0.0]" in err
+        assert "uniform_grid requires finite u_min < u_max, got u_min=-inf, u_max=0.0" in err
 
     def test_flexural_large_k_is_domain_error(self, capsys):
         code, _, err = run(capsys, "elastica", "--kind", "flexural", "--k", "2",

@@ -107,7 +107,6 @@ class TestInflexural:
             assert lo - 1e-12 <= y <= hi + 1e-12
 
     def test_rejects_small_modulus(self):
-        # the sentence on the sliver (1, 1 + 1e-12) is for moduli inside it only
         with pytest.raises(DomainError, match=r"requires k > 1, got k=0\.5$"):
             inflexural_point(0.1, ElasticaParams(k=0.5))
         with pytest.raises(DomainError, match=r"requires k > 1, got k=0\.5$"):
@@ -241,9 +240,11 @@ class TestSampleCurve:
         for n in (2.5, 3.0, True, "4", None):
             with pytest.raises(DomainError, match=re.escape(f"integer n, got {n!r}")):
                 uniform_grid(0.0, 1.0, n)
-        # and a span u_max - u_min that is not finite, which would make nan points
-        for u_min, u_max in ((-math.inf, 0.0), (0.0, math.inf), (-1e308, 1e308)):
-            with pytest.raises(DomainError, match="finite span"):
+        # and bounds or a span u_max - u_min that are not finite, which would make nan points
+        for u_min, u_max, cause in ((-math.inf, 0.0, "finite u_min < u_max"),
+                                    (0.0, math.inf, "finite u_min < u_max"),
+                                    (-1e308, 1e308, "finite span")):
+            with pytest.raises(DomainError, match=cause):
                 uniform_grid(u_min, u_max, 3)
 
     def test_uniform_grid_rejects_empty_range_and_one_point(self):

@@ -10,7 +10,7 @@ import epszeta
 from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
                      ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
                      zeta_any)
-from epszeta.extended import _rule
+from epszeta.extended import _MAX_IMAG, _MAX_LARGE, _rule
 from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    epsilon_large_real_via_zeta, imaginary_submoduli,
                    k_e_continued, reciprocal_companion, zeta_imaginary,
@@ -23,6 +23,7 @@ class TestModulus:
     def test_real_constructor_routes_regimes(self):
         assert Modulus.real(0.5).regime is Regime.STANDARD
         assert Modulus.real(1.0).regime is Regime.STANDARD
+        assert Modulus.real(math.nextafter(1.0, math.inf)).regime is Regime.LARGE_REAL
         assert Modulus.real(2.0).regime is Regime.LARGE_REAL
 
     def test_signs_are_stripped(self):
@@ -32,11 +33,24 @@ class TestModulus:
     def test_imaginary_zero_collapses_to_standard(self):
         assert Modulus.imaginary(0.0).regime is Regime.STANDARD
 
-    def test_near_one_sliver_rejected(self):
-        with pytest.raises(DomainError, match=r"k=1\.0000000000001; moduli in \(1, 1 \+ 1e-12\)"):
-            Modulus.real(1.0 + 1e-13)
-        # 1e-9 above 1 is legitimate, if inaccurate
-        assert Modulus.real(1.0 + 1e-9).regime is Regime.LARGE_REAL
+    def test_range_constants_are_their_causes(self):
+        # the largest k whose k * k is finite, and the first k whose k1 =
+        # k/sqrt(1+k^2) rounds to 1
+        top = math.nextafter(_MAX_LARGE, math.inf)
+        assert math.isfinite(_MAX_LARGE * _MAX_LARGE) and math.isinf(top * top)
+        below = math.nextafter(_MAX_IMAG, 0.0)
+        assert _MAX_IMAG / math.hypot(1.0, _MAX_IMAG) == 1.0
+        assert below / math.hypot(1.0, below) < 1.0
+
+    @pytest.mark.parametrize("make, inside, cause", [
+        (Modulus.real, 1.3407807929942596e154, "its k^2 overflows"),
+        (Modulus.imaginary, math.nextafter(2.0 ** 26, 0.0), "k1 = k/sqrt(1+k^2) rounds to 1")],
+        ids=["large_real", "pure_imaginary"])
+    def test_both_sides_of_each_upper_bound(self, make, inside, cause):
+        assert make(inside).k == inside
+        outside = math.nextafter(inside, math.inf)
+        with pytest.raises(DomainError, match=re.escape(f"k={outside!r}: {cause}")):
+            make(outside)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -55,7 +69,7 @@ class TestModulus:
     @pytest.mark.parametrize("regime, k", [
         (Regime.STANDARD, math.nan), (Regime.LARGE_REAL, math.inf),
         (Regime.PURE_IMAGINARY, -math.inf), (Regime.STANDARD, 2.0),
-        (Regime.LARGE_REAL, 1.0 + 1e-13), (Regime.PURE_IMAGINARY, 0.0),
+        (Regime.LARGE_REAL, 1.0), (Regime.PURE_IMAGINARY, 0.0),
         (Regime.PURE_IMAGINARY, -1.0)])
     def test_rejection_names_k(self, regime, k):
         with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
@@ -311,11 +325,10 @@ class TestKEContinued:
                 assert abs(got - sign * ref) <= 1e-15 * ref, (tag, branch, got, ref)
 
     def test_near_one_boundary(self):
-        # inside the rejected sliver
-        with pytest.raises(DomainError):
-            k_e_continued(1.0 + 1e-13)
-        # just outside: computable, finite, documented as low-accuracy
-        pair = k_e_continued(1.0 + 1e-9)
+        # k = 1 is the standard regime's; the float after it is large-real
+        with pytest.raises(DomainError, match=r"requires k > 1, got k=1\.0$"):
+            k_e_continued(1.0)
+        pair = k_e_continued(math.nextafter(1.0, math.inf))
         assert math.isfinite(pair.K.real) and math.isfinite(pair.K.imag)
 
 
@@ -332,11 +345,37 @@ def test_large_real_goldens(tag, k, x):
         assert abs(got - ref) <= 1e-14 * abs(ref), (name, got, ref)
 
 
+@pytest.mark.parametrize("tag, k", [("1P2EM52", 1.0 + 2.0 ** -52), ("1P1EM14", 1.0 + 1e-14),
+                                    ("1P1EM13", 1.0 + 1e-13)])
+def test_sliver_goldens(tag, k):
+    # the large-real regime down to the float after 1, where 1/k rounds to
+    # within an ulp of 1 and its complement sqrt((k - 1)(k + 1))/k stays
+    # exact; the bounds are the worst errors measured, relative to the value
+    # (to itself for Im E, which vanishes like pi/2 (k - 1)).  epsilon is
+    # within 3.4e-16 of 60-digit mpmath and 3.5e-16 of its rounded golden
+    m = Modulus.real(k)
+    for xtag, x in (("01", 0.1), ("05", 0.5), ("2", 2.0)):
+        ref = getattr(goldens, f"EPS_X{xtag}_R{tag}")
+        assert abs(epsilon_any(x, m) - ref) <= 3.5e-16 * abs(ref), (x, ref)
+        ref = getattr(goldens, f"ZETA_X{xtag}_R{tag}")
+        for branch, want in (("lower", ref), ("upper", ref.conjugate())):
+            assert abs(zeta_any(x, m, branch) - want) <= 4e-16 * abs(want), (x, branch, ref)
+    for branch in ("lower", "upper"):
+        ek, kk, ee = (getattr(goldens, f"{name}_R{tag}") for name in ("EK", "KK", "EE"))
+        if branch == "upper":
+            ek, kk, ee = ek.conjugate(), kk.conjugate(), ee.conjugate()
+        pair = epszeta.k_e_continued(m, branch)
+        assert abs(ek_ratio(m, branch) - ek) <= 3.1e-15 * abs(ek), branch
+        assert abs(pair.K - kk) <= 1.4e-17 * abs(kk), branch
+        assert abs(pair.E - ee) <= 2.6e-15 * abs(ee), branch
+        assert abs(pair.E.imag - ee.imag) <= 3.5e-16 * abs(ee.imag), branch
+
+
 def test_large_real_range_is_the_modulus_range():
-    # every large-real route returns a finite value from 1 + 1e-12 up to the
-    # largest k with a finite k^2, and Modulus rejects the next float by name
+    # every large-real route returns a finite value from the float after 1 up
+    # to the largest k with a finite k^2, and Modulus rejects the next float
     top = 1.3407807929942596e154
-    for k in (1.0 + 1e-12, 1.0 + 1e-9, 2.0, 1e8, 1e100, top):
+    for k in (math.nextafter(1.0, math.inf), 1.0 + 1e-13, 1.0 + 1e-9, 2.0, 1e8, 1e100, top):
         m = Modulus.real(k)
         x = 0.5 / k  # kx stays within the reach of the period reduction
         values = (epsilon_any(x, m), zeta_any(x, m), ek_ratio(m), *epszeta.k_e_continued(m),

@@ -151,7 +151,7 @@ class TestIncompleteE:
         with pytest.raises(DomainError):
             incomplete_e(math.inf, 0.5)
         assert_names_bad_arguments(incomplete_e, "phi")
-        with pytest.raises(DomainError, match=re.escape("phi=nan is not finite (k=0.5)")):
+        with pytest.raises(DomainError, match=re.escape("phi=nan is not a finite float (k=0.5)")):
             incomplete_e(math.nan, 0.5)
 
 

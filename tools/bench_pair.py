@@ -94,6 +94,8 @@ def micro_calls(pkg):
     rule = ez._rule(ez.Modulus.real(2.0))
     params = pkg.ElasticaParams(0.35)
     return (
+        ("Modulus.real(2.0)", 50000, lambda: pkg.Modulus.real(2.0)),
+        ("Modulus.imaginary(1.0)", 50000, lambda: pkg.Modulus.imaginary(1.0)),
         ("_Agm(0.5)", 20000, lambda: agm(0.5)),
         ("_LargeReal(2).legendre()", 20000, rule.legendre),
         ("epsilon_any(0.5, real 2)", 10000, lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(2.0))),

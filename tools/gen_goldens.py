@@ -158,6 +158,23 @@ for tag, k in (("1P1EM11", 1.0 + 1e-11), ("1P1EM9", 1.0 + 1e-9)):
     with mp.workdps(60):
         emit(f"IM_EE_R{tag}", f(mp.im(mp.ellipe(mp.mpf(k) ** 2))))
 
+# the large-real regime from its lower end, k - 1 in {2^-52, 1e-14, 1e-13},
+# where K(1/k) diverges and Im E vanishes like pi/2 (k - 1): epsilon and Z at
+# x in {0.1, 0.5, 2}, E/K and (K, E), principal branch; k and x are
+# the exact doubles the tests pass
+for tag, k in (("1P2EM52", 1.0 + 2.0 ** -52), ("1P1EM14", 1.0 + 1e-14),
+               ("1P1EM13", 1.0 + 1e-13)):
+    with mp.workdps(60):
+        m = mp.mpf(k) ** 2
+        ek = mp.ellipe(m) / mp.ellipk(m)
+        for xtag, x in (("01", 0.1), ("05", 0.5), ("2", 2.0)):
+            e = eps_large_real(x, k)
+            emit(f"EPS_X{xtag}_R{tag}", f(e))
+            emit(f"ZETA_X{xtag}_R{tag}", c(e - ek * mp.mpf(x)))
+        emit(f"EK_R{tag}", c(ek))
+        emit(f"KK_R{tag}", c(mp.ellipk(m)))
+        emit(f"EE_R{tag}", c(mp.ellipe(m)))
+
 # E(phi, k) at its hard corners: phi at and next to odd multiples of pi/2
 # as k -> 1-, where F(phi, k) reaches K and K diverges, and the moduli
 # 1 and 1e-9; phi and k are the exact doubles the tests pass

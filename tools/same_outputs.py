@@ -15,21 +15,25 @@ exception it raised:
 - curve-export: every pool row of seed 1;
 - quadrature-oracle: the first 3000 pool rows of seed 1;
 - `ek_ratio` and `k_e_continued` on both branches, at large-real k with
-  k - 1 log-spread over [1e-12, 1.34e154], the other callers of the
-  large-real rule's Legendre relation besides `zeta_any`.
+  k - 1 log-spread from 2^-52 up to `extended._MAX_LARGE` (1.34e154, read
+  from this checkout's `src`), the other callers of the large-real rule's
+  Legendre relation besides `zeta_any`;
+- every public routine given the int 10**400, past the float range, as
+  one argument.
 
 It also runs each command line of `COMMANDS` through `epszeta.cli.main`
 in-process and records its transcript: the exit code (or the type and
 message of the exception that escaped `main`), then stderr and stdout.
 The list covers `eval` for every regime, function and format plus the
-upper branch, `tables`, `check`, both `elastica` kinds (also in the
-benchmark's export shape, 600 samples on [0, 12]), and the error exits:
-bad flags, domain errors (a curve point past the float range among
-them), a tolerance failure and an unwritable `--out` (a path under a
-missing directory, the same on both sides).  All of them run in one
-process, in order, and the list ends with an export repeated after the
-error exits, so that a parser or other state kept from one call to the
-next is covered.
+upper branch, `eval` at the large-real k = 1.0000000000001 (epsilon,
+and zeta on both branches), `tables`, `check`, both `elastica` kinds
+(also in the benchmark's export shape, 600 samples on [0, 12]), and the
+error exits: bad flags, domain errors (a curve point past the float
+range among them), a tolerance failure and an unwritable `--out` (a path
+under a missing directory, the same on both sides).  All of them run in
+one process, in order, and the list ends with an export repeated after
+the error exits, so that a parser or other state kept from one call to
+the next is covered.
 
 The script prints the number of differing rows per workload and of
 differing CLI transcripts, with the first few of each, and exits 1 on
@@ -49,16 +53,13 @@ import tempfile
 from itertools import islice
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 # (workload, seed, rows from the first; None for the whole pool)
 ROWS = (("mixed-points", 1, None), ("mixed-points", 2, None),
         ("curve-export", 1, None), ("quadrature-oracle", 1, 3000))
-# large-real k for the ek_ratio and k_e_continued rows: 1 + 10^t, t evenly
-# spread so that k runs from 1 + 1e-12 to 1.34e154, where k^2 stays finite
-LARGE_REAL_TOP = math.log10(1.34e154 - 1.0)
-LARGE_REAL_KS = tuple(1.0 + 10.0 ** (-12.0 + (LARGE_REAL_TOP + 12.0) * i / 999)
-                      for i in range(1000))
+BIG = 10 ** 400  # an int past the float range
 SHOWN = 5        # differing rows printed per workload
 PREVIEW = 300    # characters of an output printed for a differing row
 CLI = "cli transcripts"
@@ -98,8 +99,10 @@ COMMANDS = (
     ["elastica", "--kind", "flexural", "--k", "0.5", "--u-min", "1", "--u-max", "0",
      "--samples", "3"],
     _elastica("inflexural", "1.7", "--out", OUT),
+    # a large-real k within 1e-12 of 1
+    *(["eval", "--fn", fn, "--x", "0.5", "--k", "1.0000000000001", "--branch", branch]
+      for fn, branch in (("epsilon", "lower"), ("zeta", "lower"), ("zeta", "upper"))),
     # domain errors: exit 3
-    ["eval", "--fn", "epsilon", "--x", "0.5", "--k", "1.0000000000001"],
     ["eval", "--fn", "zeta", "--x", "0.5", "--k", "1e200"],
     _elastica("flexural", "2"),
     _elastica("inflexural", "0.5"),
@@ -115,6 +118,35 @@ COMMANDS = (
     # the same export as above, after every error exit
     _elastica("flexural", "0.6"),
 )
+
+
+def large_real_ks(top):
+    """1000 large-real k = 1 + 10^t, t evenly spread so that k runs from the float
+    after 1 to top, the largest k whose k^2 is finite."""
+    low, high = math.log10(2.0 ** -52), math.log10(top - 1.0)
+    return [min(top, 1.0 + 10.0 ** (low + (high - low) * i / 999)) for i in range(1000)]
+
+
+def past_the_float_range():
+    """(name, call) for every public routine given BIG as one argument."""
+    import epszeta as ez
+    m_std, m_large, m_imag = ez.Modulus.real(0.5), ez.Modulus.real(2.0), ez.Modulus.imaginary(2.0)
+    return (
+        *((fn.__name__, lambda fn=fn: fn(BIG, 0.5))
+          for fn in (ez.epsilon, ez.zeta, ez.amplitude, ez.sncndn, ez.incomplete_e)),
+        ("sncndn at k = 1", lambda: ez.sncndn(BIG, 1.0)),
+        *((f"{fn.__name__} {m.regime.value}", lambda fn=fn, m=m: fn(BIG, m))
+          for fn in (ez.epsilon_any, ez.zeta_any, ez.epsilon_by_quadrature)
+          for m in (m_std, m_large, m_imag)),
+        ("flexural_point", lambda: ez.flexural_point(BIG, ez.ElasticaParams(0.5))),
+        ("inflexural_point", lambda: ez.inflexural_point(BIG, ez.ElasticaParams(2.0))),
+        ("ElasticaParams k", lambda: ez.ElasticaParams(BIG)),
+        ("ElasticaParams omega", lambda: ez.ElasticaParams(0.5, BIG)),
+        ("uniform_grid u_min", lambda: ez.uniform_grid(-BIG, 0.0, 3)),
+        ("uniform_grid u_max", lambda: ez.uniform_grid(0.0, BIG, 3)),
+        ("uniform_grid n", lambda: ez.uniform_grid(0.0, 1.0, BIG)),
+        ("rf", lambda: ez.rf(1.0, BIG, 2.0)),
+    )
 
 
 def outcome(op, row):
@@ -139,7 +171,7 @@ def transcript(argv):
     return f"{status}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
 
 
-def emit(out, missing):
+def emit(out, missing, top):
     """Write one JSON line per row: [group, index, row, digest, preview]."""
     from workloads import WORKLOADS
 
@@ -153,25 +185,27 @@ def emit(out, missing):
             write(f"{name} seed {seed}", i, list(row), outcome(workload.op, row))
     from epszeta import Modulus, ek_ratio, k_e_continued
     for fn in (ek_ratio, k_e_continued):
-        rows = [(k, branch) for k in LARGE_REAL_KS for branch in ("lower", "upper")]
+        rows = [(k, branch) for k in large_real_ks(top) for branch in ("lower", "upper")]
         for i, row in enumerate(rows):
             write(fn.__name__, i, list(row),
                   outcome(lambda k, branch: fn(Modulus.real(k), branch), row))
+    for i, (name, call) in enumerate(past_the_float_range()):
+        write("int past the float range", i, name, outcome(call, ()))
     for i, argv in enumerate(COMMANDS):
         argv = [a.format(missing=missing) for a in argv]
         write(CLI, i, " ".join(argv), transcript(argv))
 
 
-def run_side(src, path, missing):
+def run_side(src, path, missing, top):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(src).resolve()), str(BENCH)]))
     with open(path, "w") as out:
-        subprocess.run([sys.executable, __file__, "--emit", missing], env=env, stdout=out,
-                       check=True)
+        subprocess.run([sys.executable, __file__, "--emit", missing, repr(top)], env=env,
+                       stdout=out, check=True)
 
 
 def main(argv):
     if argv[:1] == ["--emit"]:
-        emit(sys.stdout, argv[1])
+        emit(sys.stdout, argv[1], float(argv[2]))
         return 0
     if len(argv) != 2 or not all((Path(a) / "epszeta").is_dir() for a in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -180,8 +214,11 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp) / "parent.jsonl", Path(tmp) / "change.jsonl"]
         missing = str(Path(tmp) / "missing")
+        # the large-real bound of this checkout, the same on both sides
+        sys.path.insert(0, str(ROOT / "src"))
+        from epszeta.extended import _MAX_LARGE
         for src, path in zip(argv, paths):
-            run_side(src, path, missing)
+            run_side(src, path, missing, _MAX_LARGE)
         counts, shown = {}, {}
         with open(paths[0]) as a, open(paths[1]) as b:
             for line_a, line_b in zip(a, b, strict=True):
