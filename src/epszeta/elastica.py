@@ -52,7 +52,7 @@ def _flexural(p, us):
         try:
             _, cn, _, z = agm.jacobi(u + quarter)
         except (DomainError, OverflowError) as exc:
-            raise _failed("flexural_point", u, m, exc) from exc
+            raise _failed("flexural_point", u, m, exc, "u") from exc
         x, y = (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
         if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
             raise _not_finite("flexural_point", u, p)
@@ -70,7 +70,7 @@ def _inflexural(p, us):
         try:
             _, _, dn, z = agm.jacobi(k * u)
         except (DomainError, OverflowError) as exc:
-            raise _failed("inflexural_point", u, m, exc) from exc
+            raise _failed("inflexural_point", u, m, exc, "u") from exc
         x, y = (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
         if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
             raise _not_finite("inflexural_point", u, p)

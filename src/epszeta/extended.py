@@ -11,7 +11,12 @@ that builds a rule and the only branch on the regime that evaluates
 anything.  The three rules answer the same four calls: `ek(s)`, E/K of
 the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
 `integrand()`, the real function whose integral from 0 to x is epsilon
-(the quadrature oracle's).  The elastica curves read `agm` (and the
+(the quadrature oracle's).  Each node of an integrand costs one bare
+descent, `agm.phase`, and a cosine: its square is formed from cos am,
+with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of
+an odd period index drops out, so no sin, sqrt or (sn, cn, dn) tuple is
+made; only the k = 1 limit keeps sech^2 from `jacobi`, since cos^2 gd t
+is not sech^2 t at large t.  The elastica curves read `agm` (and the
 large-real `slope`) and descend it themselves, once per point.  Signs
 of moduli are stripped up front: epsilon and zeta are even in the
 modulus.
@@ -71,7 +76,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .jacobi import EllipticPair, _Agm, _agm_k, _kernel
+from .jacobi import EllipticPair, _Agm, _Unit, _agm_k, _kernel
 
 _MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
 _MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
@@ -158,8 +163,16 @@ class _Standard:
         return complex(self.agm.phase(x)[2], 0.0)
 
     def integrand(self):
+        # dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as `jacobi` forms
+        # it before its sqrt; the k = 1 limit keeps sech^2, which cos^2 gd t is not
         agm = self.agm
-        return lambda t: agm.jacobi(t)[2] ** 2
+        if isinstance(agm, _Unit):
+            return lambda t: agm.jacobi(t)[2] ** 2
+
+        def dn2(t):
+            c = math.cos(agm.phase(t)[0])
+            return agm.kp2 + (1.0 - agm.kp2) * c * c
+        return dn2
 
 
 class _LargeReal:
@@ -212,8 +225,9 @@ class _LargeReal:
         return complex(k * self.agm.phase(k * x)[2] + drift * x, s * half * x)
 
     def integrand(self):
+        # cn^2(kt, 1/k) = cos^2 am(kt): the sign of an odd period drops out
         k, agm = self.m.k, self.agm
-        return lambda t: agm.jacobi(k * t)[1] ** 2
+        return lambda t: math.cos(agm.phase(k * t)[0]) ** 2
 
 
 class _Imaginary:
@@ -243,8 +257,13 @@ class _Imaginary:
         return (z - agm.k * agm.k * sn * cn / dn) / agm.kp
 
     def integrand(self):
+        # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as in `_Standard`
         agm, k1p = self.agm, self.agm.kp
-        return lambda t: 1.0 / agm.jacobi(t / k1p)[2] ** 2
+
+        def inverse_dn2(t):
+            c = math.cos(agm.phase(t / k1p)[0])
+            return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)
+        return inverse_dn2
 
 
 _RULES = {Regime.STANDARD: _Standard, Regime.LARGE_REAL: _LargeReal,
@@ -265,13 +284,13 @@ def _branch_sign(branch):
     raise ValueError(f"branch must be 'lower' or 'upper', got {branch!r}")
 
 
-def _failed(fn, x, m, exc):
+def _failed(fn, x, m, exc, arg="x"):
     # a descent names the kx or x/k1p and the 1/k or k1 it saw, and the
-    # bisection its own interval, not the caller's x and k: an error of the
-    # same type that names them, a DomainError for the OverflowError of an
-    # int x past the float range
+    # bisection its own interval, not the caller's x (the elastica's u, as
+    # `arg` says) and k: an error of the same type that names them, a
+    # DomainError for the OverflowError of an int x past the float range
     kind = DomainError if isinstance(exc, OverflowError) else type(exc)
-    return kind(f"{fn}(x={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
+    return kind(f"{fn}({arg}={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
 
 
 def _evaluate(fn, x, m, run):

@@ -202,6 +202,18 @@ class TestElastica:
         assert err == (f"domain error: {kind}_point(u={u}) has no finite value "
                        f"for k={float(k)!r}, omega=1e-310\n")
 
+    # a point past the reduction bound: the descent fails, and the error
+    # names the curve's arc parameter u as the non-finite point above does
+    @pytest.mark.parametrize("kind, k, regime", [("flexural", "0.5", "standard"),
+                                                 ("inflexural", "2", "large_real")])
+    def test_failed_descent_names_u(self, capsys, kind, k, regime):
+        code, out, err = run(capsys, "elastica", "--kind", kind, "--k", k,
+                             "--u-min", "0", "--u-max", "1e16", "--samples", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"domain error: {kind}_point(u=1e+16) fails for the "
+                              f"{regime} modulus k={float(k)!r}: ")
+
 
 class TestExportInOnePass:
     # the benchmark's export shape: 600 samples on [0, 12]

@@ -63,7 +63,7 @@ class TestFlexural:
 
     def test_descent_failure_names_the_caller(self):
         # the descent sees u + K; the error names u and k
-        with pytest.raises(DomainError, match=r"flexural_point\(x=1e\+16\) fails "
+        with pytest.raises(DomainError, match=r"flexural_point\(u=1e\+16\) fails "
                                               r"for the standard modulus k=0\.5"):
             flexural_point(1e16, ElasticaParams(0.5))
 
@@ -114,7 +114,7 @@ class TestInflexural:
 
     def test_descent_failure_names_the_caller(self):
         # the descent sees ku = 1e16 and 1/k; the error names u and k
-        with pytest.raises(DomainError, match=r"inflexural_point\(x=10000000000\.0\) fails "
+        with pytest.raises(DomainError, match=r"inflexural_point\(u=10000000000\.0\) fails "
                                               r"for the large_real modulus k=1000000\.0"):
             inflexural_point(1e10, ElasticaParams(k=1e6))
 

@@ -73,9 +73,9 @@ PAST_THE_FLOAT_RANGE = {
        for fn in (epszeta.epsilon_any, epszeta.zeta_any, epszeta.epsilon_by_quadrature)
        for m in (M_STD, M_LARGE, M_IMAG)},
     "flexural_point": (lambda v: epszeta.flexural_point(v, epszeta.ElasticaParams(0.5)),
-                       "flexural_point(x={}) fails for the standard modulus k=0.5"),
+                       "flexural_point(u={}) fails for the standard modulus k=0.5"),
     "inflexural_point": (lambda v: epszeta.inflexural_point(v, epszeta.ElasticaParams(2.0)),
-                         "inflexural_point(x={}) fails for the large_real modulus k=2.0"),
+                         "inflexural_point(u={}) fails for the large_real modulus k=2.0"),
     "incomplete_e": (lambda v: epszeta.incomplete_e(v, 0.5), "phi={}"),
     "ElasticaParams k": (lambda v: epszeta.ElasticaParams(v), "k={}"),
     "ElasticaParams omega": (lambda v: epszeta.ElasticaParams(0.5, v), "omega={}"),

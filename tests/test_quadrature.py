@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import goldens
-from epszeta import (ConvergenceError, DomainError, Modulus,
+from epszeta import (ConvergenceError, DomainError, Modulus, complete_k,
                      epsilon_by_quadrature, regime_integrand, sncndn)
 from epszeta.quadrature import integrate, newton_cotes_8
 
@@ -98,6 +99,66 @@ class TestRegimeIntegrands:
         assert f(0.0) == 1.0
         r2 = math.sqrt(0.5)
         assert f(0.6) == pytest.approx(1.0 / sncndn(0.6 / r2, r2).dn ** 2, rel=1e-15)
+
+
+def _period(m):
+    # the integrand's period 2K in its argument, as a step in t
+    k = m.k
+    if m.regime.value == "standard":
+        return 2.0 * complete_k(k)
+    if m.regime.value == "large_real":
+        return 2.0 * complete_k(1.0 / k) / k
+    h = math.hypot(1.0, k)
+    return 2.0 * complete_k(k / h) / h
+
+
+def _integrand_ref(m, t):
+    # the regime integrand at t in 30-digit mpmath, from the exact k
+    k, t = mp.mpf(m.k), mp.mpf(t)
+    if m.regime.value == "standard":
+        return mp.ellipfun("dn", t, m=k * k) ** 2
+    if m.regime.value == "large_real":
+        return mp.ellipfun("cn", k * t, m=1 / (k * k)) ** 2
+    h = mp.sqrt(1 + k * k)
+    return 1 / mp.ellipfun("dn", t * h, m=(k / h) ** 2) ** 2
+
+
+class TestIntegrandGrid:
+    # Each node forms its square from cos(am) of one descent; an odd period
+    # index flips the sign of cn, which the square drops.  The bounds on
+    # |f - ref| / max(1, |ref|) are those the sqrt-then-square integrands of
+    # `jacobi` met as well, each above the worst of both.  Near k = 1 the
+    # reduction by 2K n, with 2K near 30 and |n| up to 5, sets the error; at
+    # i*1e7, 1/dn^2 peaks at 1/k1p^2 = 1e14, where the descent's rounding of
+    # am, times about 1/k1p, sets it
+    @pytest.mark.parametrize("make, k, bound", [
+        (Modulus.real, 1e-8, 1e-15), (Modulus.real, 0.5, 1e-15),
+        (Modulus.real, 1.0 - 1e-12, 2e-14),
+        (Modulus.real, 1.0 + 1e-9, 6e-15), (Modulus.real, 3.0, 2e-15),
+        (Modulus.real, 1e6, 2e-15),
+        (Modulus.imaginary, 0.1, 1e-15), (Modulus.imaginary, 3.0, 6e-15),
+        (Modulus.imaginary, 1e7, 2e-9)])
+    def test_mpmath_grid(self, make, k, bound):
+        m = make(k)
+        f, period = regime_integrand(m), _period(m)
+        rng = np.random.default_rng(13)
+        # t a few periods out, the fixed ones at the odd indices 1, -3 and 5
+        steps = [*rng.uniform(-5.0, 5.0, 16), 1.25, -2.9, 4.6]
+        with mp.workdps(30):
+            for a in steps:
+                t = float(a) * period
+                ref = _integrand_ref(m, t)
+                assert abs(f(t) - ref) <= bound * max(1.0, abs(ref)), t
+
+    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(3.0),
+                                   Modulus.imaginary(3.0)], ids=lambda m: m.regime.value)
+    def test_node_past_the_reduction_bound_names_the_caller(self, m):
+        # the descent at the node 1e16 (past 2^51 K) names its own argument;
+        # the error names the caller's x, the regime and k
+        with pytest.raises(DomainError, match=(
+                rf"^epsilon_by_quadrature\(x=1e\+16\) fails for the {m.regime.value} "
+                rf"modulus k={m.k!r}: x=.* is too large for k=")):
+            epsilon_by_quadrature(1e16, m)
 
 
 class TestEpsilonByQuadrature:

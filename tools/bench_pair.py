@@ -93,6 +93,9 @@ def micro_calls(pkg):
     agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
     rule = ez._rule(ez.Modulus.real(2.0))
     params = pkg.ElasticaParams(0.35)
+    # one quadrature node of each regime's integrand, at one t
+    nodes = [(m.regime.value, pkg.regime_integrand(m)) for m in (
+        pkg.Modulus.real(0.5), pkg.Modulus.real(2.0), pkg.Modulus.imaginary(1.0))]
     return (
         ("Modulus.real(2.0)", 50000, lambda: pkg.Modulus.real(2.0)),
         ("Modulus.imaginary(1.0)", 50000, lambda: pkg.Modulus.imaginary(1.0)),
@@ -103,6 +106,9 @@ def micro_calls(pkg):
         ("epsilon_any(0.5, imag 1)", 10000,
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.imaginary(1.0))),
         ("zeta_any(0.5, imag 1)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.imaginary(1.0))),
+        *((f"integrand node ({regime})", 100000, lambda f=f: f(0.7)) for regime, f in nodes),
+        ("epsilon_by_quadrature(0.5, real 0.5, 1e-11)", 2000,
+         lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(0.5), 1e-11)),
         ("sample_curve(flexural, 600)", 100,
          lambda: pkg.sample_curve("flexural", params, 0.0, 12.0, 600)),
     )

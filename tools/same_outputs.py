@@ -28,17 +28,22 @@ The list covers `eval` for every regime, function and format plus the
 upper branch, `eval` at the large-real k = 1.0000000000001 (epsilon,
 and zeta on both branches), `tables`, `check`, both `elastica` kinds
 (also in the benchmark's export shape, 600 samples on [0, 12]), and the
-error exits: bad flags, domain errors (a curve point past the float
-range among them), a tolerance failure and an unwritable `--out` (a path
-under a missing directory, the same on both sides).  All of them run in
+error exits: bad flags, domain errors (among them a curve point past
+the float range and one past the reduction bound of its descent), a
+tolerance failure and an unwritable `--out` (a path under a missing
+directory, the same on both sides).  All of them run in
 one process, in order, and the list ends with an export repeated after
 the error exits, so that a parser or other state kept from one call to
 the next is covered.
 
 The script prints the number of differing rows per workload and of
 differing CLI transcripts, with the first few of each, and exits 1 on
-any difference, 0 otherwise.  Each side takes about 20 s on a shared
-2-vCPU host.
+any difference, 0 otherwise.  For each group with differing rows it
+also prints the largest absolute difference between the numbers of the
+two sides' outputs, taken in order, over the differing rows that hold as
+many numbers on both sides (a last-bit change shows as about 1e-15),
+and how many differing rows hold a different count of numbers.  Each
+side takes about 20 s on a shared 2-vCPU host.
 """
 
 import contextlib
@@ -47,6 +52,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,6 +70,9 @@ SHOWN = 5        # differing rows printed per workload
 PREVIEW = 300    # characters of an output printed for a differing row
 CLI = "cli transcripts"
 OUT = "{missing}/curve.csv"  # an --out path under a directory that does not exist
+# a decimal number standing alone in an output (not part of a name such as k1),
+# with the j of a complex part
+NUMBER = re.compile(r"(?<![A-Za-z_.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?(?![\w.])")
 
 
 def _eval(regime, fn, fmt, branch="lower"):
@@ -104,6 +113,9 @@ COMMANDS = (
       for fn, branch in (("epsilon", "lower"), ("zeta", "lower"), ("zeta", "upper"))),
     # domain errors: exit 3
     ["eval", "--fn", "zeta", "--x", "0.5", "--k", "1e200"],
+    # a curve point past the reduction bound, where the descent fails
+    *(["elastica", "--kind", kind, "--k", k, "--u-min", "0", "--u-max", "1e16",
+       "--samples", "2"] for kind, k in (("flexural", "0.5"), ("inflexural", "2"))),
     _elastica("flexural", "2"),
     _elastica("inflexural", "0.5"),
     _elastica("flexural", "nan"),
@@ -172,12 +184,12 @@ def transcript(argv):
 
 
 def emit(out, missing, top):
-    """Write one JSON line per row: [group, index, row, digest, preview]."""
+    """Write one JSON line per row: [group, index, row, digest, output]."""
     from workloads import WORKLOADS
 
     def write(key, i, row, text):
         digest = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
-        out.write(json.dumps([key, i, row, digest, text[:PREVIEW]]) + "\n")
+        out.write(json.dumps([key, i, row, digest, text]) + "\n")
 
     for name, seed, n in ROWS:
         workload = WORKLOADS[name]
@@ -194,6 +206,20 @@ def emit(out, missing, top):
     for i, argv in enumerate(COMMANDS):
         argv = [a.format(missing=missing) for a in argv]
         write(CLI, i, " ".join(argv), transcript(argv))
+
+
+def numbers(text):
+    """The numbers of an output, in order."""
+    return [complex(n) if n.endswith("j") else float(n) for n in NUMBER.findall(text)]
+
+
+def largest_difference(text_a, text_b):
+    """max |a - b| over the numbers of two outputs, or None if their counts differ."""
+    a, b = numbers(text_a), numbers(text_b)
+    if len(a) != len(b):
+        return None
+    # equal infinities (an int past the float range reads as one) differ by 0
+    return max((abs(x - y) for x, y in zip(a, b) if x != y), default=0.0)
 
 
 def run_side(src, path, missing, top):
@@ -220,6 +246,7 @@ def main(argv):
         for src, path in zip(argv, paths):
             run_side(src, path, missing, _MAX_LARGE)
         counts, shown = {}, {}
+        largest, uneven = {}, {}  # per group: max |a - b|, rows of unequal counts
         with open(paths[0]) as a, open(paths[1]) as b:
             for line_a, line_b in zip(a, b, strict=True):
                 key, i, row, digest_a, text_a = json.loads(line_a)
@@ -228,9 +255,17 @@ def main(argv):
                 if digest_a != digest_b:
                     counts[key] += 1
                     if len(shown.setdefault(key, [])) < SHOWN:
-                        shown[key].append((i, row, text_a, text_b))
+                        shown[key].append((i, row, text_a[:PREVIEW], text_b[:PREVIEW]))
+                    diff = largest_difference(text_a, text_b)
+                    if diff is None:
+                        uneven[key] = uneven.get(key, 0) + 1
+                    else:
+                        largest[key] = max(largest.get(key, 0.0), diff)
     for key, count in counts.items():
         print(f"{key}: {count} differing {'transcripts' if key == CLI else 'rows'}")
+        if count:
+            print(f"  largest numeric difference {largest.get(key, 0.0):.3g}, "
+                  f"{uneven.get(key, 0)} with a different count of numbers")
         for i, row, text_a, text_b in shown.get(key, []):
             print(f"  row {i} {row}\n    parent: {text_a}\n    change: {text_b}")
     return 1 if any(counts.values()) else 0
