@@ -29,11 +29,13 @@ Z + (E/K) x; its E/K is the kernel's and its integrand dn^2(t, k).
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
 sqrt(1 - 1/k^2) formed without cancellation.  By Legendre's relation
 E K' + E' K - K K' = pi/2 (DLMF 19.7.1), K, 1 - E/K and Z of 1/k and
-K', E' of its complement give everything; zeta and E/K need only K',
-which `legendre()` takes from the K-only AGM `jacobi._agm_k`, and
-`pair(s)` alone builds the complement's full kernel, for E'.  With s
-the branch sign, slope = 1 - k^2 (1 - E/K), which tends to 1/2 without
-cancellation, half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
+K', E' of its complement give everything.  K' = K (K'/K) comes from the
+same kernel, whose last step gives K'/K through the nome
+(`_Agm.period_ratio`); zeta and E/K need only K', and `pair(s)` alone
+builds the complement's kernel, for E', and only up to k = sqrt(2).
+With s the branch sign, slope = 1 - k^2 (1 - E/K), which tends to 1/2
+without cancellation, half = (pi/2) k^2 / (K^2 + K'^2) and
+k_c^2 = 1 - 1/k^2:
 
     epsilon(x, k) = x slope + k Z(kx, 1/k)
     Z(x, k)       = k Z(kx, 1/k) + half (K'/K) x + i s half x
@@ -42,10 +44,10 @@ cancellation, half = (pi/2) k^2 / (K^2 + K'^2) and k_c^2 = 1 - 1/k^2:
     E(k)          = k (K (1/k^2 - (1 - E/K)) - i s K' (k_c^2 - (1 - E'/K')))
 
 The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
-once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels; `pair(s)` gives
-this (K, E) for `k_e_continued`.  The integrand is cn^2(kt, 1/k).  The
-two branches are complex conjugates; the default "lower" one makes
-Im Z(x,k) negative for x > 0.  epsilon stays real.
+once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels and E' is not
+needed; `pair(s)` gives this (K, E) for `k_e_continued`.  The integrand
+is cn^2(kt, 1/k).  The two branches are complex conjugates; the default
+"lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
 
 `_Imaginary`, the modulus i*k, reduces through the descending pair
 (DLMF 22.17.8 and 19.7.2) on the kernel of k1 = k/h, built on the exact
@@ -61,7 +63,8 @@ and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay real.
 comparison against a constant: standard 0 <= k <= 1; large-real
 1 < k <= 1.34e154, beyond which k^2 overflows; pure-imaginary
 0 < k < 2^26 (6.7e7), from where k1 rounds to 1.  A refusal names the
-regime, k and the bound it fails.  `Modulus.real` and
+regime, k and the bound it fails; a regime that is not a `Regime`
+member is refused by name.  `Modulus.real` and
 `Modulus.imaginary` take |k| as a float first and refuse, as non-real,
 a bool (numpy's too), a string and what float() cannot convert.  The
 rule's descent at x, kx or x/k1p is the one check of x, a non-finite x
@@ -76,7 +79,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .jacobi import EllipticPair, _Agm, _Unit, _agm_k, _kernel
+from .jacobi import EllipticPair, _Agm, _Unit, _kernel
 
 _MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
 _MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
@@ -106,7 +109,11 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class Modulus:
-    """Modulus magnitude tagged with its regime (signs are always stripped)."""
+    """Modulus magnitude tagged with its regime.
+
+    `real` and `imaginary` strip the sign of k; the dataclass itself takes
+    k as given and refuses a negative one, e.g. Modulus(Regime.STANDARD, -0.5).
+    """
     regime: Regime
     k: float
 
@@ -125,6 +132,8 @@ class Modulus:
             if not self.k <= _MAX_LARGE:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
+        elif self.regime is not Regime.PURE_IMAGINARY:
+            raise DomainError(f"regime must be a Regime member, got regime={self.regime!r}")
         elif not self.k > 0.0:  # the pure-imaginary regime from here on
             raise DomainError(f"pure-imaginary regime requires k > 0, got k={self.k!r}")
         elif not self.k < _MAX_IMAG:
@@ -188,14 +197,14 @@ class _LargeReal:
         self.slope = 1.0 - k * k * self.agm.one_minus_ek
 
     def legendre(self):
-        # (half, half K'/K) with K' = K of the complement of 1/k, which
-        # epsilon and dn do not need, from the K-only AGM (`_agm_k`); from
-        # k = 9.5e7 on that complement rounds to 1, and K' takes kp = 1/k.
-        # k^2 is scaled by a factor below 1, as (pi/2) k^2 can overflow
+        # (half, half K'/K) with K' = K (K'/K) of the complement of 1/k, which
+        # epsilon and dn do not need, from the kernel's nome.  k^2 is scaled
+        # by a factor below 1, as (pi/2) k^2 can overflow
         agm, k = self.agm, self.m.k
-        kc = _agm_k(agm.kp, agm.k)
+        ratio = agm.period_ratio()
+        kc = agm.K * ratio
         half = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
-        return half, half * kc / agm.K
+        return half, half * ratio
 
     def ek(self, s):
         half, drift = self.legendre()
@@ -205,15 +214,15 @@ class _LargeReal:
         # (K(k), E(k)) on the branch of sign s.  Re E/k = E(1/k) - (1 - 1/k^2)
         # K(1/k) without its cancellation; Im E/k = -s (E' - K'/k^2) keeps its
         # digits as it vanishes at k -> 1+ up to k = sqrt(2), and takes E' from
-        # Legendre's relation above (module docstring).  It needs 1 - E'/K' as
-        # well as K', so it builds the full kernel of the complement, the only
-        # caller that does
+        # Legendre's relation above (module docstring).  Up to sqrt(2) it needs
+        # 1 - E'/K', so it builds the kernel of the complement there, the only
+        # caller that does; K' = K (K'/K) on both sides
         agm, k = self.agm, self.m.k
-        comp = _Agm(agm.kp, agm.k)
+        kc = agm.K * agm.period_ratio()
         r2, q = agm.k * agm.k, agm.one_minus_ek
-        im = (comp.K * (agm.kp2 - comp.one_minus_ek) if agm.kp2 <= 0.5
-              else 0.5 * math.pi / agm.K + comp.K * (q - r2))
-        return EllipticPair(complex(agm.K, s * comp.K) / k, k * complex(agm.K * (r2 - q), -s * im))
+        im = (kc * (agm.kp2 - _Agm(agm.kp, agm.k).one_minus_ek) if agm.kp2 <= 0.5
+              else 0.5 * math.pi / agm.K + kc * (q - r2))
+        return EllipticPair(complex(agm.K, s * kc) / k, k * complex(agm.K * (r2 - q), -s * im))
 
     def epsilon(self, x):
         k = self.m.k
@@ -322,7 +331,7 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     Both entries are complex; the branches are conjugates, and the ratio
     E/K of the returned pair matches ek_ratio on the same branch.  Against
     mpmath, |error| <= 3.1e-15 |K| and |E| from the float after 1 to 1e150;
-    Im E, which vanishes as k -> 1+, is within 6e-16 of itself there.
+    Im E, which vanishes as k -> 1+, is within 8e-16 of itself there.
     """
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")

@@ -15,9 +15,7 @@ precision as c -> 0.  Squaring c(n) at every step instead compounds its
 rounding near k = 1, and E/K below cancels it up to 6e-15 relative.
 The descent stops at the N where the next c would fall below half an
 ulp of min(c1, a(N)).  A caller that knows k' more accurately than
-sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py); with
-k' given, k = 1 is admitted too, as the rounded complement of a tiny
-modulus (K = pi/(2 a(N)) needs only b0 = k' > 0).  The
+sqrt((1 - k)(1 + k)) of a rounded k near 1 passes it (extended.py).  The
 kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
 (DLMF 19.8(i))
 
@@ -25,10 +23,9 @@ kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
     1 - E/K = sum_{n>=0} 2^(n-1) c(n)^2,   E/K = a1^2 - sum_{n>=2} 2^(n-1) c(n)^2,
 
 each form free of cancellation where the other loses digits (k -> 0 and
-k -> 1), and E = K (E/K).  A caller that needs K alone (the K' of the
-large-real rule in extended.py) takes it from `_agm_k(k, k')`, the same
-recurrence with the same stop rule that keeps only a(n) and c(n), and
-gets `_Agm(k, k').K` bit for bit.
+k -> 1), and E = K (E/K).  Each step squares the nome q = exp(-pi K'/K),
+K' the K of the complement k', so the last ratio r = c(N)/a(N) also
+gives K'/K (`period_ratio`), with no second AGM for K'.
 
 At any x a single phase descent,
 
@@ -92,8 +89,8 @@ class _Agm:
 
     def __init__(self, k, kp=None):
         # kp = sqrt(1 - k^2), passed when the caller knows it more accurately
-        # than (1 - k)(1 + k) of a k that was rounded near 1, which may be 1
-        if not (0.0 <= k < 1.0 or k == 1.0 and kp is not None):
+        # than (1 - k)(1 + k) of a k that was rounded near 1
+        if not 0.0 <= k < 1.0:
             raise DomainError(f"the AGM kernel needs 0 <= k < 1, got k={k!r}")
         if kp is None:
             kp2 = (1.0 - k) * (1.0 + k)
@@ -153,6 +150,17 @@ class _Agm:
             phi = 0.5 * (phi + math.asin(r * s))
         return phi, n, z
 
+    def period_ratio(self):
+        """K'/K, K' the K of the complement k', from the nome q = exp(-pi K'/K).
+
+        The N steps square q N times, and q^(2^N) = r^2/16 + r^4/32 + ...
+        with r = c(N)/a(N) (DLMF 19.5.5), so K'/K = -2^(1-N) ln(r/4)/pi.  The
+        stop rule keeps r <= 2^-25.5, so the next term of ln q^(2^N), r^2/2,
+        is below half an ulp.  Needs r > 0: k^2/4 must not underflow to 0.
+        """
+        r = self._steps[0][1]
+        return math.ldexp(math.log(0.25 * r), 1 - len(self._steps)) / -math.pi
+
     def jacobi(self, x):
         """(sn, cn, dn, Z) at x from one descent."""
         phi, n, z = self.phase(x)
@@ -165,31 +173,11 @@ class _Agm:
         return sn, cn, math.sqrt(kp2 + (1.0 - kp2) * cn * cn), z
 
 
-def _agm_k(k, kp):
-    """K of the modulus k with complement 0 < kp <= 1: `_Agm(k, kp).K` bit for bit.
-
-    The same recurrence and stop rule as `_Agm.__init__`, pre-loop and c1
-    included, keeping only a(n) and c(n); k = 1 is admitted with kp given.
-    """
-    a1 = 0.5 * (1.0 + kp)
-    c1 = 0.5 * (1.0 - kp) if kp < 0.5 else k * k / (4.0 * a1)
-    a, b, c = 1.0, kp, k
-    while b < 0.5 * a:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    while True:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c = c * c / (4.0 * a)
-        if c * c <= 2.0 ** -51 * a * (c1 if c1 < a else a):
-            return math.pi / (2.0 * a)
-
-
 class _Unit:
     """The k = 1 limit of `_Agm` (module docstring): phase gives (gd x, 0, tanh x)."""
 
     __slots__ = ()
-    k, K, E, ek, one_minus_ek = 1.0, math.inf, 1.0, 0.0, 1.0
-    _period = math.inf  # K diverges, so x is not reduced
+    k, K, E, ek = 1.0, math.inf, 1.0, 0.0
 
     def phase(self, x):
         if not abs(x) <= _MAX_FLOAT:
@@ -205,7 +193,8 @@ class _Unit:
 
 def _bad_x(agm, x):
     # the descent's one check of x failed: x is not a finite float (an int past
-    # the float range included) or beyond the reduction bound
+    # the float range included) or beyond the reduction bound, which only an
+    # `_Agm` reduces by, so only it needs a `_period`
     if not abs(x) <= _MAX_FLOAT:
         return DomainError(f"x={_shown(x)} is not a finite float (k={agm.k!r})")
     return DomainError(

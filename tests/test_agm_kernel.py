@@ -16,9 +16,10 @@ import pytest
 import goldens
 from carlson_ref import carlson_e, carlson_k_e
 from epszeta import (DomainError, Modulus, amplitude, complete_e, complete_k,
-                     epsilon, incomplete_e, sncndn, zeta, zeta_any)
-from epszeta.extended import _rule
-from epszeta.jacobi import _Agm, _agm_k
+                     ek_ratio, epsilon, incomplete_e, k_e_continued, sncndn, zeta,
+                     zeta_any)
+from epszeta.extended import _MAX_LARGE, _rule
+from epszeta.jacobi import _Agm
 
 MODULI = (1e-12, 1e-6, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15)
 XS = np.concatenate(([-10.0, 0.0, 10.0], np.random.default_rng(61).uniform(-10.0, 10.0, 60)))
@@ -61,11 +62,11 @@ def test_unit_modulus_is_domain_error():
     # the AGM degenerates at k = 1 (b0 = 0); K diverges
     with pytest.raises(DomainError):
         complete_k(1.0)
-    # with k' given, k = 1 is the rounded complement of a tiny modulus (that
-    # of 1/k from k = 9.5e7 on): K = ln(4/k') to within k'^2
-    with pytest.raises(DomainError):
-        _Agm(1.0)
-    assert _Agm(1.0, 1e-8).K == pytest.approx(math.log(4e8), rel=1e-15)
+    # with k' given too: the large-real rule takes K' of the complement of
+    # 1/k, which rounds to 1 from k = 9.5e7 on, from its own kernel's nome
+    for kp in (None, 1e-8):
+        with pytest.raises(DomainError, match="needs 0 <= k < 1"):
+            _Agm(1.0, kp)
     assert cmath.isfinite(zeta_any(0.5, Modulus.real(1e8)))
 
 
@@ -110,39 +111,38 @@ class TestPeriodReduction:
         assert epsilon(x, k) == pytest.approx(epsilon(xr, k) + drift, rel=1e-14)
 
 
-def _k_only_grid():
-    # (k, kp) with kp < 1/2 (the pre-loop runs), k -> 0, a seeded spread, and
-    # k = 1 with kp = 1/k given, the complement of 1/k from k = 9.5e7 on.
-    # k = 1 with any kp < 1/2 is admitted too; there, a loop without the
-    # pre-loop, or with c1 formed another way, stops one step off and moves K
-    # by an ulp on a few of these 2000
+def test_period_ratio_against_mpmath():
+    # K'/K of the large-real rule's kernel of 1/k, K' the K of its complement,
+    # from the float after 1 up to the largest large-real k, against 40-digit
+    # K = pi/(2 agm(1, k')): within 2.5e-16 on this grid
     rng = np.random.default_rng(97)
-    kps = np.concatenate((rng.uniform(1e-300, 0.5, 200), 10.0 ** rng.uniform(-300, -1, 200)))
-    yield from ((math.sqrt((1.0 - kp) * (1.0 + kp)), float(kp)) for kp in kps)
-    yield from ((1.0, float(kp)) for kp in rng.uniform(1e-300, 0.5, 2000))
-    for k in np.concatenate((10.0 ** rng.uniform(-300, -1, 200), rng.uniform(0.0, 1.0, 400))):
-        yield float(k), math.sqrt((1.0 - k) * (1.0 + k))
-    for k in (9.5e7, 1e12, 1e150):
-        yield 1.0, 1.0 / k
+    spread = 10.0 ** rng.uniform(-52 * math.log10(2.0), math.log10(_MAX_LARGE), 1000)
+    ks = (1.0 + 2.0 ** -52, _MAX_LARGE, *(min(1.0 + float(d), _MAX_LARGE) for d in spread))
+    with mp.workdps(40):
+        for k in ks:
+            ratio = _rule(Modulus.real(k)).agm.period_ratio()
+            inv = 1 / mp.mpf(k)
+            ref = mp.agm(1, mp.sqrt(1 - inv * inv)) / mp.agm(1, inv)
+            assert abs(ratio - ref) <= 5e-16 * ref, k
 
 
-def test_k_only_agm_is_the_kernel_k_bit_for_bit():
-    for k, kp in _k_only_grid():
-        assert _agm_k(k, kp) == _Agm(k, kp).K, (k, kp)
-
-
-def test_legendre_builds_no_kernel(monkeypatch):
-    # K' of the complement of 1/k comes from the K-only AGM; only pair() builds
-    # the complement's kernel, for 1 - E'/K'
-    rules = [_rule(Modulus.real(k)) for k in (1.5, 2.0, 1e8, 1e150)]
+def test_large_real_calls_build_one_kernel(monkeypatch):
+    # zeta_any and ek_ratio descend the one kernel of 1/k, whose nome gives
+    # K'; k_e_continued also builds the complement's kernel, for 1 - E'/K',
+    # up to sqrt(2), here the float sqrt(2.0), where k_c^2 = 1 - 1/k^2 rounds
+    # to 0.4999999999999999, and from the next float on needs K' alone
+    root2 = math.sqrt(2.0)
     built = []
     init = _Agm.__init__
     monkeypatch.setattr(_Agm, "__init__", lambda self, *a: built.append(a) or init(self, *a))
-    for rule in rules:
-        half, drift = rule.legendre()
-        assert drift == half * _agm_k(rule.agm.kp, rule.agm.k) / rule.agm.K
-        rule.ek(-1.0)
-        rule.zeta(0.5 / rule.m.k, -1.0)
-    assert built == []
-    rules[0].pair(-1.0)
-    assert built == [(rules[0].agm.kp, rules[0].agm.k)]
+    for k in (1.0 + 2.0 ** -52, 1.2, math.nextafter(root2, 0.0), root2,
+              math.nextafter(root2, 2.0), 2.0, 1e8, 1e150):
+        m = Modulus.real(k)
+        for call in (lambda: zeta_any(0.5 / k, m), lambda: ek_ratio(m)):
+            built.clear()
+            call()
+            assert len(built) == 1, k
+        built.clear()
+        k_e_continued(m)
+        kernel = built[0]  # (1/k, k_c)
+        assert built[1:] == ([kernel[::-1]] if k <= root2 else []), k

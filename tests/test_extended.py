@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -74,6 +75,13 @@ class TestModulus:
     def test_rejection_names_k(self, regime, k):
         with pytest.raises(DomainError, match=re.escape(f"k={k!r}")):
             Modulus(regime, k)
+
+    @pytest.mark.parametrize("regime", ["standard", None, 0])
+    def test_regime_not_a_member_is_refused(self, regime):
+        # the rules are keyed by Regime members: a bare KeyError or
+        # AttributeError from the dispatchers otherwise
+        with pytest.raises(DomainError, match=re.escape(f"got regime={regime!r}")):
+            Modulus(regime, 0.5)
 
     @pytest.mark.parametrize("regime", list(Regime))
     def test_int_past_the_float_range_is_not_real(self, regime):
@@ -369,6 +377,37 @@ def test_sliver_goldens(tag, k):
         assert abs(pair.K - kk) <= 1.4e-17 * abs(kk), branch
         assert abs(pair.E - ee) <= 2.6e-15 * abs(ee), branch
         assert abs(pair.E.imag - ee.imag) <= 3.5e-16 * abs(ee.imag), branch
+
+
+def _pair_grid():
+    # the floats either side of where pair() switches branch (k_c^2 <= 1/2 up
+    # to the float sqrt(2.0)), then seeded k - 1 in [1e-15, 3] and k in [3, 1e150]
+    root2 = math.sqrt(2.0)
+    rng = np.random.default_rng(29)
+    yield from (math.nextafter(root2, 0.0), root2, math.nextafter(root2, 2.0))
+    yield from (1.0 + float(d) for d in 10.0 ** rng.uniform(-15.0, math.log10(3.0), 100))
+    yield from (float(k) for k in 10.0 ** rng.uniform(math.log10(3.0), 150.0, 100))
+
+
+def test_pair_and_ratio_against_mpmath():
+    # k_e_continued and ek_ratio on both branches against 40-digit mpmath, whose
+    # ellipk(k^2) and ellipe(k^2) are the lower branch; Im E, which vanishes as
+    # k -> 1+, relative to itself too.  The bounds sit above the worst on this
+    # grid: K 4.0e-16, E 2.6e-15 and E/K 2.7e-15 of the value, Im E 6.3e-16 of itself
+    for k in _pair_grid():
+        m = Modulus.real(k)
+        with mp.workdps(40):
+            big_k, big_e = mp.ellipk(mp.mpf(k) ** 2), mp.ellipe(mp.mpf(k) ** 2)
+            kk, ee, ek = complex(big_k), complex(big_e), complex(big_e / big_k)
+        for branch in ("lower", "upper"):
+            pair = epszeta.k_e_continued(m, branch)
+            for got, ref, bound in ((pair.K, kk, 5e-16), (pair.E, ee, 3.1e-15),
+                                    (ek_ratio(m, branch), ek, 3.1e-15)):
+                assert abs(got.real - ref.real) <= bound * abs(ref), (k, branch, got, ref)
+                assert abs(got.imag - ref.imag) <= bound * abs(ref), (k, branch, got, ref)
+            assert abs(pair.E.imag - ee.imag) <= 1e-15 * abs(ee.imag), (k, branch)
+            if branch == "lower":
+                kk, ee, ek = kk.conjugate(), ee.conjugate(), ek.conjugate()
 
 
 def test_large_real_range_is_the_modulus_range():

@@ -103,6 +103,9 @@ def micro_calls(pkg):
         ("_LargeReal(2).legendre()", 20000, rule.legendre),
         ("epsilon_any(0.5, real 2)", 10000, lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(2.0))),
         ("zeta_any(0.5, real 2)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.real(2.0))),
+        ("ek_ratio(real 2)", 10000, lambda: pkg.ek_ratio(pkg.Modulus.real(2.0))),
+        ("k_e_continued(real 1.2)", 10000, lambda: pkg.k_e_continued(pkg.Modulus.real(1.2))),
+        ("k_e_continued(real 5)", 10000, lambda: pkg.k_e_continued(pkg.Modulus.real(5.0))),
         ("epsilon_any(0.5, imag 1)", 10000,
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.imaginary(1.0))),
         ("zeta_any(0.5, imag 1)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.imaginary(1.0))),
