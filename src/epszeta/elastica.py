@@ -8,38 +8,38 @@ builds the AGM kernel `agm` of its modulus's regime rule, `_rule(m)` in
 extended.py, once per curve (the kernel of k itself for the flexural
 curve, of 1/k for the in-flexural one) and yields (x, y) for each u,
 one kernel descent per point.  Single points, sampled curves and the
-command line's CSV export all go through it; `Modulus` checks k when
-the first point is drawn, a failed descent is re-raised through
-`_failed`, naming the caller's u and k, and a point past the float range
-(a tiny omega scales it) raises DomainError naming u, k and omega.
+command line's CSV export all go through it.  `ElasticaParams` is a
+frozen value like `Modulus` (`extended._Value`) and refuses k = 1 and a
+k or omega that is not finite and > 0, also when copied or unpickled;
+`Modulus` checks k against its regime when the first point is drawn,
+a failed descent is re-raised through `_failed`, naming the caller's u
+and k, and a point past the float range (a tiny omega scales it)
+raises DomainError naming u, k and omega.
 """
 
 import numbers
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .extended import Modulus, Regime, _failed, _rule
+from .extended import Modulus, Regime, _failed, _rule, _Value
 
 
-@dataclass(frozen=True)
-class ElasticaParams:
+class ElasticaParams(_Value):
     """Shape modulus k (k < 1 flexural, k > 1 in-flexural) and scale omega."""
-    k: float
-    omega: float = 1.0
+    __slots__ = __match_args__ = ("k", "omega")
 
-    def __post_init__(self):
-        for name, v in (("k", self.k), ("omega", self.omega)):
+    def __init__(self, k, omega=1.0):
+        for name, v in (("k", k), ("omega", omega)):
             if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0.0 < v <= _MAX_FLOAT):
                 raise DomainError(f"elastica requires finite {name} > 0, got {name}={_shown(v)}")
-        if self.k == 1.0:
+        if k == 1.0:
             raise DomainError("k = 1 is the borderline solitary loop and is not supported")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "omega", omega)
 
 
-class PlanePoint(NamedTuple):
-    x: float
-    y: float
+PlanePoint = namedtuple("PlanePoint", "x y")
 
 
 def _flexural(p, us):

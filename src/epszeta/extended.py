@@ -59,24 +59,28 @@ E(k1)/(k1p^2 K(k1)), and with u = x/k1p
 from one descent at u inside the primary cell; epsilon = Z + (E/K) x
 and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay real.
 
-`Modulus.__post_init__` checks one range per regime, each bound by one
+`Modulus(regime, k)` checks one range per regime, each bound by one
 comparison against a constant: standard 0 <= k <= 1; large-real
 1 < k <= 1.34e154, beyond which k^2 overflows; pure-imaginary
 0 < k < 2^26 (6.7e7), from where k1 rounds to 1.  A refusal names the
 regime, k and the bound it fails; a regime that is not a `Regime`
-member is refused by name.  `Modulus.real` and
-`Modulus.imaginary` take |k| as a float first and refuse, as non-real,
-a bool (numpy's too), a string and what float() cannot convert.  The
-rule's descent at x, kx or x/k1p is the one check of x, a non-finite x
-included; a dispatcher names its x, regime and k when that descent
-fails (an int x past the float range included) or its result is not
-finite.
+member is refused by name.  A `Modulus` is a frozen value, as
+`elastica.ElasticaParams` is: both derive `_Value`, which gives them
+==, hash, repr, copy and pickle by their fields without importing
+`dataclasses` (and through it `inspect`, about half the library's
+import time), and a copied or unpickled value is checked again.
+`Modulus.real` and `Modulus.imaginary` take |k| as a float first and
+refuse, as non-real, a bool (numpy's too), a string and what float()
+cannot convert.  The rule's descent at x, kx or x/k1p is the one check
+of x, a non-finite x included; a dispatcher names its x, regime and k
+when that descent fails (an int x past the float range included) or its
+result is not finite.
 """
 
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+import operator
 
 from .errors import _MAX_FLOAT, DomainError, _shown
 from .jacobi import EllipticPair, _Agm, _Unit, _kernel
@@ -107,38 +111,74 @@ class Regime(enum.Enum):
     PURE_IMAGINARY = "pure_imaginary"
 
 
-@dataclass(frozen=True)
-class Modulus:
+class _Value:
+    """Frozen value semantics for a slotted class, as a frozen dataclass has
+    them: `__match_args__` names the fields, in order, and `__init__` checks
+    them and sets them by object.__setattr__.  ==, hash and repr go by the
+    fields, == only against the same type; setting or deleting an attribute
+    raises AttributeError; and copy, deepcopy and pickle rebuild through
+    `__init__`, so an unpickled value is checked again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields' values as one tuple (two fields or more)
+        cls._values = property(operator.attrgetter(*cls.__match_args__))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        shown = ", ".join(map("{}={!r}".format, self.__match_args__, self._values))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class Modulus(_Value):
     """Modulus magnitude tagged with its regime.
 
-    `real` and `imaginary` strip the sign of k; the dataclass itself takes
-    k as given and refuses a negative one, e.g. Modulus(Regime.STANDARD, -0.5).
+    `real` and `imaginary` strip the sign of k; Modulus(regime, k) itself
+    takes k as given and refuses a negative one, e.g.
+    Modulus(Regime.STANDARD, -0.5).
     """
-    regime: Regime
-    k: float
+    __slots__ = __match_args__ = ("regime", "k")
 
-    def __post_init__(self):
+    def __init__(self, regime, k):
         # compared with the largest float, not by math.isfinite, which raises
         # OverflowError on an int past the float range; NaN fails both ways
-        if isinstance(self.k, bool) or not (
-                isinstance(self.k, (int, float)) and abs(self.k) <= _MAX_FLOAT):
-            raise _not_real(self.k)
-        if self.regime is Regime.STANDARD:
-            if not 0.0 <= self.k <= 1.0:
-                raise DomainError(f"standard regime requires k in [0, 1], got k={self.k!r}")
-        elif self.regime is Regime.LARGE_REAL:
-            if not self.k > 1.0:
-                raise DomainError(f"large-real regime requires k > 1, got k={self.k!r}")
-            if not self.k <= _MAX_LARGE:
+        if isinstance(k, bool) or not (isinstance(k, (int, float)) and abs(k) <= _MAX_FLOAT):
+            raise _not_real(k)
+        if regime is Regime.STANDARD:
+            if not 0.0 <= k <= 1.0:
+                raise DomainError(f"standard regime requires k in [0, 1], got k={k!r}")
+        elif regime is Regime.LARGE_REAL:
+            if not k > 1.0:
+                raise DomainError(f"large-real regime requires k > 1, got k={k!r}")
+            if not k <= _MAX_LARGE:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
-                                  f"modulus k={self.k!r}: its k^2 overflows from k = 1.34e154 on")
-        elif self.regime is not Regime.PURE_IMAGINARY:
-            raise DomainError(f"regime must be a Regime member, got regime={self.regime!r}")
-        elif not self.k > 0.0:  # the pure-imaginary regime from here on
-            raise DomainError(f"pure-imaginary regime requires k > 0, got k={self.k!r}")
-        elif not self.k < _MAX_IMAG:
-            raise DomainError(f"pure_imaginary modulus k={self.k!r}: k1 = k/sqrt(1+k^2) "
+                                  f"modulus k={k!r}: its k^2 overflows from k = 1.34e154 on")
+        elif regime is not Regime.PURE_IMAGINARY:
+            raise DomainError(f"regime must be a Regime member, got regime={regime!r}")
+        elif not k > 0.0:  # the pure-imaginary regime from here on
+            raise DomainError(f"pure-imaginary regime requires k > 0, got k={k!r}")
+        elif not k < _MAX_IMAG:
+            raise DomainError(f"pure_imaginary modulus k={k!r}: k1 = k/sqrt(1+k^2) "
                               "rounds to 1 from k = 2^26 on, where K(k1) diverges")
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "k", k)
 
     @classmethod
     def real(cls, k: float) -> "Modulus":

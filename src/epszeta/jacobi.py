@@ -60,7 +60,7 @@ names a phi that is not a finite float before reducing it.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .carlson import rf
 from .errors import _MAX_FLOAT, DomainError, _shown
@@ -69,17 +69,12 @@ from .errors import _MAX_FLOAT, DomainError, _shown
 _MAX_PERIODS = 2.0 ** 50
 
 
-class JacobiTriple(NamedTuple):
-    """sn, cn, dn evaluated jointly at one (x, k)."""
-    sn: float
-    cn: float
-    dn: float
+JacobiTriple = namedtuple("JacobiTriple", "sn cn dn")
+JacobiTriple.__doc__ = "sn, cn, dn evaluated jointly at one (x, k)."
 
-
-class EllipticPair(NamedTuple):
-    """Complete integrals (K, E) of one modulus; complex once continued past k = 1."""
-    K: float
-    E: float
+EllipticPair = namedtuple("EllipticPair", "K E")
+EllipticPair.__doc__ = ("Complete integrals (K, E) of one modulus; "
+                        "complex once continued past k = 1.")
 
 
 class _Agm:

@@ -6,7 +6,8 @@ estimate |delta|/1023 meets the local tolerance (the rule's local error
 scales as h^11, so halving the step gains a factor of 2^10).
 """
 
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .errors import _MAX_FLOAT, ConvergenceError, DomainError
 from .extended import Modulus, _failed, _rule
@@ -17,9 +18,7 @@ _NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.
 _MAX_DEPTH = 48  # interval widths hit the machine-epsilon scale well before this
 
 
-class QuadratureResult(NamedTuple):
-    value: float
-    err_estimate: float
+QuadratureResult = namedtuple("QuadratureResult", "value err_estimate")
 
 
 def newton_cotes_8(f: Callable[[float], float], a: float, b: float) -> float:

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -21,6 +24,55 @@ class TestParams:
             with pytest.raises(DomainError,
                                match=re.escape(f"finite omega > 0, got omega={omega!r}")):
                 ElasticaParams(k=0.5, omega=omega)
+
+    def test_equality_is_by_value_and_type(self):
+        assert ElasticaParams(0.5) == ElasticaParams(k=0.5, omega=1.0)
+        assert ElasticaParams(0.5) != ElasticaParams(0.5, 2.0)
+        assert ElasticaParams(0.5) != ElasticaParams(2.0)
+        assert ElasticaParams(0.5) != (0.5, 1.0)
+        assert not ElasticaParams(0.5) == (0.5, 1.0)
+
+    def test_hash_agrees_with_equality(self):
+        assert hash(ElasticaParams(0.5)) == hash(ElasticaParams(k=0.5, omega=1.0))
+        assert hash(ElasticaParams(0.5, 2.0)) == hash((0.5, 2.0))
+        assert len({ElasticaParams(0.5), ElasticaParams(0.5, 1.0), ElasticaParams(2.0)}) == 2
+
+    def test_repr(self):
+        assert repr(ElasticaParams(0.5)) == "ElasticaParams(k=0.5, omega=1.0)"
+        assert repr(ElasticaParams(3, omega=2)) == "ElasticaParams(k=3, omega=2)"
+
+    @pytest.mark.parametrize("name", ["k", "omega", "other"])
+    def test_frozen(self, name):
+        p = ElasticaParams(0.5)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(p, name, 2.0)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(p, name)
+        assert p == ElasticaParams(0.5)
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, *(
+        pytest.param(lambda v, p=p: pickle.loads(pickle.dumps(v, p)), id=f"pickle{p}")
+        for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_round_trip(self, copy_of):
+        for p in (ElasticaParams(0.5), ElasticaParams(2.0, 0.25)):
+            c = copy_of(p)
+            assert type(c) is ElasticaParams and c == p
+
+    def test_unpickled_params_are_validated(self):
+        # a stream whose k was altered to 1.0 is refused as the solitary loop
+        data = pickle.dumps(ElasticaParams(0.5, 0.25))
+        forged = data.replace(struct.pack(">d", 0.5), struct.pack(">d", 1.0))
+        assert forged != data
+        with pytest.raises(DomainError, match="borderline solitary loop"):
+            pickle.loads(forged)
+
+    def test_match(self):
+        match ElasticaParams(2.0, 0.25):
+            case ElasticaParams(k, omega=1.0):
+                got = "unit", k
+            case ElasticaParams(k, omega):
+                got = "scaled", k, omega
+        assert got == ("scaled", 2.0, 0.25)
 
 
 class TestFlexural:

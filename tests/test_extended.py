@@ -1,6 +1,9 @@
 import cmath
+import copy
 import math
+import pickle
 import re
+import struct
 
 import mpmath as mp
 import numpy as np
@@ -123,6 +126,67 @@ class TestModulus:
     def test_constructors_convert_numbers(self, k):
         assert Modulus.real(k) == Modulus(Regime.LARGE_REAL, 2.0)
         assert Modulus.imaginary(-k) == Modulus(Regime.PURE_IMAGINARY, 2.0)
+
+
+class TestModulusValue:
+    # a Modulus is a frozen value: equal, hashed and shown by (regime, k)
+    MODULI = [Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(2.0)]
+
+    def test_equality_is_by_value_and_type(self):
+        assert Modulus.real(2.0) == Modulus(Regime.LARGE_REAL, 2.0)
+        assert Modulus(regime=Regime.LARGE_REAL, k=2.0) == Modulus.real(2.0)
+        assert Modulus.real(2.0) != Modulus.real(3.0)
+        assert Modulus.real(2.0) != Modulus.imaginary(2.0)
+        assert Modulus.real(2.0) != (Regime.LARGE_REAL, 2.0)
+        assert not Modulus.real(2.0) == (Regime.LARGE_REAL, 2.0)
+
+    def test_hash_agrees_with_equality(self):
+        assert hash(Modulus.real(-2.0)) == hash(Modulus(Regime.LARGE_REAL, 2.0))
+        assert hash(Modulus.real(2.0)) == hash((Regime.LARGE_REAL, 2.0))
+        assert len({*self.MODULI, Modulus.real(-0.5), Modulus.imaginary(-2.0)}) == 3
+
+    def test_repr(self):
+        assert (repr(Modulus.real(2.0))
+                == "Modulus(regime=<Regime.LARGE_REAL: 'large_real'>, k=2.0)")
+        assert (repr(Modulus.imaginary(0.0))
+                == "Modulus(regime=<Regime.STANDARD: 'standard'>, k=0.0)")
+
+    @pytest.mark.parametrize("name", ["regime", "k", "other"])
+    def test_frozen(self, name):
+        m = Modulus.real(2.0)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(m, name, 0.5)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(m, name)
+        assert m == Modulus.real(2.0)
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, *(
+        pytest.param(lambda v, p=p: pickle.loads(pickle.dumps(v, p)), id=f"pickle{p}")
+        for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_round_trip(self, copy_of):
+        for m in self.MODULI:
+            c = copy_of(m)
+            assert type(c) is Modulus and c == m and c.regime is m.regime and c.k == m.k
+
+    def test_unpickled_modulus_is_validated(self):
+        # a stream whose k was altered to 0.5 is refused as a large-real k <= 1
+        data = pickle.dumps(Modulus.real(2.0))
+        forged = data.replace(struct.pack(">d", 2.0), struct.pack(">d", 0.5))
+        assert forged != data
+        with pytest.raises(DomainError, match=re.escape("requires k > 1, got k=0.5")):
+            pickle.loads(forged)
+
+    def test_match(self):
+        def kind(m):
+            match m:
+                case Modulus(Regime.STANDARD, k):
+                    return "standard", k
+                case Modulus(Regime.LARGE_REAL, k):
+                    return "large", k
+                case Modulus(regime=Regime.PURE_IMAGINARY, k=k):
+                    return "imaginary", k
+        assert [kind(m) for m in self.MODULI] == [
+            ("standard", 0.5), ("large", 2.0), ("imaginary", 2.0)]
 
 
 class TestDerivedModuli:

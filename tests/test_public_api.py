@@ -1,9 +1,13 @@
 import re
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import epszeta
+from epszeta.quadrature import QuadratureResult
 
 # The public surface changes only on purpose: edit this list with it.
 PUBLIC_NAMES = [
@@ -46,6 +50,31 @@ def test_public_surface_is_pinned():
     bound = {name for name, obj in vars(epszeta).items()
              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
     assert sorted(bound) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("cls, fields, doc", [
+    (epszeta.JacobiTriple, ("sn", "cn", "dn"), "sn, cn, dn evaluated jointly at one (x, k)."),
+    (epszeta.EllipticPair, ("K", "E"),
+     "Complete integrals (K, E) of one modulus; complex once continued past k = 1."),
+    (epszeta.PlanePoint, ("x", "y"), "PlanePoint(x, y)"),
+    (QuadratureResult, ("value", "err_estimate"), "QuadratureResult(value, err_estimate)"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_result_tuples_are_pinned(cls, fields, doc):
+    assert issubclass(cls, tuple) and cls._fields == fields and cls.__doc__ == doc
+    shown = ", ".join(f"{name}={i}" for i, name in enumerate(fields))
+    assert repr(cls(*range(len(fields)))) == f"{cls.__name__}({shown})"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter; -S keeps the .pth files of site-packages from
+    # importing these modules before epszeta does
+    src = str(Path(epszeta.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import epszeta; "
+            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def shown(v):

@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has two parts:
+JSON printed has three parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -19,6 +19,14 @@ JSON printed has two parts:
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds; the median of each side in microseconds
   per call, and the change's ratio to the parent.
+- `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
+  that runs `import epszeta`, with and without `-S -I`, or one
+  `epszeta.cli eval`, for each side, beside a bare interpreter that only
+  sets the same `sys.path`; `STARTUP_RUNS` rounds, each starting every
+  row for the parent and the change one after the other (the order
+  flipped on every other round), and the median of each side in
+  milliseconds.  `-S` leaves out `site`, whose `.pth` files may import
+  modules before epszeta does, and `-I` the environment.
 
 It takes about 40 minutes on a shared 2-vCPU host.
 """
@@ -28,6 +36,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,6 +45,17 @@ from pathlib import Path
 
 PAIRS, SEED = 10, 1
 MICRO_ROUNDS = 15
+STARTUP_RUNS = 21
+PATH_CODE = "import sys; sys.path.insert(0, sys.argv[1]); "
+# (name, interpreter flags, code after PATH_CODE); the bare rows set the path only
+STARTUPS = (
+    ("bare", (), "pass"),
+    ("import epszeta", (), "import epszeta"),
+    ("cli eval --fn zeta --x 0.5 --k 2", (),
+     "from epszeta.cli import main; main(['eval', '--fn', 'zeta', '--x', '0.5', '--k', '2'])"),
+    ("bare -S -I", ("-S", "-I"), "pass"),
+    ("import epszeta -S -I", ("-S", "-I"), "import epszeta"),
+)
 
 
 def bench_run(root, workload, seconds):
@@ -132,6 +152,27 @@ def micro(roots):
     return table
 
 
+def child_cpu_ms(root, flags, code):
+    """CPU time (user + system) in milliseconds of a fresh interpreter running
+    PATH_CODE + code with the `src` of the checkout at root on its path."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run([sys.executable, *flags, "-c", PATH_CODE + code, str(Path(root) / "src")],
+                   check=True, capture_output=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1e3
+
+
+def startup(roots):
+    times = {name: ([], []) for name, _, _ in STARTUPS}
+    for i in range(STARTUP_RUNS):
+        for name, flags, code in STARTUPS:
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                times[name][side].append(child_cpu_ms(roots[side], flags, code))
+    return {name: {"parent": round(statistics.median(p), 2),
+                   "change": round(statistics.median(c), 2)}
+            for name, (p, c) in times.items()}
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -149,6 +190,7 @@ def main(argv):
                                   f"{PAIRS} alternating pairs",
                        **end_to_end(roots, workloads, better, seconds)},
         "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots)},
+        "startup_cpu_ms": {"runs": STARTUP_RUNS, **startup(roots)},
     }
     print(json.dumps(result, indent=1))
     return 0

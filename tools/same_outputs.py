@@ -39,10 +39,12 @@ the next is covered.
 The script prints the number of differing rows per workload and of
 differing CLI transcripts, with the first few of each, and exits 1 on
 any difference, 0 otherwise.  For each group with differing rows it
-also prints the largest absolute difference between the numbers of the
-two sides' outputs, taken in order, over the differing rows that hold as
-many numbers on both sides (a last-bit change shows as about 1e-15),
-and how many differing rows hold a different count of numbers.  Each
+also prints the largest absolute difference |a - b| and the largest
+relative difference |a - b|/max(|a|, |b|) between the numbers of the two
+sides' outputs, taken in order, over the differing rows that hold as
+many numbers on both sides (a last-bit change shows as about 1e-16
+relative, whatever the size of the number), and how many differing
+rows hold a different count of numbers.  Each
 side takes about 20 s on a shared 2-vCPU host.
 """
 
@@ -213,13 +215,17 @@ def numbers(text):
     return [complex(n) if n.endswith("j") else float(n) for n in NUMBER.findall(text)]
 
 
-def largest_difference(text_a, text_b):
-    """max |a - b| over the numbers of two outputs, or None if their counts differ."""
+def largest_differences(text_a, text_b):
+    """max |a - b| and max |a - b|/max(|a|, |b|) over the numbers of two
+    outputs, or None if their counts differ."""
     a, b = numbers(text_a), numbers(text_b)
     if len(a) != len(b):
         return None
-    # equal infinities (an int past the float range reads as one) differ by 0
-    return max((abs(x - y) for x, y in zip(a, b) if x != y), default=0.0)
+    # equal infinities (an int past the float range reads as one) differ by 0;
+    # a finite number against an infinity differs by inf relative as well
+    pairs = [(abs(x - y), max(abs(x), abs(y))) for x, y in zip(a, b) if x != y]
+    return (max((d for d, _ in pairs), default=0.0),
+            max((d / s if s < math.inf else math.inf for d, s in pairs), default=0.0))
 
 
 def run_side(src, path, missing, top):
@@ -246,7 +252,8 @@ def main(argv):
         for src, path in zip(argv, paths):
             run_side(src, path, missing, _MAX_LARGE)
         counts, shown = {}, {}
-        largest, uneven = {}, {}  # per group: max |a - b|, rows of unequal counts
+        # per group: max |a - b| and max |a - b|/max(|a|, |b|), rows of unequal counts
+        largest, uneven = {}, {}
         with open(paths[0]) as a, open(paths[1]) as b:
             for line_a, line_b in zip(a, b, strict=True):
                 key, i, row, digest_a, text_a = json.loads(line_a)
@@ -256,16 +263,17 @@ def main(argv):
                     counts[key] += 1
                     if len(shown.setdefault(key, [])) < SHOWN:
                         shown[key].append((i, row, text_a[:PREVIEW], text_b[:PREVIEW]))
-                    diff = largest_difference(text_a, text_b)
+                    diff = largest_differences(text_a, text_b)
                     if diff is None:
                         uneven[key] = uneven.get(key, 0) + 1
                     else:
-                        largest[key] = max(largest.get(key, 0.0), diff)
+                        largest[key] = [max(pair) for pair in zip(largest.get(key, diff), diff)]
     for key, count in counts.items():
         print(f"{key}: {count} differing {'transcripts' if key == CLI else 'rows'}")
         if count:
-            print(f"  largest numeric difference {largest.get(key, 0.0):.3g}, "
-                  f"{uneven.get(key, 0)} with a different count of numbers")
+            absolute, relative = largest.get(key, (0.0, 0.0))
+            print(f"  largest numeric difference {absolute:.3g} absolute, {relative:.3g} "
+                  f"relative, {uneven.get(key, 0)} with a different count of numbers")
         for i, row, text_a, text_b in shown.get(key, []):
             print(f"  row {i} {row}\n    parent: {text_a}\n    change: {text_b}")
     return 1 if any(counts.values()) else 0
