@@ -12,7 +12,7 @@ import random
 import sys
 from pathlib import Path
 
-from .elastica import _CURVES, ElasticaParams, uniform_grid
+from .elastica import _CURVES, ElasticaParams, _curve, uniform_grid
 from .errors import ConvergenceError, DomainError
 from .extended import Modulus, Regime, ek_ratio, epsilon_any, zeta_any
 from .quadrature import epsilon_by_quadrature
@@ -92,7 +92,7 @@ def cmd_elastica(args):
     # each row is formatted as its point is drawn; nothing is written until the
     # whole curve has been computed, so a domain error leaves no partial CSV
     text = "u,x,y\n" + "".join(f"{u:.17g},{x:.17g},{y:.17g}\n"
-                                for u, (x, y) in zip(us, _CURVES[args.kind](params, us)))
+                                for u, (x, y) in zip(us, _curve(args.kind, params, us)))
     if args.out:
         try:
             Path(args.out).write_text(text)

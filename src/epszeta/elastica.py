@@ -3,18 +3,19 @@
 The flexural family (0 < k < 1, inflection points) and the in-flexural
 family (k > 1, inflection-free) are sampled parametrically.  u is arc
 length times omega, so |dP/du| = 1/omega identically along both curves.
-Each kind has one point formula, a generator over a grid of u that
-builds the AGM kernel `agm` of its modulus's regime rule, `_rule(m)` in
-extended.py, once per curve (the kernel of k itself for the flexural
-curve, of 1/k for the in-flexural one) and yields (x, y) for each u,
-one kernel descent per point.  Single points, sampled curves and the
-command line's CSV export all go through it.  `ElasticaParams` is a
-frozen value like `Modulus` (`extended._Value`) and refuses k = 1 and a
-k or omega that is not finite and > 0, also when copied or unpickled;
-`Modulus` checks k against its regime when the first point is drawn,
-a failed descent is re-raised through `_failed`, naming the caller's u
-and k, and a point past the float range (a tiny omega scales it)
-raises DomainError naming u, k and omega.
+Both have one point formula, the flexural closed form continued past
+k = 1: x = (2 (slope u + P(u + s)) - u)/omega and y = -2k cn(u + s)/omega,
+with slope, P = epsilon - slope x and cn of k from one `jacobi` call of
+the modulus's regime rule, `_rule(m)` in extended.py, built once per
+curve; the start s is K for the flexural curve, which so passes through
+the origin, and 0 for the in-flexural one.  Its one generator, `_curve`,
+serves single points, sampled curves and the command line's CSV export.
+`ElasticaParams` is a frozen value like `Modulus` (`extended._Value`)
+and refuses k = 1 and a k or omega that is not finite and > 0, also
+when copied or unpickled; `Modulus` checks k against its regime when
+the first point is drawn, a failed descent is re-raised through
+`_failed`, naming the caller's u and k, and a point past the float
+range (a tiny omega scales it) raises DomainError naming u, k and omega.
 """
 
 import numbers
@@ -41,61 +42,40 @@ class ElasticaParams(_Value):
 
 PlanePoint = namedtuple("PlanePoint", "x y")
 
-
-def _flexural(p, us):
-    # x = (2 (epsilon(u + K) - E) - u)/omega, y = -2k cn(u + K)/omega
-    m = Modulus(Regime.STANDARD, p.k)
-    k, w, agm = m.k, p.omega, _rule(m).agm
-    quarter, ek = agm.K, agm.ek
-    for u in us:
-        # epsilon(u + K) - E = Z(u + K) + (E/K) u; the descent names u + K
-        try:
-            _, cn, _, z = agm.jacobi(u + quarter)
-        except (DomainError, OverflowError) as exc:
-            raise _failed("flexural_point", u, m, exc, "u") from exc
-        x, y = (2.0 * (z + ek * u) - u) / w, -2.0 * k * cn / w
-        if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
-            raise _not_finite("flexural_point", u, p)
-        yield x, y
+_CURVES = {"flexural": Regime.STANDARD, "inflexural": Regime.LARGE_REAL}
 
 
-def _inflexural(p, us):
-    # x = (2 epsilon(u, k) - u)/omega, y = -2k dn(ku, 1/k)/omega, with
-    # epsilon(u, k) = u slope + k Z(ku, 1/k): one descent of the kernel of 1/k
-    m = Modulus(Regime.LARGE_REAL, p.k)
+def _curve(kind, p, us):
+    # the point formula (module docstring): slope u + P(u + s) is
+    # epsilon(u + s) - epsilon(s), as P vanishes at s = K and at s = 0
+    m = Modulus(_CURVES[kind], p.k)
     rule = _rule(m)
-    k, w, agm, slope = m.k, p.omega, rule.agm, rule.slope
+    k, w, slope, jacobi, fn = m.k, p.omega, rule.slope, rule.jacobi, kind + "_point"
+    start = rule.agm.K if kind == "flexural" else 0  # an int u stays an int
     for u in us:
-        # the descent names ku and 1/k
+        # the descent names u + s, or k(u + s) and 1/k
         try:
-            _, _, dn, z = agm.jacobi(k * u)
+            _, cn, _, z = jacobi(u + start)
         except (DomainError, OverflowError) as exc:
-            raise _failed("inflexural_point", u, m, exc, "u") from exc
-        x, y = (2.0 * (u * slope + k * z) - u) / w, -2.0 * k * dn / w
-        if 0.0 * x * y != 0.0:  # x or y is infinite or NaN
-            raise _not_finite("inflexural_point", u, p)
+            raise _failed(fn, u, m, exc, "u") from exc
+        x, y = (2.0 * (slope * u + z) - u) / w, -2.0 * k * cn / w
+        if 0.0 * x * y != 0.0:  # x or y is infinite or NaN, as where a tiny omega scales it
+            raise DomainError(
+                f"{fn}(u={u!r}) has no finite value for k={p.k!r}, omega={p.omega!r}")
         yield x, y
-
-
-def _not_finite(fn, u, p):
-    # a point past the float range, as where a tiny omega scales it
-    return DomainError(f"{fn}(u={u!r}) has no finite value for k={p.k!r}, omega={p.omega!r}")
-
-
-_CURVES = {"flexural": _flexural, "inflexural": _inflexural}
 
 
 def flexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflectional elastica (0 < k < 1);
     passes through the origin at u = 0."""
-    (point,) = _flexural(p, (u,))
+    (point,) = _curve("flexural", p, (u,))
     return PlanePoint._make(point)
 
 
 def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflection-free elastica (k > 1);
     starts at (0, -2k/omega).  x = (2 epsilon(u, k) - u)/omega."""
-    (point,) = _inflexural(p, (u,))
+    (point,) = _curve("inflexural", p, (u,))
     return PlanePoint._make(point)
 
 
@@ -119,4 +99,4 @@ def sample_curve(kind: str, p: ElasticaParams, u_min: float, u_max: float,
     """n points at uniform u spacing for kind in {"flexural", "inflexural"}."""
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
-    return list(map(PlanePoint._make, _CURVES[kind](p, uniform_grid(u_min, u_max, n))))
+    return list(map(PlanePoint._make, _curve(kind, p, uniform_grid(u_min, u_max, n))))

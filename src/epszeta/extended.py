@@ -16,14 +16,15 @@ descent, `agm.phase`, and a cosine: its square is formed from cos am,
 with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of
 an odd period index drops out, so no sin, sqrt or (sn, cn, dn) tuple is
 made; only the k = 1 limit keeps sech^2 from `jacobi`, since cos^2 gd t
-is not sech^2 t at large t.  The elastica curves read `agm` (and the
-large-real `slope`) and descend it themselves, once per point.  Signs
-of moduli are stripped up front: epsilon and zeta are even in the
-modulus.
+is not sech^2 t at large t.  The two real-modulus rules also give
+`jacobi(x)`: sn, cn, dn of their own k and P = epsilon - slope x from
+one descent, all the elastica curves need.  Signs of moduli are
+stripped up front: epsilon and zeta are even in the modulus.
 
 `_Standard`, 0 <= k <= 1, descends the kernel of k itself
 (`jacobi._kernel`, with its k = 1 limit): Z is King's sum and epsilon =
-Z + (E/K) x; its E/K is the kernel's and its integrand dn^2(t, k).
+Z + (E/K) x; its slope E/K and `jacobi` are the kernel's, its integrand
+dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -45,9 +46,10 @@ k_c^2 = 1 - 1/k^2:
 
 The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
 once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels and E' is not
-needed; `pair(s)` gives this (K, E) for `k_e_continued`.  The integrand
-is cn^2(kt, 1/k).  The two branches are complex conjugates; the default
-"lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
+needed; `pair(s)` gives this (K, E) for `k_e_continued`.  `jacobi(x)`
+is sn(kx, 1/k)/k, dn(kx, 1/k), cn(kx, 1/k) and P = k Z(kx, 1/k), and the
+integrand cn^2(kt, 1/k).  The two branches are complex conjugates; the
+default "lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
 
 `_Imaginary`, the modulus i*k, reduces through the descending pair
 (DLMF 22.17.8 and 19.7.2) on the kernel of k1 = k/h, built on the exact
@@ -201,6 +203,10 @@ class _Standard:
         self.m = m
         self.agm = _kernel(m.k)
 
+    # E/K and the kernel's (sn, cn, dn, Z), read through at no cost to building the rule
+    slope = property(operator.attrgetter("agm.ek"))
+    jacobi = property(operator.attrgetter("agm.jacobi"))
+
     def ek(self, s):
         return complex(self.agm.ek, 0.0)
 
@@ -263,6 +269,12 @@ class _LargeReal:
         im = (kc * (agm.kp2 - _Agm(agm.kp, agm.k).one_minus_ek) if agm.kp2 <= 0.5
               else 0.5 * math.pi / agm.K + kc * (q - r2))
         return EllipticPair(complex(agm.K, s * kc) / k, k * complex(agm.K * (r2 - q), -s * im))
+
+    def jacobi(self, x):
+        # sn, cn, dn and P of k from one descent at kx (DLMF 22.17.14)
+        k = self.m.k
+        sn, cn, dn, z = self.agm.jacobi(k * x)
+        return sn / k, dn, cn, k * z
 
     def epsilon(self, x):
         k = self.m.k

@@ -301,6 +301,13 @@ class TestCheck:
             main(["check", "--trials", "0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "-1e-9"])
+    def test_non_positive_tolerance_exits_2(self, capsys, tol):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--trials", "1", f"--tol={tol}"])
+        assert info.value.code == 2
+        assert "--tol must be positive" in capsys.readouterr().err
+
     def test_unreachable_tolerance_exits_4(self, capsys):
         code, out, _ = run(capsys, "check", "--trials", "5", "--tol", "1e-18",
                            "--seed", "3")

@@ -126,6 +126,16 @@ class TestInflexural:
         assert pt.x == 0.0
         assert pt.y == -4.0
 
+    @pytest.mark.parametrize("ktag, k", [("2", 2.0), ("1E3", 1e3)])
+    @pytest.mark.parametrize("utag, u", [("07", 0.7), ("M31", -3.1)])
+    def test_golden_points(self, ktag, k, utag, u):
+        # relative to max(1, |ref|): y is about -2k.  The worst measured error
+        # is 5.0e-16 on x (k = 2, u = -3.1) and 1.1e-16 |y| on y
+        pt = inflexural_point(u, ElasticaParams(k=k))
+        for got, name in ((pt.x, "X"), (pt.y, "Y")):
+            ref = getattr(goldens, f"INFLEX_{name}_{utag}_K{ktag}")
+            assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref)), (name, got, ref)
+
     def test_mirror_symmetry(self):
         # x is odd, y is even: the curve is symmetric about the y axis
         p = ElasticaParams(k=2.0)

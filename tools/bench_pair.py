@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has three parts:
+JSON printed has four parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -27,8 +27,15 @@ JSON printed has three parts:
   flipped on every other round), and the median of each side in
   milliseconds.  `-S` leaves out `site`, whose `.pth` files may import
   modules before epszeta does, and `-I` the environment.
+- `cli_wall_s`: the wall time in seconds of a fresh interpreter running
+  each command of `CLI_COMMANDS` with the checkout's `src` on
+  PYTHONPATH: the two 600-sample `elastica` exports of the benchmark's
+  shape, `tables`, `check --trials 1000` and the tier-1 suite of the
+  checkout; `CLI_RUNS` rounds, alternating as above, and the median of
+  each side beside the exit codes seen (`check --trials 1000` exits 4
+  on seed 0, which is recorded, not raised).
 
-It takes about 40 minutes on a shared 2-vCPU host.
+It takes about 50 minutes on a shared 2-vCPU host.
 """
 
 import argparse
@@ -40,6 +47,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -55,6 +63,19 @@ STARTUPS = (
      "from epszeta.cli import main; main(['eval', '--fn', 'zeta', '--x', '0.5', '--k', '2'])"),
     ("bare -S -I", ("-S", "-I"), "pass"),
     ("import epszeta -S -I", ("-S", "-I"), "import epszeta"),
+)
+CLI_RUNS = 7
+EXPORT = ("--u-min", "0", "--u-max", "12", "--samples", "600")
+# (name, arguments after the interpreter), run in the checkout's root
+CLI_COMMANDS = (
+    ("elastica flexural k=0.5", ("-m", "epszeta.cli", "elastica", "--kind", "flexural",
+                                 "--k", "0.5", *EXPORT)),
+    ("elastica inflexural k=2", ("-m", "epszeta.cli", "elastica", "--kind", "inflexural",
+                                 "--k", "2", *EXPORT)),
+    ("tables", ("-m", "epszeta.cli", "tables")),
+    ("check --trials 1000", ("-m", "epszeta.cli", "check", "--trials", "1000")),
+    ("tier-1 pytest", ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors")),
 )
 
 
@@ -173,6 +194,30 @@ def startup(roots):
             for name, (p, c) in times.items()}
 
 
+def wall_s(root, args):
+    """(wall seconds, exit code) of `python args` in the checkout at root."""
+    env = {**os.environ, "PYTHONPATH": str(Path(root) / "src")}
+    start = time.perf_counter()
+    code = subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True).returncode
+    return time.perf_counter() - start, code
+
+
+def cli_wall(roots):
+    times = {name: ([], []) for name, _ in CLI_COMMANDS}
+    codes = {name: (set(), set()) for name, _ in CLI_COMMANDS}
+    for i in range(CLI_RUNS):
+        for name, args in CLI_COMMANDS:
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                seconds, code = wall_s(roots[side], args)
+                times[name][side].append(seconds)
+                codes[name][side].add(code)
+    return {name: {"parent": round(statistics.median(p), 4),
+                   "change": round(statistics.median(c), 4),
+                   "exit_codes": [sorted(s) for s in codes[name]]}
+            for name, (p, c) in times.items()}
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -191,6 +236,7 @@ def main(argv):
                        **end_to_end(roots, workloads, better, seconds)},
         "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots)},
         "startup_cpu_ms": {"runs": STARTUP_RUNS, **startup(roots)},
+        "cli_wall_s": {"runs": CLI_RUNS, **cli_wall(roots)},
     }
     print(json.dumps(result, indent=1))
     return 0

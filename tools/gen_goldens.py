@@ -215,4 +215,16 @@ for ktag, m, eps in (("05", mp.mpf("0.25"), lambda x: eps_reduced(x, "0.5")),
             emit(f"EPS_X{xtag}_{ktag}", f(e))
             emit(f"ZETA_X{xtag}_{ktag}", c(z) if ktag == "R2" else f(z))
 
+# in-flexural elastica at omega = 1, in the form of the benchmark's reference
+# (bench/reference.py, elastica_ref): x = 2 epsilon(u, k) - u with the
+# large-real epsilon above, y = -2k dn(ku, 1/k); 60 digits, as epsilon
+# cancels between terms of size k^2 u; k and u are the exact doubles the
+# tests pass
+for ktag, k in (("2", 2.0), ("1E3", 1e3)):
+    for utag, u in (("07", 0.7), ("M31", -3.1)):
+        with mp.workdps(60):
+            dn = reduced(mp.mpf(k) * mp.mpf(u), 1 / mp.mpf(k) ** 2)[3]
+            emit(f"INFLEX_X_{utag}_K{ktag}", f(2 * eps_large_real(u, k) - mp.mpf(u)))
+            emit(f"INFLEX_Y_{utag}_K{ktag}", f(-2 * mp.mpf(k) * dn))
+
 print("\n".join(lines))
