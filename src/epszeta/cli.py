@@ -10,6 +10,7 @@ import functools
 import json
 import random
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .elastica import _CURVES, ElasticaParams, _curve, uniform_grid
@@ -89,10 +90,10 @@ def cmd_elastica(args):
         args.parser.error("--samples must be at least 2")
     params = ElasticaParams(k=args.k, omega=args.omega)
     us = uniform_grid(args.u_min, args.u_max, args.samples)
-    # each row is formatted as its point is drawn; nothing is written until the
-    # whole curve has been computed, so a domain error leaves no partial CSV
-    text = "u,x,y\n" + "".join(f"{u:.17g},{x:.17g},{y:.17g}\n"
-                                for u, (x, y) in zip(us, _curve(args.kind, params, us)))
+    # the whole curve is computed, then written as one text formatted by one
+    # `%`, so a domain error leaves no partial CSV
+    values = tuple(chain.from_iterable(zip(us, *_curve(args.kind, params, us))))
+    text = ("u,x,y\n" + "%.17g,%.17g,%.17g\n" * len(us)) % values
     if args.out:
         try:
             Path(args.out).write_text(text)

@@ -5,17 +5,23 @@ family (k > 1, inflection-free) are sampled parametrically.  u is arc
 length times omega, so |dP/du| = 1/omega identically along both curves.
 Both have one point formula, the flexural closed form continued past
 k = 1: x = (2 (slope u + P(u + s)) - u)/omega and y = -2k cn(u + s)/omega,
-with slope, P = epsilon - slope x and cn of k from one `jacobi` call of
-the modulus's regime rule, `_rule(m)` in extended.py, built once per
-curve; the start s is K for the flexural curve, which so passes through
-the origin, and 0 for the in-flexural one.  Its one generator, `_curve`,
-serves single points, sampled curves and the command line's CSV export.
+with slope, and the columns of P = epsilon - slope x and cn of k from
+one batch descent over all u (`columns` of the modulus's regime rule,
+`_rule(m)` in extended.py, built once per curve); the start s is K for
+the flexural curve, which so passes through the origin, and 0 for the
+in-flexural one.  Its one batch, `_curve`, gives the columns of x and y
+to sampled curves, to the command line's CSV export and, as a batch of
+one, to single points.
 `ElasticaParams` is a frozen value like `Modulus` (`extended._Value`)
 and refuses k = 1 and a k or omega that is not finite and > 0, also
-when copied or unpickled; `Modulus` checks k against its regime when
-the first point is drawn, a failed descent is re-raised through
-`_failed`, naming the caller's u and k, and a point past the float
-range (a tiny omega scales it) raises DomainError naming u, k and omega.
+when copied or unpickled; `Modulus` checks k against its regime before
+any point is drawn.  A failed descent or a point past the float range
+(a tiny omega scales it) replays the curve point by point in the order
+of u, so the error names the first u that fails, as that point alone
+would: a failed descent is re-raised through `_failed`, naming the
+caller's u and k, and a point that is not finite raises DomainError
+naming u, k and omega.  Past the descent's reduction bound the curves
+refuse u, which epsilon does not.
 """
 
 import numbers
@@ -46,37 +52,51 @@ _CURVES = {"flexural": Regime.STANDARD, "inflexural": Regime.LARGE_REAL}
 
 
 def _curve(kind, p, us):
+    # the columns [x] and [y] of the points at the list us, in one batch, by
     # the point formula (module docstring): slope u + P(u + s) is
     # epsilon(u + s) - epsilon(s), as P vanishes at s = K and at s = 0
     m = Modulus(_CURVES[kind], p.k)
     rule = _rule(m)
-    k, w, slope, jacobi, fn = m.k, p.omega, rule.slope, rule.jacobi, kind + "_point"
+    slope, w, a = rule.slope, p.omega, -2.0 * m.k
     start = rule.agm.K if kind == "flexural" else 0  # an int u stays an int
+
+    def points(us):
+        cns, ps = rule.columns(us, start)
+        return [(2.0 * (slope * u + q) - u) / w for u, q in zip(us, ps)], [a * c / w for c in cns]
+
+    try:
+        xs, ys = points(us)
+        # an infinite or NaN point makes a sum NaN or infinite, as may an
+        # overflowing sum of finite points, which the replay then returns
+        if 0.0 * sum(xs) * sum(ys) == 0.0:
+            return xs, ys
+    except (DomainError, OverflowError):
+        pass
+    fn = kind + "_point"
     for u in us:
         # the descent names u + s, or k(u + s) and 1/k
         try:
-            _, cn, _, z = jacobi(u + start)
+            (x,), (y,) = points((u,))
         except (DomainError, OverflowError) as exc:
             raise _failed(fn, u, m, exc, "u") from exc
-        x, y = (2.0 * (slope * u + z) - u) / w, -2.0 * k * cn / w
         if 0.0 * x * y != 0.0:  # x or y is infinite or NaN, as where a tiny omega scales it
             raise DomainError(
                 f"{fn}(u={u!r}) has no finite value for k={p.k!r}, omega={p.omega!r}")
-        yield x, y
+    return xs, ys
 
 
 def flexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflectional elastica (0 < k < 1);
     passes through the origin at u = 0."""
-    (point,) = _curve("flexural", p, (u,))
-    return PlanePoint._make(point)
+    (x,), (y,) = _curve("flexural", p, [u])
+    return PlanePoint(x, y)
 
 
 def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
     """Point at arc parameter u on the inflection-free elastica (k > 1);
     starts at (0, -2k/omega).  x = (2 epsilon(u, k) - u)/omega."""
-    (point,) = _curve("inflexural", p, (u,))
-    return PlanePoint._make(point)
+    (x,), (y,) = _curve("inflexural", p, [u])
+    return PlanePoint(x, y)
 
 
 def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
@@ -99,4 +119,4 @@ def sample_curve(kind: str, p: ElasticaParams, u_min: float, u_max: float,
     """n points at uniform u spacing for kind in {"flexural", "inflexural"}."""
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}")
-    return list(map(PlanePoint._make, _curve(kind, p, uniform_grid(u_min, u_max, n))))
+    return list(map(PlanePoint, *_curve(kind, p, uniform_grid(u_min, u_max, n))))

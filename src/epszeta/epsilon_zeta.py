@@ -7,13 +7,24 @@ checks k and gives the k = 1 limit, and descends it once at x: King's
 sum gives Z, and epsilon = Z + (E/K) x.
 """
 
+from .errors import _MAX_FLOAT, DomainError
 from .jacobi import _kernel, amplitude  # noqa: F401 (a lookup site bench/tests traces)
 
 
 def epsilon(x: float, k: float) -> float:
-    """epsilon(x,k) = E(am(x,k), k), evaluated as Z + (E/K) x."""
+    """epsilon(x,k) = E(am(x,k), k), evaluated as Z + (E/K) x.
+
+    Past the reduction bound |x| = 2^51 K, where Z keeps no correct digit
+    but |Z| < 1 is below 2^-51 of (E/K) x, it is the linear term (E/K) x.
+    """
     agm = _kernel(k)
-    return agm.phase(x)[2] + agm.ek * x
+    try:
+        z = agm.phase(x)[2]
+    except DomainError:
+        if not abs(x) <= _MAX_FLOAT:
+            raise
+        return agm.ek * x
+    return z + agm.ek * x
 
 
 def zeta(x: float, k: float) -> float:

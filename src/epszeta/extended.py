@@ -17,14 +17,19 @@ with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of
 an odd period index drops out, so no sin, sqrt or (sn, cn, dn) tuple is
 made; only the k = 1 limit keeps sech^2 from `jacobi`, since cos^2 gd t
 is not sech^2 t at large t.  The two real-modulus rules also give
-`jacobi(x)`: sn, cn, dn of their own k and P = epsilon - slope x from
-one descent, all the elastica curves need.  Signs of moduli are
-stripped up front: epsilon and zeta are even in the modulus.
+`columns(us, s)`, all an elastica curve needs and no more: the columns
+of cn of their own k and of P = epsilon - slope x at every x = u + s of
+a list, from one batch descent (`_Agm.phases`, jacobi.py), which refuses
+what one descent would.  Past the reduction bound of the descent,
+where Z keeps no correct digit, each rule's `epsilon` is its linear term
+(slope x): the periodic part is at most about 2^-50 of it there.
+Signs of moduli are stripped up front: epsilon and zeta are even in the
+modulus.
 
 `_Standard`, 0 <= k <= 1, descends the kernel of k itself
 (`jacobi._kernel`, with its k = 1 limit): Z is King's sum and epsilon =
-Z + (E/K) x; its slope E/K and `jacobi` are the kernel's, its integrand
-dn^2(t, k).
+Z + (E/K) x; its slope E/K is the kernel's, its columns cn(x, k) and Z
+for 0 <= k < 1 (the curves refuse k = 1), its integrand dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -46,9 +51,9 @@ k_c^2 = 1 - 1/k^2:
 
 The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
 once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels and E' is not
-needed; `pair(s)` gives this (K, E) for `k_e_continued`.  `jacobi(x)`
-is sn(kx, 1/k)/k, dn(kx, 1/k), cn(kx, 1/k) and P = k Z(kx, 1/k), and the
-integrand cn^2(kt, 1/k).  The two branches are complex conjugates; the
+needed; `pair(s)` gives this (K, E) for `k_e_continued`.  The columns
+are cn of k = dn(kx, 1/k) and P = k Z(kx, 1/k), and the integrand is
+cn^2(kt, 1/k).  The two branches are complex conjugates; the
 default "lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
 
 `_Imaginary`, the modulus i*k, reduces through the descending pair
@@ -203,16 +208,27 @@ class _Standard:
         self.m = m
         self.agm = _kernel(m.k)
 
-    # E/K and the kernel's (sn, cn, dn, Z), read through at no cost to building the rule
+    # E/K, read through at no cost to building the rule
     slope = property(operator.attrgetter("agm.ek"))
-    jacobi = property(operator.attrgetter("agm.jacobi"))
 
     def ek(self, s):
         return complex(self.agm.ek, 0.0)
 
     def epsilon(self, x):
         agm = self.agm
-        return agm.phase(x)[2] + agm.ek * x
+        try:
+            z = agm.phase(x)[2]
+        except DomainError:
+            if not abs(x) <= _MAX_FLOAT:
+                raise
+            return agm.ek * x  # past the reduction bound: the linear term
+        return z + agm.ek * x
+
+    def columns(self, us, s):
+        # the kernel's cn and Z at each x = u + s, from one batch descent of
+        # 0 <= k < 1 (the curves refuse k = 1)
+        phis, ns, zs = self.agm.phases([u + s for u in us])
+        return [-c if n % 2 else c for c, n in zip(map(math.cos, phis), ns)], zs
 
     def zeta(self, x, s):
         return complex(self.agm.phase(x)[2], 0.0)
@@ -270,15 +286,24 @@ class _LargeReal:
               else 0.5 * math.pi / agm.K + kc * (q - r2))
         return EllipticPair(complex(agm.K, s * kc) / k, k * complex(agm.K * (r2 - q), -s * im))
 
-    def jacobi(self, x):
-        # sn, cn, dn and P of k from one descent at kx (DLMF 22.17.14)
-        k = self.m.k
-        sn, cn, dn, z = self.agm.jacobi(k * x)
-        return sn / k, dn, cn, k * z
+    def columns(self, us, s):
+        # cn of k = dn(kx, 1/k) and P = k Z(kx, 1/k) at each x = u + s, from one
+        # batch descent at the kx (DLMF 22.17.14); dn^2 = k'^2 + k^2 cos^2 am as
+        # `_Agm.jacobi` forms it, where the sign of an odd period drops out
+        k, agm = self.m.k, self.agm
+        phis, _, zs = agm.phases([k * (u + s) for u in us])
+        kp2, q = agm.kp2, 1.0 - agm.kp2
+        return [math.sqrt(kp2 + q * c * c) for c in map(math.cos, phis)], [k * z for z in zs]
 
     def epsilon(self, x):
         k = self.m.k
-        return x * self.slope + k * self.agm.phase(k * x)[2]
+        try:
+            z = self.agm.phase(k * x)[2]
+        except DomainError:
+            if not abs(x) <= _MAX_FLOAT:
+                raise
+            return x * self.slope  # past the reduction bound (kx may overflow): the linear term
+        return x * self.slope + k * z
 
     def zeta(self, x, s):
         k = self.m.k
@@ -306,7 +331,13 @@ class _Imaginary:
         return complex(self.slope, 0.0)
 
     def epsilon(self, x):
-        return self.slope * x + self._z(x)
+        try:
+            z = self._z(x)
+        except DomainError:
+            if not abs(x) <= _MAX_FLOAT:
+                raise
+            return self.slope * x  # past the reduction bound: the linear term
+        return self.slope * x + z
 
     def zeta(self, x, s):
         return complex(self._z(x), 0.0)

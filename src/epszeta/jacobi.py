@@ -40,7 +40,18 @@ am(x_r) + n pi and Z has period 2K.  The rounding error of 2K n is at
 least |n| 2K 2^-53, a quarter of K at |n| = 2^50, so beyond that the
 reduced argument keeps no correct digit and the descent raises
 DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
-3.5e15 at k = 0, where K = pi/2 is smallest).
+3.5e15 at k = 0, where K = pi/2 is smallest).  epsilon alone has a value
+there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
+linear term (E/K) x (epsilon_zeta.py, and each rule in extended.py).
+
+`_Agm.phases` is the batch descent of many x at one k, as an elastica
+curve takes it: the columns (phi, n, z) of `phase` at every x of a list,
+bit for bit, since one pass over the list runs the same operations in
+the same order at each x, z starting at 0.0.  It saves the call, the
+attribute lookups and the tuple of one `phase` per x (a loop of the
+steps over all x, step by step, was slower in pure Python).  It checks
+every x before it descends any, and on a failure replays `phase` in
+order, so it raises what `phase` raises at the first x that fails.
 
 Every public routine here and in epsilon_zeta.py is `_kernel(k)` and at
 most one descent.  `_kernel` is the one check of k: it strips the sign
@@ -144,6 +155,32 @@ class _Agm:
             z += c * s
             phi = 0.5 * (phi + math.asin(r * s))
         return phi, n, z
+
+    def phases(self, xs):
+        """The columns [phi], [n], [z] of `phase` over the list xs, bit for bit
+        (module docstring); raises as `phase` at the first x that fails."""
+        period, scale, steps, sin, asin = (
+            self._period, self._scale, self._steps, math.sin, math.asin)
+        try:
+            ts = [x / period for x in xs]
+            ns = list(map(round, ts))  # ValueError at a NaN t, OverflowError at an infinite one
+        except (OverflowError, ValueError):
+            ns = None
+        if ns is None or max(map(abs, ts), default=0.0) > _MAX_PERIODS:
+            for x in xs:
+                self.phase(x)
+        del ts
+        phis, zs = [], []
+        for x, n in zip(xs, ns):
+            phi = scale * (x - period * n)
+            z = 0.0
+            for c, r in steps:
+                s = sin(phi)
+                z += c * s
+                phi = 0.5 * (phi + asin(r * s))
+            phis.append(phi)
+            zs.append(z)
+        return phis, ns, zs
 
     def period_ratio(self):
         """K'/K, K' the K of the complement k', from the nome q = exp(-pi K'/K).

@@ -10,8 +10,8 @@ measured in ulps of |epsilon(u)| + |epsilon(v)| + |epsilon(u + v)|.  The
 formula is blind to an added linear term c x, so the slope E/K needs a
 second check: epsilon'(0) = dn^2(0) = 1, so epsilon(h)/h -> 1 as h -> 0.
 
-sn comes from the rule's own descent: `rule.jacobi` for a real modulus
-(sn(kx, 1/k)/k past k = 1), and k1p sn(u/k1p, k1)/dn(u/k1p, k1) for i*k
+sn comes from the rule's own kernel: sn(x, k) for k <= 1, sn(kx, 1/k)/k
+past k = 1 (DLMF 22.17.14), and k1p sn(u/k1p, k1)/dn(u/k1p, k1) for i*k
 (DLMF 22.17.8) on the rule's kernel of k1, which is built on the exact
 k1p = 1/sqrt(1 + k^2).  `sncndn(u/k1p, k1)` would take the complement of
 k1 rounded near 1, which at i*1e6 is off by about 1e-4 relative: the
@@ -39,7 +39,10 @@ def sn_and_parameter(m):
             s, _, d, _ = agm.jacobi(x / agm.kp)
             return agm.kp * s / d
         return sn, -m.k * m.k
-    return (lambda x: rule.jacobi(x)[0]), m.k * m.k
+    if m.regime is Regime.LARGE_REAL:
+        k, agm = m.k, rule.agm
+        return (lambda x: agm.jacobi(k * x)[0] / k), k * k
+    return (lambda x: rule.agm.jacobi(x)[0]), m.k * m.k
 
 
 def residual_ulps(m, u, v):

@@ -80,7 +80,7 @@ def test_complementary_modulus_outside_unit_interval_is_domain_error():
 class TestPeriodReduction:
     ROUTINES = (zeta, epsilon, amplitude, sncndn)
 
-    @pytest.mark.parametrize("fn", ROUTINES)
+    @pytest.mark.parametrize("fn", (zeta, amplitude, sncndn))
     def test_beyond_the_bound_is_domain_error(self, fn):
         # x - 2K n keeps no correct digit at 1e17: zeta returned 0.0 silently
         for x in (1e17, -1e17):
@@ -90,6 +90,18 @@ class TestPeriodReduction:
         for x in (4e15, -1e17):
             with pytest.raises(DomainError, match=r"too large for k=0\.0"):
                 fn(x, 0.0)
+
+    def test_epsilon_beyond_the_bound_is_its_linear_term(self):
+        # |Z| < 1 is below 2^-51 of (E/K) x there (goldens in test_extended.py)
+        slope = ek_ratio(Modulus.real(0.5)).real
+        for x in (1e17, -1e17, 1e300):
+            assert epsilon(x, 0.5) == slope * x
+        for x in (4e15, -1e17):
+            assert epsilon(x, 0.0) == x
+        # what is not a finite float is still refused
+        for x in (math.inf, math.nan, 10 ** 400):
+            with pytest.raises(DomainError, match="is not a finite float"):
+                epsilon(x, 0.5)
 
     @pytest.mark.parametrize("fn", ROUTINES)
     def test_within_the_bound_returns(self, fn):
@@ -146,3 +158,37 @@ def test_large_real_calls_build_one_kernel(monkeypatch):
         k_e_continued(m)
         kernel = built[0]  # (1/k, k_c)
         assert built[1:] == ([kernel[::-1]] if k <= root2 else []), k
+
+
+# the batch descent against one `phase` call per x, bit for bit (repr tells
+# every float apart, the sign of zero included): standard moduli, the
+# large-real kernels of 1/k and the i*k kernels of k1, each on its exact
+# complement, at +-0, the smallest subnormal, odd and even period indices
+# and the last x on each side of the reduction bound
+BATCH_KERNELS = [
+    *(_Agm(k) for k in (0.0, 1e-9, 0.5, 0.999999, 1.0 - 2.0 ** -40)),
+    *(_rule(Modulus.real(k)).agm for k in (1.0 + 2.0 ** -52, 2.0, 1e8, 1e150)),
+    *(_rule(Modulus.imaginary(k)).agm for k in (1e-6, 2.0, 1e7))]
+
+
+@pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))
+def test_batch_descent_is_phase_bit_for_bit(agm):
+    period = agm._period
+    edge = 2.0 ** 50 * period  # |x / 2K| = 2^50 exactly: the last x admitted
+    xs = [0.0, -0.0, 5e-324, -5e-324, 0.3, -0.3, *(n * period + 0.25 for n in range(-4, 5)),
+          *(n * period - 1e-9 for n in (1, 2, -3)), 0.5 * period, -0.5 * period,
+          edge, -edge, math.nextafter(edge, 0.0), 1e15 * period, 7]
+    columns = tuple(map(list, zip(*map(agm.phase, xs))))
+    assert repr(agm.phases(xs)) == repr(columns)
+    assert repr(agm.phases([-0.0])) == repr(([-0.0], [0], [0.0]))
+
+
+@pytest.mark.parametrize("bad", [1e17, math.inf, -math.inf, math.nan, 10 ** 400])
+def test_batch_descent_raises_at_the_first_failing_x(bad):
+    agm = _Agm(0.5)
+    for xs in ([bad], [0.5, bad, 1e17], [0.5, bad, math.nan, 3.0]):
+        with pytest.raises(DomainError) as batch:
+            agm.phases(xs)
+        with pytest.raises(DomainError) as single:
+            agm.phase(bad)
+        assert str(batch.value) == str(single.value)

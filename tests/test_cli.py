@@ -8,6 +8,7 @@ import re
 import pytest
 
 from epszeta import (ElasticaParams, Modulus, epsilon, epsilon_any, epsilon_by_quadrature,
+                     flexural_point, inflexural_point,
                      sample_curve, uniform_grid, zeta_any)
 from epszeta.cli import main
 
@@ -231,6 +232,26 @@ class TestExportInOnePass:
         points = sample_curve(kind, ElasticaParams(k=k, omega=omega), u_min, 12.0, 600)
         assert out == "u,x,y\n" + "".join("%.17g,%.17g,%.17g\n" % (u, x, y)
                                           for u, (x, y) in zip(us, points))
+
+    # a negative u range, and omega = 1e300, where x and y are tiny and
+    # subnormal ones appear in the text
+    @pytest.mark.parametrize("kind, k", [("flexural", 0.95), ("inflexural", 4.9)])
+    @pytest.mark.parametrize("omega, u_min, u_max", [("1", "-40", "-3"),
+                                                     ("1e300", "-7", "7")])
+    def test_bytes_are_the_row_by_row_text(self, capsys, kind, k, omega, u_min, u_max):
+        # one `%` over the whole text gives the bytes of a `.17g` format of
+        # each number, row by row, of the points drawn one at a time
+        code, out, err = run(capsys, "elastica", "--kind", kind, "--k", repr(k),
+                             "--omega", omega, f"--u-min={u_min}", "--u-max", u_max,
+                             "--samples", "301")
+        assert (code, err) == (0, "")
+        params = ElasticaParams(k=k, omega=float(omega))
+        point = flexural_point if kind == "flexural" else inflexural_point
+        rows = []
+        for u in uniform_grid(float(u_min), float(u_max), 301):
+            x, y = point(u, params)
+            rows.append(f"{u:.17g},{x:.17g},{y:.17g}\n")
+        assert out == "u,x,y\n" + "".join(rows)
 
     def test_error_exits_leave_the_next_export_unchanged(self, capsys, tmp_path):
         # one parser serves every call of the process

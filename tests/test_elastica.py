@@ -205,6 +205,14 @@ class TestNonFinitePoint:
     def test_large_finite_point_is_kept(self, kind, point, k):
         assert all(math.isfinite(v) for v in point(1.0, ElasticaParams(k, 1e-300)))
 
+    def test_curve_whose_sums_overflow_is_kept(self, kind, point, k):
+        # finite points near the float range whose x or y column sums past it:
+        # the batch's check fails, and the point-by-point replay returns them
+        p = ElasticaParams(k, 1e-308 if kind == "flexural" else 2.5e-308)
+        curve = sample_curve(kind, p, 1.5, 2.0, 3)
+        assert math.isinf(sum(x for x, _ in curve) + sum(y for _, y in curve))
+        assert curve == [point(u, p) for u in uniform_grid(1.5, 2.0, 3)]
+
 
 def arc_speed_squared(point, u, p, h=1e-5):
     xm, ym = point(u - h, p)

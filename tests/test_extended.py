@@ -614,11 +614,13 @@ class TestDispatchers:
             epszeta.k_e_continued(Modulus.imaginary(2.0))
 
     @pytest.mark.parametrize("fn, x, m", [
-        ("epsilon_any", 1e10, Modulus.real(1e6)), ("zeta_any", 1e10, Modulus.real(1e6)),
-        ("epsilon_any", 1e15, Modulus.imaginary(1e3)),
+        ("epsilon_any", math.inf, Modulus.real(1e6)), ("zeta_any", 1e10, Modulus.real(1e6)),
+        ("epsilon_any", -math.inf, Modulus.imaginary(1e3)),
         ("zeta_any", 1e15, Modulus.imaginary(1e3))])
     def test_descent_failure_names_the_caller(self, fn, x, m):
-        # the descent sees kx or x/k1p and 1/k or k1; the error names x and k
+        # the descent sees kx or x/k1p and 1/k or k1; the error names x and k.
+        # epsilon refuses only an x that is not finite: past the reduction
+        # bound it is its linear term (test_epsilon_past_the_reduction_bound)
         with pytest.raises(DomainError, match=re.escape(
                 f"{fn}(x={x!r}) fails for the {m.regime.value} modulus k={m.k!r}")):
             getattr(epszeta, fn)(x, m)
@@ -665,27 +667,63 @@ def test_rule_contract(m):
     assert (rule.agm.K == math.inf) is (reduced == 1.0)
 
 
-REAL_MODULI = [*(Modulus.real(k) for k in (0.0, 1e-9, 0.5, 0.999999, 1.0 - 2.0 ** -40, 1.0)),
+# the moduli of the curves, which refuse k = 1
+REAL_MODULI = [*(Modulus.real(k) for k in (0.0, 1e-9, 0.5, 0.999999, 1.0 - 2.0 ** -40)),
                *(Modulus.real(k) for k in (1.0 + 2.0 ** -52, 1.0 + 1e-9, 1.5, 2.0, 1e3, 1e8,
                                            1e50, 1e150))]
 
 
 @pytest.mark.parametrize("m", REAL_MODULI, ids=repr)
 def test_real_rule_jacobi(m):
-    # each real-modulus rule gives sn, cn, dn of its own k and P = epsilon - slope x
-    # from one descent: epsilon = slope x + P bit for bit, the standard rule's
-    # tuple is its kernel's, and past k = 1 the Pythagorean identities hold to
-    # 4 ulps of 1 (2 at worst on 20000 draws of k up to 1e150 and kx in +-40)
+    # each real-modulus rule gives the columns of cn of its own k and P =
+    # epsilon - slope x at each x = u + s from one batch descent: epsilon =
+    # slope x + P bit for bit, and cn is the scalar kernel's, cn(x, k) for
+    # k < 1 and dn(kx, 1/k) past k = 1 (DLMF 22.17.14), also at a shift s
     rule, k = _rule(m), m.k
-    for x in (-7.3, -0.4, -0.0, 0.0, 1e-300, 0.25, 1.0, 3.3, 40.0):
-        x = x / k if k > 1.0 else x  # kx stays within the period reduction
-        sn, cn, dn, p = rule.jacobi(x)
-        assert rule.slope * x + p == epsilon_any(x, m), x
-        if m.regime is Regime.STANDARD:
-            assert (sn, cn, dn, p) == _kernel(k).jacobi(x)
-        else:
-            assert abs(sn * sn + cn * cn - 1.0) <= 2.0 ** -50, (x, sn, cn)
-            assert abs(dn * dn + (k * sn) ** 2 - 1.0) <= 2.0 ** -50, (x, sn, dn)
+    xs = [x / k if k > 1.0 else x  # kx stays within the period reduction
+          for x in (-7.3, -0.4, -0.0, 0.0, 1e-300, 0.25, 1.0, 3.3, 40.0)]
+    for s in (0, 0.5 * rule.agm.K / max(1.0, k)):
+        cns, ps = rule.columns(xs, s)
+        assert len(cns) == len(ps) == len(xs)
+        for u, cn, p in zip(xs, cns, ps):
+            x = u + s
+            assert rule.slope * x + p == epsilon_any(x, m), x
+            if m.regime is Regime.STANDARD:
+                assert cn == _kernel(k).jacobi(x)[1], x
+            else:
+                assert cn == rule.agm.jacobi(k * x)[2], x
+
+
+@pytest.mark.parametrize("tag, m, x", [
+    ("05_1E16", Modulus.real(0.5), 1e16), ("05_M1E20", Modulus.real(0.5), -1e20),
+    ("0999999_1E20", Modulus.real(0.999999), 1e20),
+    ("1M2EM40_1E300", Modulus.real(1.0 - 2.0 ** -40), 1e300),
+    ("R2_1E16", Modulus.real(2.0), 1e16), ("R2_M1E300", Modulus.real(2.0), -1e300),
+    ("R1E20_1", Modulus.real(1e20), 1.0), ("R1E100_1", Modulus.real(1e100), 1.0),
+    ("I2_1E16", Modulus.imaginary(2.0), 1e16), ("I1E3_1E15", Modulus.imaginary(1e3), 1e15),
+    ("I1E7_1E12", Modulus.imaginary(1e7), 1e12)], ids=lambda v: v if isinstance(v, str) else "")
+def test_epsilon_past_the_reduction_bound(tag, m, x):
+    # past |x| = 2^51 K of the descent (of kx, of x/k1p) Z keeps no correct
+    # digit, and epsilon is its linear term, within 1e-15 of the value; the
+    # worst of five x from just past the bound to 3.1 times it reads 9.5e-16
+    # (i*1e7) over i*k in [1e-6, 6.7e7].  Z still refuses
+    ref = getattr(goldens, f"EPS_PAST_{tag}")
+    assert abs(epsilon_any(x, m) - ref) <= 1e-15 * abs(ref)
+    if m.regime is Regime.STANDARD:
+        assert epsilon(x, m.k) == epsilon_any(x, m)
+    with pytest.raises(DomainError, match="too large for k="):
+        zeta_any(x, m)
+
+
+def test_epsilon_past_the_float_range_names_x():
+    # the linear term of epsilon at i*1e7 overflows at x = 1e300: the
+    # dispatcher's guard names x, the regime and k; past k = 1, kx overflows
+    # and the linear term x slope stays finite
+    with pytest.raises(DomainError, match=re.escape(
+            "epsilon_any(x=1e+300) has no finite value for the pure_imaginary "
+            "modulus k=10000000.0")):
+        epsilon_any(1e300, Modulus.imaginary(1e7))
+    assert epsilon_any(1e300, Modulus.real(1e20)) == 1e300 * _rule(Modulus.real(1e20)).slope
 
 
 UNIT_ROUNDOFF = 2.0 ** -53

@@ -14,7 +14,10 @@ JSON printed has four parts:
   Every metric keeps its runs, the median and quartiles of each side,
   and the number of pairs the change wins in the direction
   BENCHMARK.json calls better (ties count for neither), beside `failed`
-  and `correct`.
+  and `correct`.  Before the first run the bytecode of both checkouts'
+  `src` and `bench` is written afresh (`compileall`, forced), so that
+  `setup_s` compares like with like: a tree left with `__pycache__` by
+  an earlier run imports faster than one without.
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds; the median of each side in microseconds
@@ -39,6 +42,7 @@ It takes about 50 minutes on a shared 2-vCPU host.
 """
 
 import argparse
+import compileall
 import importlib.util
 import json
 import os
@@ -92,7 +96,15 @@ def quartiles(values):
     return [round(q, 6) for q in statistics.quantiles(values, n=4)]
 
 
+def pin_bytecode(roots):
+    """Write the bytecode of each checkout's `src` and `bench` afresh."""
+    for root in roots:
+        for part in ("src", "bench"):
+            compileall.compile_dir(Path(root) / part, quiet=1, force=True)
+
+
 def end_to_end(roots, workloads, better, seconds):
+    pin_bytecode(roots)
     runs = {w: ([], []) for w in workloads}
     for i in range(PAIRS):
         for w in workloads:
@@ -133,7 +145,7 @@ def micro_calls(pkg):
     ez = sys.modules[pkg.__name__ + ".extended"]
     agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
     rule = ez._rule(ez.Modulus.real(2.0))
-    params = pkg.ElasticaParams(0.35)
+    params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
     nodes = [(m.regime.value, pkg.regime_integrand(m)) for m in (
         pkg.Modulus.real(0.5), pkg.Modulus.real(2.0), pkg.Modulus.imaginary(1.0))]
@@ -155,6 +167,9 @@ def micro_calls(pkg):
          lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(0.5), 1e-11)),
         ("sample_curve(flexural, 600)", 100,
          lambda: pkg.sample_curve("flexural", params, 0.0, 12.0, 600)),
+        ("sample_curve(inflexural, 600)", 100,
+         lambda: pkg.sample_curve("inflexural", inflexural, 0.0, 12.0, 600)),
+        ("flexural_point(0.7)", 10000, lambda: pkg.flexural_point(0.7, params)),
     )
 
 

@@ -227,4 +227,24 @@ for ktag, k in (("2", 2.0), ("1E3", 1e3)):
             emit(f"INFLEX_X_{utag}_K{ktag}", f(2 * eps_large_real(u, k) - mp.mpf(u)))
             emit(f"INFLEX_Y_{utag}_K{ktag}", f(-2 * mp.mpf(k) * dn))
 
+# epsilon past the reduction bound |x| = 2^51 K of the descent (of kx for
+# real k > 1, of x/k1p for i*k), where the library returns the linear term:
+# the exact value, periodic part included, with the digits that reducing x
+# by the period takes (log10 |x|) and, for real k > 1, the cancellation
+# between terms of size k^2 x; k and x are the exact doubles the tests pass
+for tag, eps, k, x in (("05_1E16", eps_reduced, 0.5, 1e16),
+                       ("05_M1E20", eps_reduced, 0.5, -1e20),
+                       ("0999999_1E20", eps_reduced, 0.999999, 1e20),
+                       ("1M2EM40_1E300", eps_reduced, 1.0 - 2.0 ** -40, 1e300),
+                       ("R2_1E16", eps_large_real, 2.0, 1e16),
+                       ("R2_M1E300", eps_large_real, 2.0, -1e300),
+                       ("R1E20_1", eps_large_real, 1e20, 1.0),
+                       ("R1E100_1", eps_large_real, 1e100, 1.0),
+                       ("I2_1E16", eps_imaginary, 2.0, 1e16),
+                       ("I1E3_1E15", eps_imaginary, 1e3, 1e15),
+                       ("I1E7_1E12", eps_imaginary, 1e7, 1e12)):
+    cancel = 2 * int(mp.log10(k)) if eps is eps_large_real else 0
+    with mp.workdps(int(mp.log10(abs(x * k))) + cancel + 40):
+        emit(f"EPS_PAST_{tag}", f(eps(x, k)))
+
 print("\n".join(lines))
