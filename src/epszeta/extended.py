@@ -11,12 +11,14 @@ that builds a rule and the only branch on the regime that evaluates
 anything.  The three rules answer the same four calls: `ek(s)`, E/K of
 the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
 `integrand()`, the real function whose integral from 0 to x is epsilon
-(the quadrature oracle's).  Each node of an integrand costs one bare
-descent, `agm.phase`, and a cosine: its square is formed from cos am,
-with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of
-an odd period index drops out, so no sin, sqrt or (sn, cn, dn) tuple is
-made; only the k = 1 limit keeps sech^2 from `jacobi`, since cos^2 gd t
-is not sech^2 t at large t.  The two real-modulus rules also give
+(the quadrature oracle's).  Each node of an integrand costs one
+amplitude-only descent, `agm.cos_phase`, which skips King's sum and
+gives the cosine of the reduced amplitude: its square is formed from
+cos am, with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the
+sign of an odd period index drops out, so no Z, sin, sqrt or tuple is
+made, and the closure holds only `agm` and k or k1p; only the k = 1
+limit keeps sech^2 from `jacobi`, since cos^2 gd t is not sech^2 t at
+large t.  The two real-modulus rules also give
 `columns(us, s)`, all an elastica curve needs and no more: the columns
 of cn of their own k and of P = epsilon - slope x at every x = u + s of
 a list, from one batch descent (`_Agm.phases`, jacobi.py), which refuses
@@ -241,7 +243,7 @@ class _Standard:
             return lambda t: agm.jacobi(t)[2] ** 2
 
         def dn2(t):
-            c = math.cos(agm.phase(t)[0])
+            c = agm.cos_phase(t)
             return agm.kp2 + (1.0 - agm.kp2) * c * c
         return dn2
 
@@ -313,7 +315,7 @@ class _LargeReal:
     def integrand(self):
         # cn^2(kt, 1/k) = cos^2 am(kt): the sign of an odd period drops out
         k, agm = self.m.k, self.agm
-        return lambda t: math.cos(agm.phase(k * t)[0]) ** 2
+        return lambda t: agm.cos_phase(k * t) ** 2
 
 
 class _Imaginary:
@@ -353,7 +355,7 @@ class _Imaginary:
         agm, k1p = self.agm, self.agm.kp
 
         def inverse_dn2(t):
-            c = math.cos(agm.phase(t / k1p)[0])
+            c = agm.cos_phase(t / k1p)
             return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)
         return inverse_dn2
 

@@ -44,14 +44,24 @@ DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
 linear term (E/K) x (epsilon_zeta.py, and each rule in extended.py).
 
-`_Agm.phases` is the batch descent of many x at one k, as an elastica
-curve takes it: the columns (phi, n, z) of `phase` at every x of a list,
-bit for bit, since one pass over the list runs the same operations in
-the same order at each x, z starting at 0.0.  It saves the call, the
-attribute lookups and the tuple of one `phase` per x (a loop of the
-steps over all x, step by step, was slower in pure Python).  It checks
-every x before it descends any, and on a failure replays `phase` in
-order, so it raises what `phase` raises at the first x that fails.
+The kernel descends in three ways, with the same reduction and the same
+steps, so they agree bit for bit; each computes only what its caller
+reads:
+
+- `phase(x)`, the one-x descent of the public routines and dispatchers,
+  gives (phi, n, z);
+- `phases(xs)`, the batch of many x at one k that an elastica curve
+  takes, gives the columns (phi, n, z) of `phase` over a list: one pass
+  over the list runs the same operations in the same order at each x,
+  z starting at 0.0.  It skips the call, the attribute lookups and the
+  tuple of one `phase` per x (a loop of the steps over all x, step by
+  step, was slower in pure Python).  It checks every x before it
+  descends any, and on a failure replays `phase` in order, so it raises
+  what `phase` raises at the first x that fails;
+- `cos_phase(x)`, a quadrature node's, gives cos phi alone, which is
+  +-cos am(x) (the sign of an odd period dropped), as an integrand
+  squares it.  It skips King's sum, n and the tuple, and it checks x as
+  `phase` does, raising the same error.
 
 Every public routine here and in epsilon_zeta.py is `_kernel(k)` and at
 most one descent.  `_kernel` is the one check of k: it strips the sign
@@ -72,6 +82,7 @@ names a phi that is not a finite float before reducing it.
 
 import math
 from collections import namedtuple
+from math import asin, cos, sin
 
 from .carlson import rf
 from .errors import _MAX_FLOAT, DomainError, _shown
@@ -141,20 +152,36 @@ class _Agm:
 
     def phase(self, x):
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
+        period = self._period
         try:
-            t = x / self._period
+            t = x / period
         except OverflowError:  # an int x past the float range
             raise _bad_x(self, x) from None
         if not abs(t) <= _MAX_PERIODS:
             raise _bad_x(self, x)
         n = round(t)
-        phi = self._scale * (x - self._period * n)
+        phi = self._scale * (x - period * n)
         z = 0.0
         for c, r in self._steps:
-            s = math.sin(phi)
+            s = sin(phi)
             z += c * s
-            phi = 0.5 * (phi + math.asin(r * s))
+            phi = 0.5 * (phi + asin(r * s))
         return phi, n, z
+
+    def cos_phase(self, x):
+        """cos phi of `phase(x)`, bit for bit: +-cos am(x), the sign of an odd
+        period dropped; the same check of x and steps, without Z, n or a tuple."""
+        period = self._period
+        try:
+            t = x / period
+        except OverflowError:  # an int x past the float range
+            raise _bad_x(self, x) from None
+        if not abs(t) <= _MAX_PERIODS:
+            raise _bad_x(self, x)
+        phi = self._scale * (x - period * round(t))
+        for _, r in self._steps:
+            phi = 0.5 * (phi + asin(r * sin(phi)))
+        return cos(phi)
 
     def phases(self, xs):
         """The columns [phi], [n], [z] of `phase` over the list xs, bit for bit

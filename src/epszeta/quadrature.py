@@ -71,8 +71,9 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     Standard: dn^2(t,k).  Real k > 1: cn^2(kt, 1/k).  Imaginary i*k:
     1/dn^2(t/k1p, k1).  It is the `integrand()` of the modulus's regime
     rule (extended.py), which builds the AGM kernel of the standard-range
-    modulus once, so each evaluation is one bare kernel descent and a
-    cosine, the square formed from cos am; at k = 1 it stays sech^2.
+    modulus once, so each evaluation is one amplitude-only descent
+    (`_Agm.cos_phase`, no King's sum) and the square formed from its cos
+    am; at k = 1 it stays sech^2.
     """
     return _rule(m).integrand()
 

@@ -171,16 +171,35 @@ BATCH_KERNELS = [
     *(_rule(Modulus.imaginary(k)).agm for k in (1e-6, 2.0, 1e7))]
 
 
-@pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))
-def test_batch_descent_is_phase_bit_for_bit(agm):
+def descent_xs(agm):
     period = agm._period
     edge = 2.0 ** 50 * period  # |x / 2K| = 2^50 exactly: the last x admitted
-    xs = [0.0, -0.0, 5e-324, -5e-324, 0.3, -0.3, *(n * period + 0.25 for n in range(-4, 5)),
-          *(n * period - 1e-9 for n in (1, 2, -3)), 0.5 * period, -0.5 * period,
-          edge, -edge, math.nextafter(edge, 0.0), 1e15 * period, 7]
+    return [0.0, -0.0, 5e-324, -5e-324, 0.3, -0.3, *(n * period + 0.25 for n in range(-4, 5)),
+            *(n * period - 1e-9 for n in (1, 2, -3)), 0.5 * period, -0.5 * period,
+            edge, -edge, math.nextafter(edge, 0.0), 1e15 * period, 7]
+
+
+@pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))
+def test_batch_descent_is_phase_bit_for_bit(agm):
+    xs = descent_xs(agm)
     columns = tuple(map(list, zip(*map(agm.phase, xs))))
     assert repr(agm.phases(xs)) == repr(columns)
     assert repr(agm.phases([-0.0])) == repr(([-0.0], [0], [0.0]))
+
+
+@pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))
+def test_cos_phase_is_cos_of_phase_bit_for_bit(agm):
+    # the quadrature node's descent against the cosine of the full one, on
+    # the kernels and x of the batch test above, and past the bound 2^51 K
+    for x in descent_xs(agm):
+        assert repr(agm.cos_phase(x)) == repr(math.cos(agm.phase(x)[0])), x
+    past = 2.0 ** 51 * agm._period
+    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, past, -past, 1e17):
+        with pytest.raises(DomainError) as node:
+            agm.cos_phase(bad)
+        with pytest.raises(DomainError) as full:
+            agm.phase(bad)
+        assert str(node.value) == str(full.value)
 
 
 @pytest.mark.parametrize("bad", [1e17, math.inf, -math.inf, math.nan, 10 ** 400])

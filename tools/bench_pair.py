@@ -144,6 +144,7 @@ def micro_calls(pkg):
     """(name, calls per timing, call) for one loaded package."""
     ez = sys.modules[pkg.__name__ + ".extended"]
     agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
+    panel = sys.modules[pkg.__name__ + ".quadrature"].newton_cotes_8
     rule = ez._rule(ez.Modulus.real(2.0))
     params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
@@ -163,8 +164,13 @@ def micro_calls(pkg):
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.imaginary(1.0))),
         ("zeta_any(0.5, imag 1)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.imaginary(1.0))),
         *((f"integrand node ({regime})", 100000, lambda f=f: f(0.7)) for regime, f in nodes),
+        ("newton_cotes_8 panel (standard)", 20000, lambda: panel(nodes[0][1], 0.0, 0.5)),
         ("epsilon_by_quadrature(0.5, real 0.5, 1e-11)", 2000,
          lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(0.5), 1e-11)),
+        ("epsilon_by_quadrature(0.5, real 2.5, 1e-11)", 1000,
+         lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(2.5), 1e-11)),
+        ("epsilon_by_quadrature(0.5, imag 1.5, 1e-11)", 2000,
+         lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.imaginary(1.5), 1e-11)),
         ("sample_curve(flexural, 600)", 100,
          lambda: pkg.sample_curve("flexural", params, 0.0, 12.0, 600)),
         ("sample_curve(inflexural, 600)", 100,
