@@ -42,8 +42,11 @@ class ElasticaParams(_Value):
                 raise DomainError(f"elastica requires finite {name} > 0, got {name}={_shown(v)}")
         if k == 1.0:
             raise DomainError("k = 1 is the borderline solitary loop and is not supported")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "omega", omega)
+        _set_k(self, k)
+        _set_omega(self, omega)
+
+
+_set_k, _set_omega = ElasticaParams.k.__set__, ElasticaParams.omega.__set__
 
 
 PlanePoint = namedtuple("PlanePoint", "x y")

@@ -5,10 +5,12 @@ included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
 the entry points.  Each regime has one rule, a private class that
 holds two things under the same names in every regime: `m`, the
 `Modulus` it was built from, and `agm`, the one standard-range AGM
-kernel (jacobi.py) its values descend.  `_rule(m)` builds it, once per
-call or per curve, from one table keyed by the regime: the only place
-that builds a rule and the only branch on the regime that evaluates
-anything.  The three rules answer the same four calls: `ek(s)`, E/K of
+kernel (jacobi.py) its values descend.  One table, `_RULES`, maps
+each regime to its rule: the only branch on the regime that evaluates
+anything.  A rule is built from it once per call or per curve, by
+`_rule(m)` or, a frame fewer, by the two dispatchers reading the table
+themselves; `Regime` members hash by identity, so the lookup runs no
+Python code.  The three rules answer the same four calls: `ek(s)`, E/K of
 the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
 `integrand()`, the real function whose integral from 0 to x is epsilon
 (the quadrature oracle's).  Each node of an integrand costs one
@@ -84,12 +86,20 @@ cannot convert.  The rule's descent at x, kx or x/k1p is the one check
 of x, a non-finite x included; a dispatcher names its x, regime and k
 when that descent fails (an int x past the float range included) or its
 result is not finite.
+
+Each fact is checked once, on the path of a fresh-modulus call:
+
+    k is a finite real number      `Modulus.__init__` (a float by its type)
+    k lies in its regime's range   `Modulus.__init__`, one comparison a bound
+    x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`)
+    the value is finite            the dispatcher: v - v == 0.0, for a
+                                   float and for both parts of a complex
 """
 
-import cmath
 import enum
 import math
 import operator
+from math import cos, sin, sqrt
 
 from .errors import _MAX_FLOAT, DomainError, _shown
 from .jacobi import EllipticPair, _Agm, _Unit, _kernel
@@ -119,11 +129,20 @@ class Regime(enum.Enum):
     LARGE_REAL = "large_real"
     PURE_IMAGINARY = "pure_imaginary"
 
+    # members are singletons: hashed by identity in C, where Enum's own
+    # __hash__ is a Python function that hashes the name
+    __hash__ = object.__hash__
+
+
+# the members as module names: a read of Regime.X goes through the enum's metaclass
+_STANDARD, _LARGE_REAL, _PURE_IMAGINARY = Regime.STANDARD, Regime.LARGE_REAL, Regime.PURE_IMAGINARY
+
 
 class _Value:
     """Frozen value semantics for a slotted class, as a frozen dataclass has
     them: `__match_args__` names the fields, in order, and `__init__` checks
-    them and sets them by object.__setattr__.  ==, hash and repr go by the
+    them and sets them through their slots' own `__set__`, which skips the
+    lookup that object.__setattr__ makes.  ==, hash and repr go by the
     fields, == only against the same type; setting or deleting an attribute
     raises AttributeError; and copy, deepcopy and pickle rebuild through
     `__init__`, so an unpickled value is checked again."""
@@ -166,40 +185,45 @@ class Modulus(_Value):
     __slots__ = __match_args__ = ("regime", "k")
 
     def __init__(self, regime, k):
-        # compared with the largest float, not by math.isfinite, which raises
-        # OverflowError on an int past the float range; NaN fails both ways
-        if isinstance(k, bool) or not (isinstance(k, (int, float)) and abs(k) <= _MAX_FLOAT):
+        # a float is real as it is; compared with the largest float, not by
+        # math.isfinite, which raises OverflowError on an int past the float
+        # range; NaN fails both ways
+        if (type(k) is not float and (isinstance(k, bool) or not isinstance(k, (int, float)))
+                or not abs(k) <= _MAX_FLOAT):
             raise _not_real(k)
-        if regime is Regime.STANDARD:
+        if regime is _STANDARD:
             if not 0.0 <= k <= 1.0:
                 raise DomainError(f"standard regime requires k in [0, 1], got k={k!r}")
-        elif regime is Regime.LARGE_REAL:
+        elif regime is _LARGE_REAL:
             if not k > 1.0:
                 raise DomainError(f"large-real regime requires k > 1, got k={k!r}")
             if not k <= _MAX_LARGE:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={k!r}: its k^2 overflows from k = 1.34e154 on")
-        elif regime is not Regime.PURE_IMAGINARY:
+        elif regime is not _PURE_IMAGINARY:
             raise DomainError(f"regime must be a Regime member, got regime={regime!r}")
         elif not k > 0.0:  # the pure-imaginary regime from here on
             raise DomainError(f"pure-imaginary regime requires k > 0, got k={k!r}")
         elif not k < _MAX_IMAG:
             raise DomainError(f"pure_imaginary modulus k={k!r}: k1 = k/sqrt(1+k^2) "
                               "rounds to 1 from k = 2^26 on, where K(k1) diverges")
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "k", k)
+        _set_regime(self, regime)
+        _set_k(self, k)
 
     @classmethod
     def real(cls, k: float) -> "Modulus":
         """Real modulus: |k| <= 1 is standard, |k| > 1 large-real."""
         k = _magnitude(k)
-        return cls(Regime.STANDARD if k <= 1.0 else Regime.LARGE_REAL, k)
+        return cls(_STANDARD if k <= 1.0 else _LARGE_REAL, k)
 
     @classmethod
     def imaginary(cls, k: float) -> "Modulus":
         """Imaginary modulus i*k; k = 0 collapses to the standard regime."""
         k = _magnitude(k)
-        return cls(Regime.STANDARD if k == 0.0 else Regime.PURE_IMAGINARY, k)
+        return cls(_STANDARD if k == 0.0 else _PURE_IMAGINARY, k)
+
+
+_set_regime, _set_k = Modulus.regime.__set__, Modulus.k.__set__
 
 
 class _Standard:
@@ -345,10 +369,13 @@ class _Imaginary:
         return complex(self._z(x), 0.0)
 
     def _z(self, x):
-        # Z(u + K(k1), k1)/k1p from one descent at u = x/k1p
+        # Z(u + K(k1), k1)/k1p from one descent at u = x/k1p; sn cn and dn are
+        # formed from phi as `_Agm.jacobi` forms them, where the sign of an odd
+        # period drops out of sn cn and of dn^2 = k1p^2 + k1^2 cn^2
         agm = self.agm
-        sn, cn, dn, z = agm.jacobi(x / agm.kp)
-        return (z - agm.k * agm.k * sn * cn / dn) / agm.kp
+        phi, _, z = agm.phase(x / agm.kp)
+        sn, cn, kp2 = sin(phi), cos(phi), agm.kp2
+        return (z - agm.k * agm.k * sn * cn / sqrt(kp2 + (1.0 - kp2) * cn * cn)) / agm.kp
 
     def integrand(self):
         # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as in `_Standard`
@@ -360,12 +387,12 @@ class _Imaginary:
         return inverse_dn2
 
 
-_RULES = {Regime.STANDARD: _Standard, Regime.LARGE_REAL: _LargeReal,
-          Regime.PURE_IMAGINARY: _Imaginary}
+_RULES = {_STANDARD: _Standard, _LARGE_REAL: _LargeReal, _PURE_IMAGINARY: _Imaginary}
 
 
 def _rule(m):
-    # the rule of the modulus's regime, built once per call
+    # the rule of the modulus's regime, built once per call (the dispatchers
+    # read the table themselves, a frame fewer)
     return _RULES[m.regime](m)
 
 
@@ -387,17 +414,11 @@ def _failed(fn, x, m, exc, arg="x"):
     return kind(f"{fn}({arg}={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
 
 
-def _evaluate(fn, x, m, run):
-    # run(rule) for epsilon_any and zeta_any; a descent error (a non-finite
-    # x included) or a non-finite value names the caller's x, the regime and k
-    try:
-        value = run(_rule(m))
-    except (DomainError, OverflowError) as exc:
-        raise _failed(fn, x, m, exc) from exc
-    if not cmath.isfinite(value):
-        raise DomainError(
-            f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
-    return value
+def _not_finite(fn, x, m):
+    # a dispatcher's value is infinite or NaN: the error names the caller's x,
+    # the regime and k
+    return DomainError(
+        f"{fn}(x={x!r}) has no finite value for the {m.regime.value} modulus k={m.k!r}")
 
 
 def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
@@ -429,7 +450,16 @@ def epsilon_any(x: float, m: Modulus) -> float:
     Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x, summed
     as in the module docstring.  Imaginary i*k: epsilon = Z + (E/K) x.
     """
-    return _evaluate("epsilon_any", x, m, lambda rule: rule.epsilon(x))
+    # a descent error (a non-finite x included) names the caller's x, the
+    # regime and k, as does a value that is not finite: v - v is 0.0 for a
+    # finite v and NaN for an infinite or NaN one
+    try:
+        value = _RULES[m.regime](m).epsilon(x)
+    except (DomainError, OverflowError) as exc:
+        raise _failed("epsilon_any", x, m, exc) from exc
+    if value - value == 0.0:
+        return value
+    raise _not_finite("epsilon_any", x, m)
 
 
 def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
@@ -440,4 +470,11 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     Imaginary i*k: Z(x/k1p + K(k1), k1)/k1p, shifted inside the primary cell.
     """
     s = _branch_sign(branch)
-    return _evaluate("zeta_any", x, m, lambda rule: rule.zeta(x, s))
+    # as in epsilon_any; v - v is 0.0 only if both parts of v are finite
+    try:
+        value = _RULES[m.regime](m).zeta(x, s)
+    except (DomainError, OverflowError) as exc:
+        raise _failed("zeta_any", x, m, exc) from exc
+    if value - value == 0.0:
+        return value
+    raise _not_finite("zeta_any", x, m)

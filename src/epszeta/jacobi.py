@@ -82,7 +82,7 @@ names a phi that is not a finite float before reducing it.
 
 import math
 from collections import namedtuple
-from math import asin, cos, sin
+from math import asin, cos, ldexp, sin, sqrt
 
 from .carlson import rf
 from .errors import _MAX_FLOAT, DomainError, _shown
@@ -111,7 +111,7 @@ class _Agm:
             raise DomainError(f"the AGM kernel needs 0 <= k < 1, got k={k!r}")
         if kp is None:
             kp2 = (1.0 - k) * (1.0 + k)
-            kp = math.sqrt(kp2)
+            kp = sqrt(kp2)
         elif 0.0 < kp <= 1.0:
             kp2 = kp * kp
         else:
@@ -127,17 +127,17 @@ class _Agm:
             # c(n+1) = (a(n) - b(n))/2 while it has no cancellation (module
             # docstring); c > a/4 here, so the descent cannot stop yet
             c = 0.5 * (a - b)
-            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            a, b = 0.5 * (a + b), sqrt(a * b)
             steps.append((c, c / a))
         while True:
-            a, b = 0.5 * (a + b), math.sqrt(a * b)
+            a, b = 0.5 * (a + b), sqrt(a * b)
             c = c * c / (4.0 * a)
             steps.append((c, c / a))
             if c * c <= 2.0 ** -51 * a * (c1 if c1 < a else a):
                 break
         tail = 0.0  # sum over n >= 2 of 2^(n-1) c(n)^2, from the smallest term up
         for e in range(len(steps) - 1, 0, -1):
-            tail += math.ldexp(steps[e][0] ** 2, e)
+            tail += ldexp(steps[e][0] ** 2, e)
         steps.reverse()  # the descent's order, n = N down to 1
         self.k, self.kp, self.kp2 = k, kp, kp2
         self.K = math.pi / (2.0 * a)
@@ -147,7 +147,7 @@ class _Agm:
         self.one_minus_ek = 0.5 * k * k + c1 ** 2 + tail
         self.E = self.K * self.ek
         self._period = 2.0 * self.K
-        self._scale = math.ldexp(a, len(steps))
+        self._scale = ldexp(a, len(steps))
         self._steps = tuple(steps)
 
     def phase(self, x):

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import struct
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -14,7 +15,7 @@ import epszeta
 from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
                      ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
                      zeta_any)
-from epszeta.extended import _MAX_IMAG, _MAX_LARGE, _rule
+from epszeta.extended import _MAX_IMAG, _MAX_LARGE, _RULES, _rule
 from epszeta.jacobi import _kernel
 from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    epsilon_large_real_via_zeta, imaginary_submoduli,
@@ -631,6 +632,60 @@ class TestDispatchers:
                      lambda m: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError, match="rounds to 1"):
                 call(Modulus.imaginary(1e8))
+
+    @pytest.mark.parametrize("value", [
+        math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+        *(complex(a, b) for a, b in [
+            (math.inf, 0.0), (0.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf),
+            (math.nan, 0.0), (0.0, math.nan), (math.inf, math.nan), (math.nan, math.inf),
+            (-0.0, -0.0), (5e-324, -5e-324), (1e308, -1e308), (-1e308, 1e308)])], ids=repr)
+    def test_finiteness_test_is_cmath_isfinite(self, monkeypatch, value):
+        # each dispatcher refuses what cmath.isfinite refuses, naming x, the
+        # regime and k, and returns anything else as the rule gave it
+        class Rule:
+            def __init__(self, m):
+                pass
+
+            def epsilon(self, x):
+                return value
+
+            def zeta(self, x, s):
+                return value
+
+        monkeypatch.setitem(_RULES, Regime.STANDARD, Rule)
+        m = Modulus.real(0.5)
+        for fn in (epsilon_any, zeta_any):
+            if cmath.isfinite(value):
+                assert fn(0.25, m) is value
+            else:
+                with pytest.raises(DomainError, match=re.escape(
+                        f"{fn.__name__}(x=0.25) has no finite value for the standard "
+                        "modulus k=0.5")):
+                    fn(0.25, m)
+
+    @pytest.mark.parametrize("fn, make, k, calls", [
+        (epsilon_any, Modulus.real, 0.5, 9), (epsilon_any, Modulus.real, 2.5, 8),
+        (epsilon_any, Modulus.imaginary, 2.5, 9), (zeta_any, Modulus.real, 0.5, 10),
+        (zeta_any, Modulus.real, 2.5, 11), (zeta_any, Modulus.imaginary, 2.5, 10)])
+    def test_python_calls_of_a_fresh_modulus_call(self, fn, make, k, calls):
+        # the Python-level frames of one fresh-modulus call, pinned: a change
+        # that adds one to this path, the benchmark's mixed-points, says so here
+        def call():
+            return fn(0.7, make(k))
+
+        call()
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        assert names[0] == "call"
+        assert len(names) - 1 == calls, names[1:]
 
 
 @pytest.mark.parametrize("m", [

@@ -151,10 +151,15 @@ def micro_calls(pkg):
     nodes = [(m.regime.value, pkg.regime_integrand(m)) for m in (
         pkg.Modulus.real(0.5), pkg.Modulus.real(2.0), pkg.Modulus.imaginary(1.0))]
     return (
+        ("Modulus.real(0.5)", 50000, lambda: pkg.Modulus.real(0.5)),
         ("Modulus.real(2.0)", 50000, lambda: pkg.Modulus.real(2.0)),
         ("Modulus.imaginary(1.0)", 50000, lambda: pkg.Modulus.imaginary(1.0)),
+        ("ElasticaParams(0.35)", 50000, lambda: pkg.ElasticaParams(0.35)),
         ("_Agm(0.5)", 20000, lambda: agm(0.5)),
         ("_LargeReal(2).legendre()", 20000, rule.legendre),
+        ("epsilon_any(0.5, real 0.5)", 10000,
+         lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(0.5))),
+        ("zeta_any(0.5, real 0.5)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.real(0.5))),
         ("epsilon_any(0.5, real 2)", 10000, lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(2.0))),
         ("zeta_any(0.5, real 2)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.real(2.0))),
         ("ek_ratio(real 2)", 10000, lambda: pkg.ek_ratio(pkg.Modulus.real(2.0))),

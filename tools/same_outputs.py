@@ -19,7 +19,14 @@ exception it raised:
   from this checkout's `src`), the other callers of the large-real rule's
   Legendre relation besides `zeta_any`;
 - every public routine given the int 10**400, past the float range, as
-  one argument.
+  one argument;
+- the constructors of the checked values, `Modulus(regime, k)` for each
+  regime, `Modulus.real`, `Modulus.imaginary` and `ElasticaParams`, each
+  given every k of a list: a bool, numpy's bool, a str and bytes, NaN,
+  both infinities, a negative k, 10**400 and both sides of each regime's
+  range bounds (the large-real one read from this checkout's `src`, as
+  above); `Modulus` given a regime that is not a `Regime`; and
+  `ElasticaParams` at k = 1 and with an omega that is not finite and > 0.
 
 It also runs each command line of `COMMANDS` through `epszeta.cli.main`
 in-process and records its transcript: the exit code (or the type and
@@ -163,6 +170,35 @@ def past_the_float_range():
     )
 
 
+def refusals(top):
+    """(name, call) for each constructor of a checked value given each input it
+    may refuse (module docstring); top is the large-real bound, _MAX_LARGE."""
+    import numpy
+    from epszeta import ElasticaParams, Modulus, Regime
+    ks = (True, numpy.bool_(True), "0.5", b"0.5", math.nan, math.inf, -math.inf, -0.5, BIG,
+          # both sides of each regime's range bounds
+          -0.0, 0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, 2, top,
+          math.nextafter(top, math.inf), math.nextafter(2.0 ** 26, 0.0), 2.0 ** 26)
+    omegas = (0.0, -1.0, math.nan, math.inf, BIG, True, numpy.bool_(True), "1.0", None)
+    constructors = (
+        *((f"Modulus({regime})", lambda k, regime=regime: Modulus(regime, k)) for regime in Regime),
+        ("Modulus.real", Modulus.real), ("Modulus.imaginary", Modulus.imaginary),
+        ("ElasticaParams", ElasticaParams))
+
+    def shown(v):
+        return "10**400" if v is BIG else repr(v)
+    return (
+        *((f"{name} k={shown(k)}", lambda make=make, k=k: make(k))
+          for name, make in constructors for k in ks),
+        *((f"Modulus({regime!r}, {k!r})", lambda regime=regime, k=k: Modulus(regime, k))
+          for regime in ("standard", None, 0) for k in (0.5, math.nan)),
+        *((f"ElasticaParams k={k!r}", lambda k=k: ElasticaParams(k))
+          for k in (1, numpy.float64(1.0))),
+        *((f"ElasticaParams omega={shown(omega)}", lambda omega=omega: ElasticaParams(0.5, omega))
+          for omega in omegas),
+    )
+
+
 def outcome(op, row):
     """The repr of op(*row), or the type and message of what it raised."""
     try:
@@ -205,6 +241,8 @@ def emit(out, missing, top):
                   outcome(lambda k, branch: fn(Modulus.real(k), branch), row))
     for i, (name, call) in enumerate(past_the_float_range()):
         write("int past the float range", i, name, outcome(call, ()))
+    for i, (name, call) in enumerate(refusals(top)):
+        write("constructor refusals", i, name, outcome(call, ()))
     for i, argv in enumerate(COMMANDS):
         argv = [a.format(missing=missing) for a in argv]
         write(CLI, i, " ".join(argv), transcript(argv))
