@@ -10,10 +10,12 @@ each regime to its rule: the only branch on the regime that evaluates
 anything.  A rule is built from it once per call or per curve, by
 `_rule(m)` or, a frame fewer, by the two dispatchers reading the table
 themselves; `Regime` members hash by identity, so the lookup runs no
-Python code.  The three rules answer the same four calls: `ek(s)`, E/K of
-the modulus on the branch of sign s; `epsilon(x)`; `zeta(x, s)`; and
-`integrand()`, the real function whose integral from 0 to x is epsilon
-(the quadrature oracle's).  Each node of an integrand costs one
+Python code.  The three rules answer the same four calls and one
+attribute: `ek(s)`, E/K of the modulus on the branch of sign s;
+`epsilon(x)`; `zeta(x, s)`; `integrand()`, the real function whose
+integral from 0 to x is epsilon (the quadrature oracle's); and `half`,
+its half period H in t: the integrand has period 2H and is even about H
+(DLMF 22.4), which the oracle folds by.  Each node of an integrand costs one
 amplitude-only descent, `agm.cos_phase`, which skips King's sum and
 gives the cosine of the reduced amplitude: its square is formed from
 cos am, with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the
@@ -44,12 +46,12 @@ same kernel, whose last step gives K'/K through the nome
 (`_Agm.period_ratio`); zeta and E/K need only K', and `pair(s)` alone
 builds the complement's kernel, for E', and only up to k = sqrt(2).
 With s the branch sign, slope = 1 - k^2 (1 - E/K), which tends to 1/2
-without cancellation, half = (pi/2) k^2 / (K^2 + K'^2) and
+without cancellation, w = (pi/2) k^2 / (K^2 + K'^2) and
 k_c^2 = 1 - 1/k^2:
 
     epsilon(x, k) = x slope + k Z(kx, 1/k)
-    Z(x, k)       = k Z(kx, 1/k) + half (K'/K) x + i s half x
-    E/K of k      = slope - half K'/K - i s half
+    Z(x, k)       = k Z(kx, 1/k) + w (K'/K) x + i s w x
+    E/K of k      = slope - w K'/K - i s w
     K(k)          = (K + i s K')/k
     E(k)          = k (K (1/k^2 - (1 - E/K)) - i s K' (k_c^2 - (1 - E'/K')))
 
@@ -113,9 +115,8 @@ def _not_real(k):
 
 
 def _magnitude(k):
-    # |k| as a float; float() would also take a bool (numpy's too) and parse a string
-    if type(k) is float:  # the common case, checked first to keep it cheap
-        return abs(k)
+    # |k| as a float of a k that is not one; float() would also take a bool
+    # (numpy's too) and parse a string
     if type(k).__name__ not in ("bool", "bool_") and not isinstance(k, (str, bytes, bytearray)):
         try:
             return abs(float(k))
@@ -213,13 +214,13 @@ class Modulus(_Value):
     @classmethod
     def real(cls, k: float) -> "Modulus":
         """Real modulus: |k| <= 1 is standard, |k| > 1 large-real."""
-        k = _magnitude(k)
+        k = abs(k) if type(k) is float else _magnitude(k)  # a float skips a frame
         return cls(_STANDARD if k <= 1.0 else _LARGE_REAL, k)
 
     @classmethod
     def imaginary(cls, k: float) -> "Modulus":
         """Imaginary modulus i*k; k = 0 collapses to the standard regime."""
-        k = _magnitude(k)
+        k = abs(k) if type(k) is float else _magnitude(k)  # a float skips a frame
         return cls(_STANDARD if k == 0.0 else _PURE_IMAGINARY, k)
 
 
@@ -236,6 +237,8 @@ class _Standard:
 
     # E/K, read through at no cost to building the rule
     slope = property(operator.attrgetter("agm.ek"))
+    # the integrand's half period K, in t: inf at k = 1
+    half = property(operator.attrgetter("agm.K"))
 
     def ek(self, s):
         return complex(self.agm.ek, 0.0)
@@ -285,18 +288,18 @@ class _LargeReal:
         self.slope = 1.0 - k * k * self.agm.one_minus_ek
 
     def legendre(self):
-        # (half, half K'/K) with K' = K (K'/K) of the complement of 1/k, which
+        # (w, w K'/K) with K' = K (K'/K) of the complement of 1/k, which
         # epsilon and dn do not need, from the kernel's nome.  k^2 is scaled
         # by a factor below 1, as (pi/2) k^2 can overflow
         agm, k = self.agm, self.m.k
         ratio = agm.period_ratio()
         kc = agm.K * ratio
-        half = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
-        return half, half * ratio
+        w = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
+        return w, w * ratio
 
     def ek(self, s):
-        half, drift = self.legendre()
-        return complex(self.slope - drift, -s * half)
+        w, drift = self.legendre()
+        return complex(self.slope - drift, -s * w)
 
     def pair(self, s):
         # (K(k), E(k)) on the branch of sign s.  Re E/k = E(1/k) - (1 - 1/k^2)
@@ -333,8 +336,13 @@ class _LargeReal:
 
     def zeta(self, x, s):
         k = self.m.k
-        half, drift = self.legendre()
-        return complex(k * self.agm.phase(k * x)[2] + drift * x, s * half * x)
+        w, drift = self.legendre()
+        return complex(k * self.agm.phase(k * x)[2] + drift * x, s * w * x)
+
+    @property
+    def half(self):
+        # the integrand's half period in t: K(1/k)/k
+        return self.agm.K / self.m.k
 
     def integrand(self):
         # cn^2(kt, 1/k) = cos^2 am(kt): the sign of an odd period drops out
@@ -376,6 +384,11 @@ class _Imaginary:
         phi, _, z = agm.phase(x / agm.kp)
         sn, cn, kp2 = sin(phi), cos(phi), agm.kp2
         return (z - agm.k * agm.k * sn * cn / sqrt(kp2 + (1.0 - kp2) * cn * cn)) / agm.kp
+
+    @property
+    def half(self):
+        # the integrand's half period in t: K(k1) k1p
+        return self.agm.K * self.agm.kp
 
     def integrand(self):
         # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as in `_Standard`

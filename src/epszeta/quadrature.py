@@ -4,6 +4,13 @@ The 9-point rule is exact through degree 9.  Adaptive bisection compares
 each interval against its two halves and accepts once the Richardson
 estimate |delta|/1023 meets the local tolerance (the rule's local error
 scales as h^11, so halving the step gains a factor of 2^10).
+
+`epsilon_by_quadrature`, the oracle that checks the regime transforms,
+integrates a regime's integrand (extended.py) from 0 to |x|.  Once |x|
+spans two of the integrand's half periods it folds by them: it
+integrates one half period once and the rest once (its docstring), so
+an interval of many periods costs little more than one and cannot alias
+under its first 9-node panel.
 """
 
 from collections import namedtuple
@@ -11,6 +18,7 @@ from collections.abc import Callable
 
 from .errors import _MAX_FLOAT, ConvergenceError, DomainError
 from .extended import Modulus, _failed, _rule
+from .jacobi import _MAX_PERIODS
 
 # closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
 _NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
@@ -84,10 +92,30 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     The slow, independent route used to validate the transformation
     formulas.  Every regime integrand is even in t, so negative x is
     folded through the origin and the result is exactly odd in x.
+
+    Each integrand f has period 2H and is even about H as about 0, with
+    H = K(k), K(1/k)/k or K(k1) k1p (the rule's `half`), so each half
+    period holds the same integral J.  Where 2H <= |x| <= 2^50 H, with
+    |x| = q H + r and 0 <= r < H, the result is q J + R: J integrated
+    once on [0, H] to tol/(2q), and R on [0, r] for even q or [H - r, H]
+    for odd q to tol/2.  This assumes only the period and symmetry of
+    dn^2, cn^2 and 1/dn^2, not the transforms under test; J's error is
+    multiplied by q.  Everywhere else, and always at k = 1 (H = inf), it
+    is one integration of [0, |x|] to tol, whose last node meets the
+    descent's refusal of x past 2^51 H.
     """
+    # H from a rule dropped before the integrand builds its own: one kernel at a time
+    half = _rule(m).half
     f = regime_integrand(m)
+    ax = abs(x)
     try:
-        value = integrate(f, 0.0, abs(x), tol).value
+        if 2.0 * half <= ax <= _MAX_PERIODS * half:
+            q, r = divmod(ax, half)  # r = |x| - q H exactly
+            whole = integrate(f, 0.0, half, tol / (2.0 * q)).value
+            a, b = (half - r, half) if q % 2 else (0.0, r)
+            value = q * whole + integrate(f, a, b, 0.5 * tol).value
+        else:
+            value = integrate(f, 0.0, ax, tol).value
     except (DomainError, ConvergenceError) as exc:
         # the integrand sees kt or t/k1p and the bisection its own interval, not the caller's x
         raise _failed("epsilon_by_quadrature", x, m, exc) from exc

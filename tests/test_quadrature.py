@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import goldens
-from epszeta import (ConvergenceError, DomainError, Modulus, complete_k,
+from epszeta import (ConvergenceError, DomainError, Modulus, complete_k, epsilon_any,
                      epsilon_by_quadrature, regime_integrand, sncndn)
+from epszeta import quadrature
+from epszeta.extended import _rule
 from epszeta.quadrature import integrate, newton_cotes_8
 
 
@@ -174,7 +176,6 @@ class TestEpsilonByQuadrature:
             0.689051, abs=5e-7)
 
     def test_agrees_with_transform_on_regime_grid(self):
-        from epszeta import epsilon_any
         for m in (Modulus.real(0.6), Modulus.real(2.5), Modulus.imaginary(1.2)):
             for x in (-2.0, -0.5, 0.25, 0.75, 1.5, 3.0, 4.5):
                 gap = abs(epsilon_by_quadrature(x, m, 1e-11) - epsilon_any(x, m))
@@ -211,3 +212,85 @@ class TestEpsilonByQuadrature:
         with pytest.raises(ConvergenceError, match=r"^epsilon_by_quadrature\(x=0\.5\) fails "
                            r"for the pure_imaginary modulus k=10000\.0: no convergence to tol="):
             epsilon_by_quadrature(0.5, m)
+
+
+class TestFoldByHalfPeriod:
+    # the integrand has period 2H and is even about H; from |x| = 2H on the
+    # oracle integrates one half period once (the docstring of epsilon_by_quadrature)
+    @pytest.mark.parametrize("m", [Modulus.real(0.0), Modulus.real(0.5), Modulus.real(1.0 - 1e-12),
+                                   Modulus.real(1.0 + 1e-9), Modulus.real(3.0), Modulus.real(1e6),
+                                   Modulus.imaginary(0.1), Modulus.imaginary(3.0),
+                                   Modulus.imaginary(1e7)], ids=repr)
+    def test_half_is_the_integrand_half_period(self, m):
+        # H = K(k), K(1/k)/k or K(k1) k1p, against 30-digit mpmath from the exact k
+        with mp.workdps(30):
+            k = mp.mpf(m.k)
+            if m.regime.value == "standard":
+                want = mp.ellipk(k * k)
+            elif m.regime.value == "large_real":
+                want = mp.ellipk(1 / (k * k)) / k
+            else:
+                want = mp.ellipk(k * k / (1 + k * k)) / mp.sqrt(1 + k * k)
+            assert abs(_rule(m).half - want) <= 1e-14 * want
+
+    def test_no_half_period_at_k_one(self):
+        assert _rule(Modulus.real(1.0)).half == math.inf
+
+    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(1.0), Modulus.real(5.0),
+                                   Modulus.real(100.0), Modulus.imaginary(1.5),
+                                   Modulus.imaginary(10.0)], ids=repr)
+    def test_one_integration_below_two_half_periods(self, m):
+        # |x| < 2H (H = inf at k = 1): the single integration of [0, |x|], bit for bit
+        span = min(2.0 * _rule(m).half, 40.0)
+        for x in (0.3 * span, -0.5 * span, 0.999 * span, math.nextafter(span, 0.0)):
+            want = integrate(regime_integrand(m), 0.0, abs(x), 1e-11).value
+            assert epsilon_by_quadrature(x, m, 1e-11) == math.copysign(want, x), x
+
+    @pytest.mark.parametrize("m, x", [
+        *((Modulus.real(k), x) for k in (2.0, 5.0, 100.0, 1e3, 1e4) for x in (0.5, -3.0)),
+        *((Modulus.imaginary(k), 3.0) for k in (1.0, 3.0, 10.0))], ids=repr)
+    def test_agrees_with_transform_across_many_periods(self, m, x):
+        # up to k = 1e3 the whole-interval bisection aliased: 0.24 off at
+        # real k = 100, 0.039 at 1e3
+        assert abs(epsilon_by_quadrature(x, m, 1e-11) - epsilon_any(x, m)) <= 1e-10
+
+    def test_even_and_odd_half_period_counts(self):
+        # q = 2 and q = 3 half periods before the rest, on either side of the midpoint
+        m = Modulus.real(0.5)
+        half = _rule(m).half
+        for x in (2.2 * half, 2.8 * half, 3.2 * half, 3.7 * half, 4.0 * half):
+            assert abs(epsilon_by_quadrature(x, m, 1e-12) - epsilon_any(x, m)) <= 1e-11, x
+
+    @pytest.mark.parametrize("m, x", [(Modulus.real(5.0), 3.0), (Modulus.real(5.0), -2.6),
+                                      (Modulus.imaginary(3.0), 3.0)], ids=repr)
+    def test_intervals_and_tolerance_split(self, monkeypatch, m, x):
+        # q J + R: J on [0, H] to tol/(2q), R on [0, r] (q even) or [H - r, H] (q odd) to tol/2
+        seen = []
+
+        def recording(f, a, b, tol):
+            seen.append((a, b, tol))
+            return integrate(f, a, b, tol)
+        monkeypatch.setattr(quadrature, "integrate", recording)
+        half = _rule(m).half
+        q, r = divmod(abs(x), half)
+        epsilon_by_quadrature(x, m, 1e-11)
+        rest = (half - r, half) if q % 2 else (0.0, r)
+        assert seen == [(0.0, half, 1e-11 / (2.0 * q)), (*rest, 0.5e-11)]
+
+    def test_evaluations_at_real_five(self, monkeypatch):
+        # every node goes through the module's regime_integrand; the whole
+        # interval [0, 3] took 567 evaluations
+        count = [0]
+
+        def counting(m):
+            f = regime_integrand(m)
+
+            def g(t):
+                count[0] += 1
+                return f(t)
+            return g
+        monkeypatch.setattr(quadrature, "regime_integrand", counting)
+        m = Modulus.real(5.0)
+        value = epsilon_by_quadrature(3.0, m, 1e-11)
+        assert count[0] <= 120
+        assert abs(value - epsilon_any(3.0, m)) <= 1e-10

@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has four parts:
+JSON printed has five parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -18,6 +18,11 @@ JSON printed has four parts:
   `src` and `bench` is written afresh (`compileall`, forced), so that
   `setup_s` compares like with like: a tree left with `__pycache__` by
   an earlier run imports faster than one without.
+- `per_layer`: for each workload, one `bench/run.py --seed SEED --trace 1`
+  run of `TRACE_SECONDS` per side, the change's after the parent's: the
+  per-layer metrics of each side (call and evaluation counts per op,
+  self time per op, the per-regime maximum error), beside `failed` and
+  `correct`.
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds; the median of each side in microseconds
@@ -27,7 +32,10 @@ JSON printed has four parts:
   `epszeta.cli eval`, for each side, beside a bare interpreter that only
   sets the same `sys.path`; `STARTUP_RUNS` rounds, each starting every
   row for the parent and the change one after the other (the order
-  flipped on every other round), and the median of each side in
+  flipped on every other round).  A bare row gives its own time; every
+  other row gives its time less the bare row with the same flags of the
+  same round and side, which cancels the host's drift between rounds.
+  Each side has the median and quartiles of its rounds, in
   milliseconds.  `-S` leaves out `site`, whose `.pth` files may import
   modules before epszeta does, and `-I` the environment.
 - `cli_wall_s`: the wall time in seconds of a fresh interpreter running
@@ -35,10 +43,10 @@ JSON printed has four parts:
   PYTHONPATH: the two 600-sample `elastica` exports of the benchmark's
   shape, `tables`, `check --trials 1000` and the tier-1 suite of the
   checkout; `CLI_RUNS` rounds, alternating as above, and the median of
-  each side beside the exit codes seen (`check --trials 1000` exits 4
-  on seed 0, which is recorded, not raised).
+  each side beside the exit codes seen (an exit 4 of `check`, a failed
+  cross-check, is recorded, not raised).
 
-It takes about 50 minutes on a shared 2-vCPU host.
+It takes about 55 minutes on a shared 2-vCPU host.
 """
 
 import argparse
@@ -56,10 +64,12 @@ import timeit
 from pathlib import Path
 
 PAIRS, SEED = 10, 1
+TRACE_SECONDS = 10
 MICRO_ROUNDS = 15
 STARTUP_RUNS = 21
 PATH_CODE = "import sys; sys.path.insert(0, sys.argv[1]); "
-# (name, interpreter flags, code after PATH_CODE); the bare rows set the path only
+# (name, interpreter flags, code after PATH_CODE); the bare rows set the path only,
+# and every other row is reported less the bare row with its flags
 STARTUPS = (
     ("bare", (), "pass"),
     ("import epszeta", (), "import epszeta"),
@@ -83,11 +93,11 @@ CLI_COMMANDS = (
 )
 
 
-def bench_run(root, workload, seconds):
-    """The result line of one `bench/run.py --trace 0` run of the checkout at root."""
+def bench_run(root, workload, seconds, trace=0):
+    """The result line of one `bench/run.py` run of the checkout at root."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -125,6 +135,19 @@ def end_to_end(roots, workloads, better, seconds):
                          "change_quartiles": quartiles(values[1]),
                          "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values)),
                          "parent_runs": values[0], "change_runs": values[1]}
+        table[w] = row
+    return table
+
+
+def per_layer(roots, workloads):
+    table = {}
+    for w in workloads:
+        sides = [bench_run(root, w, TRACE_SECONDS, trace=1) for root in roots]
+        print(f"traced {w}", file=sys.stderr)
+        row = {"failed": [r["failed"] for r in sides], "correct": all(r["correct"] for r in sides)}
+        for name, entry in sides[0]["metrics"].items():
+            row[name] = {"unit": entry["unit"], "parent": sides[0]["metrics"][name]["value"],
+                         "change": sides[1]["metrics"][name]["value"]}
         table[w] = row
     return table
 
@@ -176,6 +199,11 @@ def micro_calls(pkg):
          lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(2.5), 1e-11)),
         ("epsilon_by_quadrature(0.5, imag 1.5, 1e-11)", 2000,
          lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.imaginary(1.5), 1e-11)),
+        # many half periods of the integrand in [0, x]
+        ("epsilon_by_quadrature(3.0, real 5, 1e-11)", 200,
+         lambda: pkg.epsilon_by_quadrature(3.0, pkg.Modulus.real(5.0), 1e-11)),
+        ("epsilon_by_quadrature(3.0, imag 3, 1e-11)", 200,
+         lambda: pkg.epsilon_by_quadrature(3.0, pkg.Modulus.imaginary(3.0), 1e-11)),
         ("sample_curve(flexural, 600)", 100,
          lambda: pkg.sample_curve("flexural", params, 0.0, 12.0, 600)),
         ("sample_curve(inflexural, 600)", 100,
@@ -212,11 +240,18 @@ def child_cpu_ms(root, flags, code):
 def startup(roots):
     times = {name: ([], []) for name, _, _ in STARTUPS}
     for i in range(STARTUP_RUNS):
+        bare = {}  # flags -> this round's bare time of each side
         for name, flags, code in STARTUPS:
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                times[name][side].append(child_cpu_ms(roots[side], flags, code))
+                ms = child_cpu_ms(roots[side], flags, code)
+                if code == "pass":
+                    bare[flags, side] = ms
+                else:
+                    ms -= bare[flags, side]
+                times[name][side].append(ms)
     return {name: {"parent": round(statistics.median(p), 2),
-                   "change": round(statistics.median(c), 2)}
+                   "change": round(statistics.median(c), 2),
+                   "parent_quartiles": quartiles(p), "change_quartiles": quartiles(c)}
             for name, (p, c) in times.items()}
 
 
@@ -260,8 +295,12 @@ def main(argv):
         "end_to_end": {"command": f"bench/run.py --seed {SEED} --seconds {seconds} --trace 0, "
                                   f"{PAIRS} alternating pairs",
                        **end_to_end(roots, workloads, better, seconds)},
+        "per_layer": {"command": f"bench/run.py --seed {SEED} --seconds {TRACE_SECONDS} "
+                                 "--trace 1, one run per side",
+                      **per_layer(roots, workloads)},
         "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots)},
-        "startup_cpu_ms": {"runs": STARTUP_RUNS, **startup(roots)},
+        "startup_cpu_ms": {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
+                           **startup(roots)},
         "cli_wall_s": {"runs": CLI_RUNS, **cli_wall(roots)},
     }
     print(json.dumps(result, indent=1))
