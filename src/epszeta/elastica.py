@@ -6,8 +6,8 @@ length times omega, so |dP/du| = 1/omega identically along both curves.
 Both have one point formula, the flexural closed form continued past
 k = 1: x = (2 (slope u + P(u + s)) - u)/omega and y = -2k cn(u + s)/omega,
 with slope, and the columns of P = epsilon - slope x and cn of k from
-one batch descent over all u (`columns` of the modulus's regime rule,
-`_rule(m)` in extended.py, built once per curve); the start s is K for
+one batch descent over all u (`columns` of the rule that the curve's
+`Modulus` built, extended.py, once per curve); the start s is K for
 the flexural curve, which so passes through the origin, and 0 for the
 in-flexural one.  Its one batch, `_curve`, gives the columns of x and y
 to sampled curves, to the command line's CSV export and, as a batch of
@@ -29,7 +29,7 @@ import sys
 from collections import namedtuple
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .extended import Modulus, Regime, _failed, _rule, _Value
+from .extended import Modulus, Regime, _failed, _Value
 
 
 class ElasticaParams(_Value):
@@ -59,7 +59,7 @@ def _curve(kind, p, us):
     # the point formula (module docstring): slope u + P(u + s) is
     # epsilon(u + s) - epsilon(s), as P vanishes at s = K and at s = 0
     m = Modulus(_CURVES[kind], p.k)
-    rule = _rule(m)
+    rule = m._rule
     slope, w, a = rule.slope, p.omega, -2.0 * m.k
     start = rule.agm.K if kind == "flexural" else 0  # an int u stays an int
 

@@ -3,15 +3,19 @@
 A `Modulus` is the one place where a modulus is validated, its range
 included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
 the entry points.  Each regime has one rule, a private class that
-holds two things under the same names in every regime: `m`, the
-`Modulus` it was built from, and `agm`, the one standard-range AGM
-kernel (jacobi.py) its values descend.  One table, `_RULES`, maps
-each regime to its rule: the only branch on the regime that evaluates
-anything.  A rule is built from it once per call or per curve, by
-`_rule(m)` or, a frame fewer, by the two dispatchers reading the table
-themselves; `Regime` members hash by identity, so the lookup runs no
-Python code.  The three rules answer the same four calls and one
-attribute: `ek(s)`, E/K of the modulus on the branch of sign s;
+holds two things under the same names in every regime: `k`, the
+modulus's own k, and `agm`, the one standard-range AGM kernel
+(jacobi.py) its values descend; never the `Modulus`, so no reference
+cycle is made.  One table, `_RULES`, maps each regime to its rule: the
+only branch on the regime that evaluates anything.  `Modulus.__init__`
+builds its regime's rule once, into the slot `_rule`, after its checks;
+`Regime` members hash by identity, so the lookup runs no Python code.
+Every caller reads that one rule: the dispatchers, `k_e_continued`, the
+elastica's curves and the quadrature oracle, whose half period and
+integrand so descend the kernel that `epsilon_any` does.  A caller who
+holds a `Modulus` builds the kernel once, with it, and each value after
+that costs one descent.  The three rules answer the same four calls and
+one attribute: `ek(s)`, E/K of the modulus on the branch of sign s;
 `epsilon(x)`; `zeta(x, s)`; `integrand()`, the real function whose
 integral from 0 to x is epsilon (the quadrature oracle's); and `half`,
 its half period H in t: the integrand has period 2H and is even about H
@@ -27,8 +31,8 @@ large t.  The two real-modulus rules also give
 of cn of their own k and of P = epsilon - slope x at every x = u + s of
 a list, from one batch descent (`_Agm.phases`, jacobi.py), which refuses
 what one descent would.  Past the reduction bound of the descent,
-where Z keeps no correct digit, each rule's `epsilon` is its linear term
-(slope x): the periodic part is at most about 2^-50 of it there.
+where Z keeps no correct digit, `epsilon_any` returns the rule's linear
+term (slope x): the periodic part is at most about 2^-50 of it there.
 Signs of moduli are stripped up front: epsilon and zeta are even in the
 modulus.
 
@@ -81,7 +85,9 @@ member is refused by name.  A `Modulus` is a frozen value, as
 `elastica.ElasticaParams` is: both derive `_Value`, which gives them
 ==, hash, repr, copy and pickle by their fields without importing
 `dataclasses` (and through it `inspect`, about half the library's
-import time), and a copied or unpickled value is checked again.
+import time), and a copied or unpickled value is checked again.  The
+fields of a `Modulus` are `regime` and `k` alone; its rule is not one,
+so a pickle holds no kernel and a copy builds its own.
 `Modulus.real` and `Modulus.imaginary` take |k| as a float first and
 refuse, as non-real, a bool (numpy's too), a string and what float()
 cannot convert.  The rule's descent at x, kx or x/k1p is the one check
@@ -93,7 +99,9 @@ Each fact is checked once, on the path of a fresh-modulus call:
 
     k is a finite real number      `Modulus.__init__` (a float by its type)
     k lies in its regime's range   `Modulus.__init__`, one comparison a bound
-    x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`)
+    x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`);
+                                   `epsilon_any` takes a finite x past the
+                                   reduction bound as its linear term
     the value is finite            the dispatcher: v - v == 0.0, for a
                                    float and for both parts of a complex
 """
@@ -101,7 +109,7 @@ Each fact is checked once, on the path of a fresh-modulus call:
 import enum
 import math
 import operator
-from math import cos, sin, sqrt
+from math import cos, hypot, sin, sqrt
 
 from .errors import _MAX_FLOAT, DomainError, _shown
 from .jacobi import EllipticPair, _Agm, _Unit, _kernel
@@ -181,16 +189,18 @@ class Modulus(_Value):
 
     `real` and `imaginary` strip the sign of k; Modulus(regime, k) itself
     takes k as given and refuses a negative one, e.g.
-    Modulus(Regime.STANDARD, -0.5).
+    Modulus(Regime.STANDARD, -0.5).  A Modulus builds the AGM kernel of
+    its regime once, so a caller who evaluates many x at one k holds one.
     """
-    __slots__ = __match_args__ = ("regime", "k")
+    __match_args__ = ("regime", "k")
+    __slots__ = (*__match_args__, "_rule")
 
     def __init__(self, regime, k):
         # a float is real as it is; compared with the largest float, not by
         # math.isfinite, which raises OverflowError on an int past the float
         # range; NaN fails both ways
         if (type(k) is not float and (isinstance(k, bool) or not isinstance(k, (int, float)))
-                or not abs(k) <= _MAX_FLOAT):
+                or not -_MAX_FLOAT <= k <= _MAX_FLOAT):
             raise _not_real(k)
         if regime is _STANDARD:
             if not 0.0 <= k <= 1.0:
@@ -210,30 +220,42 @@ class Modulus(_Value):
                               "rounds to 1 from k = 2^26 on, where K(k1) diverges")
         _set_regime(self, regime)
         _set_k(self, k)
+        _set_rule(self, _RULES[regime](k))
+
+    # `real` and `imaginary` call __init__ themselves, not through type.__call__,
+    # so that it runs in their interpreter loop: the rule and the kernel it
+    # builds would otherwise nest one C-level call deeper, which cost a
+    # fresh-modulus call about 2 % more (CPython 3.11)
 
     @classmethod
     def real(cls, k: float) -> "Modulus":
         """Real modulus: |k| <= 1 is standard, |k| > 1 large-real."""
         k = abs(k) if type(k) is float else _magnitude(k)  # a float skips a frame
-        return cls(_STANDARD if k <= 1.0 else _LARGE_REAL, k)
+        m = _new(cls)
+        m.__init__(_STANDARD if k <= 1.0 else _LARGE_REAL, k)
+        return m
 
     @classmethod
     def imaginary(cls, k: float) -> "Modulus":
         """Imaginary modulus i*k; k = 0 collapses to the standard regime."""
         k = abs(k) if type(k) is float else _magnitude(k)  # a float skips a frame
-        return cls(_STANDARD if k == 0.0 else _PURE_IMAGINARY, k)
+        m = _new(cls)
+        m.__init__(_STANDARD if k == 0.0 else _PURE_IMAGINARY, k)
+        return m
 
 
-_set_regime, _set_k = Modulus.regime.__set__, Modulus.k.__set__
+_set_regime, _set_k, _set_rule = Modulus.regime.__set__, Modulus.k.__set__, Modulus._rule.__set__
+_new = object.__new__
+_rule = operator.attrgetter("_rule")  # the rule a Modulus built, as a function of it
 
 
 class _Standard:
     # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself
-    __slots__ = ("m", "agm")
+    __slots__ = ("k", "agm")
 
-    def __init__(self, m):
-        self.m = m
-        self.agm = _kernel(m.k)
+    def __init__(self, k):
+        self.k = k
+        self.agm = _kernel(k)
 
     # E/K, read through at no cost to building the rule
     slope = property(operator.attrgetter("agm.ek"))
@@ -245,13 +267,7 @@ class _Standard:
 
     def epsilon(self, x):
         agm = self.agm
-        try:
-            z = agm.phase(x)[2]
-        except DomainError:
-            if not abs(x) <= _MAX_FLOAT:
-                raise
-            return agm.ek * x  # past the reduction bound: the linear term
-        return z + agm.ek * x
+        return agm.phase(x)[2] + agm.ek * x
 
     def columns(self, us, s):
         # the kernel's cn and Z at each x = u + s, from one batch descent of
@@ -278,20 +294,19 @@ class _Standard:
 class _LargeReal:
     # the rule for real k > 1 (module docstring), built once per modulus on
     # the kernel of 1/k
-    __slots__ = ("m", "agm", "slope")
+    __slots__ = ("k", "agm", "slope")
 
-    def __init__(self, m):
-        k = m.k
-        self.m = m
+    def __init__(self, k):
+        self.k = k
         # the complement sqrt(1 - 1/k^2) of 1/k, formed without cancellation
-        self.agm = _Agm(1.0 / k, math.sqrt((k - 1.0) * (k + 1.0)) / k)
-        self.slope = 1.0 - k * k * self.agm.one_minus_ek
+        self.agm = agm = _Agm(1.0 / k, sqrt((k - 1.0) * (k + 1.0)) / k)
+        self.slope = 1.0 - k * k * agm.one_minus_ek
 
     def legendre(self):
         # (w, w K'/K) with K' = K (K'/K) of the complement of 1/k, which
         # epsilon and dn do not need, from the kernel's nome.  k^2 is scaled
         # by a factor below 1, as (pi/2) k^2 can overflow
-        agm, k = self.agm, self.m.k
+        agm, k = self.agm, self.k
         ratio = agm.period_ratio()
         kc = agm.K * ratio
         w = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
@@ -308,7 +323,7 @@ class _LargeReal:
         # Legendre's relation above (module docstring).  Up to sqrt(2) it needs
         # 1 - E'/K', so it builds the kernel of the complement there, the only
         # caller that does; K' = K (K'/K) on both sides
-        agm, k = self.agm, self.m.k
+        agm, k = self.agm, self.k
         kc = agm.K * agm.period_ratio()
         r2, q = agm.k * agm.k, agm.one_minus_ek
         im = (kc * (agm.kp2 - _Agm(agm.kp, agm.k).one_minus_ek) if agm.kp2 <= 0.5
@@ -319,58 +334,50 @@ class _LargeReal:
         # cn of k = dn(kx, 1/k) and P = k Z(kx, 1/k) at each x = u + s, from one
         # batch descent at the kx (DLMF 22.17.14); dn^2 = k'^2 + k^2 cos^2 am as
         # `_Agm.jacobi` forms it, where the sign of an odd period drops out
-        k, agm = self.m.k, self.agm
+        k, agm = self.k, self.agm
         phis, _, zs = agm.phases([k * (u + s) for u in us])
         kp2, q = agm.kp2, 1.0 - agm.kp2
         return [math.sqrt(kp2 + q * c * c) for c in map(math.cos, phis)], [k * z for z in zs]
 
     def epsilon(self, x):
-        k = self.m.k
-        try:
-            z = self.agm.phase(k * x)[2]
-        except DomainError:
-            if not abs(x) <= _MAX_FLOAT:
-                raise
-            return x * self.slope  # past the reduction bound (kx may overflow): the linear term
+        k = self.k
+        z = self.agm.phase(k * x)[2]
         return x * self.slope + k * z
 
     def zeta(self, x, s):
-        k = self.m.k
+        k = self.k
         w, drift = self.legendre()
         return complex(k * self.agm.phase(k * x)[2] + drift * x, s * w * x)
 
     @property
     def half(self):
         # the integrand's half period in t: K(1/k)/k
-        return self.agm.K / self.m.k
+        return self.agm.K / self.k
 
     def integrand(self):
         # cn^2(kt, 1/k) = cos^2 am(kt): the sign of an odd period drops out
-        k, agm = self.m.k, self.agm
+        k, agm = self.k, self.agm
         return lambda t: agm.cos_phase(k * t) ** 2
 
 
 class _Imaginary:
     # the rule for the modulus i*k (module docstring): the kernel of k1, built
     # on the exact k1p, and the modulus's E/K = E(k1)/(k1p^2 K(k1))
-    __slots__ = ("m", "agm", "slope")
+    __slots__ = ("k", "agm", "slope", "k1k1", "q")
 
-    def __init__(self, m):
-        self.m = m
-        h = math.hypot(1.0, m.k)
-        self.agm = _Agm(m.k / h, 1.0 / h)
-        self.slope = self.agm.ek / self.agm.kp2
+    def __init__(self, k):
+        self.k = k
+        h = hypot(1.0, k)
+        self.agm = agm = _Agm(k / h, 1.0 / h)
+        self.slope = agm.ek / agm.kp2
+        # k1^2 of the sn cn term, and of dn^2 taken as 1 - k1p^2 (`_Agm.jacobi`)
+        self.k1k1, self.q = agm.k * agm.k, 1.0 - agm.kp2
 
     def ek(self, s):
         return complex(self.slope, 0.0)
 
     def epsilon(self, x):
-        try:
-            z = self._z(x)
-        except DomainError:
-            if not abs(x) <= _MAX_FLOAT:
-                raise
-            return self.slope * x  # past the reduction bound: the linear term
+        z = self._z(x)
         return self.slope * x + z
 
     def zeta(self, x, s):
@@ -381,9 +388,10 @@ class _Imaginary:
         # formed from phi as `_Agm.jacobi` forms them, where the sign of an odd
         # period drops out of sn cn and of dn^2 = k1p^2 + k1^2 cn^2
         agm = self.agm
-        phi, _, z = agm.phase(x / agm.kp)
-        sn, cn, kp2 = sin(phi), cos(phi), agm.kp2
-        return (z - agm.k * agm.k * sn * cn / sqrt(kp2 + (1.0 - kp2) * cn * cn)) / agm.kp
+        kp = agm.kp
+        phi, _, z = agm.phase(x / kp)
+        cn = cos(phi)
+        return (z - self.k1k1 * sin(phi) * cn / sqrt(agm.kp2 + self.q * cn * cn)) / kp
 
     @property
     def half(self):
@@ -401,12 +409,6 @@ class _Imaginary:
 
 
 _RULES = {_STANDARD: _Standard, _LARGE_REAL: _LargeReal, _PURE_IMAGINARY: _Imaginary}
-
-
-def _rule(m):
-    # the rule of the modulus's regime, built once per call (the dispatchers
-    # read the table themselves, a frame fewer)
-    return _RULES[m.regime](m)
 
 
 def _branch_sign(branch):
@@ -441,7 +443,7 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
     branch makes Im E/K positive and so Im Z negative for x > 0.  At
     k = 1 the ratio vanishes (K diverges).
     """
-    return _rule(m).ek(_branch_sign(branch))
+    return m._rule.ek(_branch_sign(branch))
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -454,7 +456,7 @@ def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
     """
     if m.regime is not Regime.LARGE_REAL:
         raise DomainError(f"k_e_continued requires a large-real modulus, got {m.regime.value}")
-    return _rule(m).pair(_branch_sign(branch))
+    return m._rule.pair(_branch_sign(branch))
 
 
 def epsilon_any(x: float, m: Modulus) -> float:
@@ -463,13 +465,17 @@ def epsilon_any(x: float, m: Modulus) -> float:
     Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x, summed
     as in the module docstring.  Imaginary i*k: epsilon = Z + (E/K) x.
     """
-    # a descent error (a non-finite x included) names the caller's x, the
-    # regime and k, as does a value that is not finite: v - v is 0.0 for a
-    # finite v and NaN for an infinite or NaN one
+    # a descent refuses a finite x only past its reduction bound, where Z keeps
+    # no correct digit and epsilon is its linear term; a refused non-finite x
+    # and a value that is not finite name the caller's x, the regime and k:
+    # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
+    rule = m._rule
     try:
-        value = _RULES[m.regime](m).epsilon(x)
+        value = rule.epsilon(x)
     except (DomainError, OverflowError) as exc:
-        raise _failed("epsilon_any", x, m, exc) from exc
+        if not abs(x) <= _MAX_FLOAT:  # an OverflowError is an int x past the float range
+            raise _failed("epsilon_any", x, m, exc) from exc
+        value = rule.slope * x  # kx may overflow where the linear term does not
     if value - value == 0.0:
         return value
     raise _not_finite("epsilon_any", x, m)
@@ -485,7 +491,7 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     s = _branch_sign(branch)
     # as in epsilon_any; v - v is 0.0 only if both parts of v are finite
     try:
-        value = _RULES[m.regime](m).zeta(x, s)
+        value = m._rule.zeta(x, s)
     except (DomainError, OverflowError) as exc:
         raise _failed("zeta_any", x, m, exc) from exc
     if value - value == 0.0:

@@ -1,6 +1,8 @@
 """Adaptive integration on a closed 8-panel Newton-Cotes base rule.
 
-The 9-point rule is exact through degree 9.  Adaptive bisection compares
+The 9-point rule is exact through degree 9; `newton_cotes_8` sums its
+nine weighted nodes in one expression, in the order of the nodes.
+Adaptive bisection compares
 each interval against its two halves and accepts once the Richardson
 estimate |delta|/1023 meets the local tolerance (the rule's local error
 scales as h^11, so halving the step gains a factor of 2^10).
@@ -10,18 +12,18 @@ integrates a regime's integrand (extended.py) from 0 to |x|.  Once |x|
 spans two of the integrand's half periods it folds by them: it
 integrates one half period once and the rest once (its docstring), so
 an interval of many periods costs little more than one and cannot alias
-under its first 9-node panel.
+under its first 9-node panel.  Its half period and integrand come from
+the rule that the `Modulus` built (extended.py), so an oracle call and
+an `epsilon_any` call on one `Modulus` descend one AGM kernel between
+them and build none.
 """
 
 from collections import namedtuple
 from collections.abc import Callable
 
 from .errors import _MAX_FLOAT, ConvergenceError, DomainError
-from .extended import Modulus, _failed, _rule
+from .extended import Modulus, _failed
 from .jacobi import _MAX_PERIODS
-
-# closed Newton-Cotes weights on 9 equally spaced points, times 14175/(4h)
-_NC8_W = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
 
 _MAX_DEPTH = 48  # interval widths hit the machine-epsilon scale well before this
 
@@ -32,10 +34,12 @@ QuadratureResult = namedtuple("QuadratureResult", "value err_estimate")
 def newton_cotes_8(f: Callable[[float], float], a: float, b: float) -> float:
     """One application of the 9-point closed Newton-Cotes rule on [a, b]."""
     h = (b - a) / 8.0
-    total = 0.0
-    for i, w in enumerate(_NC8_W):
-        total += w * f(a + i * h)
-    return total * h * (4.0 / 14175.0)
+    # the weights times 14175/(4h) at the nodes a + i h, i = 0 to 8 in order,
+    # summed from 0.0 (i h is exact for a float i as for an int one)
+    return (0.0 + 989.0 * f(a + 0.0 * h) + 5888.0 * f(a + h) - 928.0 * f(a + 2.0 * h)
+            + 10496.0 * f(a + 3.0 * h) - 4540.0 * f(a + 4.0 * h) + 10496.0 * f(a + 5.0 * h)
+            - 928.0 * f(a + 6.0 * h) + 5888.0 * f(a + 7.0 * h) + 989.0 * f(a + 8.0 * h)
+            ) * h * (4.0 / 14175.0)
 
 
 def integrate(f: Callable[[float], float], a: float, b: float, tol: float) -> QuadratureResult:
@@ -67,7 +71,7 @@ def _bisect(f, a, b, whole, tol, depth):
         return left + right, est
     if depth == 0:
         raise ConvergenceError(
-            f"no convergence to tol={tol:g} on [{a:g}, {b:g}] after {_MAX_DEPTH} subdivisions")
+            f"no convergence to tol={tol:g} on [{a!r}, {b!r}] after {_MAX_DEPTH} subdivisions")
     lv, le = _bisect(f, a, mid, left, 0.5 * tol, depth - 1)
     rv, re = _bisect(f, mid, b, right, 0.5 * tol, depth - 1)
     return lv + rv, le + re
@@ -77,13 +81,13 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     """The real integrand whose integral from 0 to x gives epsilon(x, m).
 
     Standard: dn^2(t,k).  Real k > 1: cn^2(kt, 1/k).  Imaginary i*k:
-    1/dn^2(t/k1p, k1).  It is the `integrand()` of the modulus's regime
-    rule (extended.py), which builds the AGM kernel of the standard-range
-    modulus once, so each evaluation is one amplitude-only descent
+    1/dn^2(t/k1p, k1).  It is the `integrand()` of the rule that the
+    `Modulus` built with the AGM kernel of its standard-range modulus
+    (extended.py), so each evaluation is one amplitude-only descent
     (`_Agm.cos_phase`, no King's sum) and the square formed from its cos
     am; at k = 1 it stays sech^2.
     """
-    return _rule(m).integrand()
+    return m._rule.integrand()
 
 
 def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
@@ -104,8 +108,7 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     is one integration of [0, |x|] to tol, whose last node meets the
     descent's refusal of x past 2^51 H.
     """
-    # H from a rule dropped before the integrand builds its own: one kernel at a time
-    half = _rule(m).half
+    half = m._rule.half
     f = regime_integrand(m)
     ax = abs(x)
     try:

@@ -139,25 +139,28 @@ def test_period_ratio_against_mpmath():
 
 
 def test_large_real_calls_build_one_kernel(monkeypatch):
-    # zeta_any and ek_ratio descend the one kernel of 1/k, whose nome gives
-    # K'; k_e_continued also builds the complement's kernel, for 1 - E'/K',
-    # up to sqrt(2), here the float sqrt(2.0), where k_c^2 = 1 - 1/k^2 rounds
-    # to 0.4999999999999999, and from the next float on needs K' alone
+    # a large-real Modulus builds the one kernel of 1/k at construction, whose
+    # nome gives K', and zeta_any and ek_ratio build none; k_e_continued also
+    # builds the complement's kernel, for 1 - E'/K', up to sqrt(2), here the
+    # float sqrt(2.0), where k_c^2 = 1 - 1/k^2 rounds to 0.4999999999999999,
+    # and from the next float on needs K' alone
     root2 = math.sqrt(2.0)
     built = []
     init = _Agm.__init__
     monkeypatch.setattr(_Agm, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     for k in (1.0 + 2.0 ** -52, 1.2, math.nextafter(root2, 0.0), root2,
               math.nextafter(root2, 2.0), 2.0, 1e8, 1e150):
+        built.clear()
         m = Modulus.real(k)
+        assert len(built) == 1, k
+        kernel = built[0]  # (1/k, k_c)
         for call in (lambda: zeta_any(0.5 / k, m), lambda: ek_ratio(m)):
             built.clear()
             call()
-            assert len(built) == 1, k
+            assert built == [], k
         built.clear()
         k_e_continued(m)
-        kernel = built[0]  # (1/k, k_c)
-        assert built[1:] == ([kernel[::-1]] if k <= root2 else []), k
+        assert built == ([kernel[::-1]] if k <= root2 else []), k
 
 
 # the batch descent against one `phase` call per x, bit for bit (repr tells

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import gc
 import math
 import pickle
 import re
@@ -169,6 +170,40 @@ class TestModulusValue:
         for m in self.MODULI:
             c = copy_of(m)
             assert type(c) is Modulus and c == m and c.regime is m.regime and c.k == m.k
+
+    @pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy, *(
+        pytest.param(lambda v, p=p: pickle.loads(pickle.dumps(v, p)), id=f"pickle{p}")
+        for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_give_the_same_bits(self, copy_of):
+        # a copy builds its own rule through __init__ and evaluates as the original
+        for m in self.MODULI:
+            c = copy_of(m)
+            assert c == m and _rule(c) is not _rule(m)
+            for x in (-2.5, 0.3, 7.0):
+                assert repr(epsilon_any(x, c)) == repr(epsilon_any(x, m)), (m, x)
+                assert repr(zeta_any(x, c)) == repr(zeta_any(x, m)), (m, x)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_holds_regime_and_k_alone(self, protocol):
+        # the rule and its kernel stay out of the stream: they are rebuilt on load
+        for m in self.MODULI:
+            data = pickle.dumps(m, protocol)
+            assert b"_Agm" not in data and b"jacobi" not in data and b"_rule" not in data
+            assert len(data) < 160, len(data)
+
+    def test_leaves_no_reference_cycle(self):
+        # the rule holds k and what it derives, never the modulus, so a dropped
+        # Modulus is freed by its reference count alone
+        gc.collect()
+        gc.disable()
+        try:
+            moduli = [Modulus.real(0.5), Modulus.real(1.0), Modulus.real(2.0),
+                      Modulus.imaginary(2.0)]
+            del moduli
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
     def test_unpickled_modulus_is_validated(self):
         # a stream whose k was altered to 0.5 is refused as a large-real k <= 1
@@ -709,9 +744,10 @@ def test_rule_contract(m):
         assert abs(z - (eps - lower * x)) <= 1e-13 * scale, (x, z, eps)
         assert zeta_any(x, m, "upper") == z.conjugate()
     assert zeta_any(0.0, m) == 0j and zeta_any(0.0, m, "upper") == 0j
-    # every rule is its modulus and the kernel of its standard-range modulus
+    # every rule holds its modulus's k, not the modulus, and the kernel of its
+    # standard-range modulus
     rule = _rule(m)
-    assert rule.m is m
+    assert rule.k == m.k
     if m.regime is Regime.STANDARD:
         reduced = m.k
     elif m.regime is Regime.LARGE_REAL:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
@@ -10,6 +11,7 @@ from epszeta import (ConvergenceError, DomainError, Modulus, complete_k, epsilon
                      epsilon_by_quadrature, regime_integrand, sncndn)
 from epszeta import quadrature
 from epszeta.extended import _rule
+from epszeta.jacobi import _Agm
 from epszeta.quadrature import integrate, newton_cotes_8
 
 
@@ -27,6 +29,26 @@ class TestBaseRule:
     def test_shifted_interval(self):
         value = newton_cotes_8(lambda t: 3.0 * t * t, -1.0, 2.0)
         assert value == pytest.approx(9.0, rel=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.5), (-0.0, 1.0), (-1.0, 2.0), (1e-3, 1e-3 + 1e-17),
+                                      (2.0, -1.0), (-3.5, -0.25)], ids=repr)
+    def test_panel_is_the_weighted_loop_bit_for_bit(self, a, b):
+        # the panel against the loop over the weights: the same nodes in the
+        # same order, the sum started from 0.0
+        weights = (989.0, 5888.0, -928.0, 10496.0, -4540.0, 10496.0, -928.0, 5888.0, 989.0)
+        def sign(t):  # tells a node at -0.0 from one at 0.0
+            return math.copysign(1.0, t)
+
+        for f in (sign, regime_integrand(Modulus.real(0.5)), math.exp):
+            seen, nodes = [], []
+            h = (b - a) / 8.0
+            total = 0.0
+            for i, w in enumerate(weights):
+                nodes.append(a + i * h)
+                total += w * f(a + i * h)
+            want = total * h * (4.0 / 14175.0)
+            got = newton_cotes_8(lambda t: seen.append(t) or f(t), a, b)
+            assert repr(got) == repr(want) and list(map(repr, seen)) == list(map(repr, nodes))
 
 
 class TestIntegrate:
@@ -212,6 +234,30 @@ class TestEpsilonByQuadrature:
         with pytest.raises(ConvergenceError, match=r"^epsilon_by_quadrature\(x=0\.5\) fails "
                            r"for the pure_imaginary modulus k=10000\.0: no convergence to tol="):
             epsilon_by_quadrature(0.5, m)
+
+    def test_no_convergence_shows_its_interval(self):
+        # the interval is printed in full: at tol 3.8e-28 its two ends agree to
+        # 15 digits, which a shorter format rounds to one number
+        with pytest.raises(ConvergenceError) as info:
+            epsilon_by_quadrature(0.5, Modulus.imaginary(1e4))
+        a, b = map(float, re.search(r" on \[(\S+), (\S+)\] after ", str(info.value)).groups())
+        assert a < b
+
+    @pytest.mark.parametrize("make, k", [(Modulus.real, 0.5), (Modulus.real, 2.0),
+                                         (Modulus.imaginary, 1.5)])
+    @pytest.mark.parametrize("x, folds", [(0.5, False), (-4.0, True)])
+    def test_one_oracle_op_builds_one_kernel(self, monkeypatch, make, k, x, folds):
+        # the benchmark's quadrature-oracle op: the Modulus builds its rule's
+        # kernel once, and epsilon_any, the half period and the integrand all
+        # descend it
+        built = []
+        init = _Agm.__init__
+        monkeypatch.setattr(_Agm, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+        m = make(k)
+        epsilon_any(x, m)
+        epsilon_by_quadrature(x, m, 1e-11)
+        assert (abs(x) >= 2.0 * _rule(m).half) is folds
+        assert len(built) == 1
 
 
 class TestFoldByHalfPeriod:

@@ -14,10 +14,14 @@ JSON printed has five parts:
   Every metric keeps its runs, the median and quartiles of each side,
   and the number of pairs the change wins in the direction
   BENCHMARK.json calls better (ties count for neither), beside `failed`
-  and `correct`.  Before the first run the bytecode of both checkouts'
-  `src` and `bench` is written afresh (`compileall`, forced), so that
-  `setup_s` compares like with like: a tree left with `__pycache__` by
-  an earlier run imports faster than one without.
+  and `correct`.  Before the first run the `__pycache__` directories of
+  both checkouts' `src` and `bench` are removed, and every run is made
+  with PYTHONDONTWRITEBYTECODE=1, so that `setup_s` is measured as on a
+  fresh clone, with `src/epszeta` compiled from source by each child: a
+  tree left with bytecode by an earlier run imports about 0.012 s
+  faster.  (PYTHONPYCACHEPREFIX would hide the bytecode of the standard
+  library and of site-packages too, and slow the bare interpreter that
+  `setup_s` is scaled by.)
 - `per_layer`: for each workload, one `bench/run.py --seed SEED --trace 1`
   run of `TRACE_SECONDS` per side, the change's after the parent's: the
   per-layer metrics of each side (call and evaluation counts per op,
@@ -25,8 +29,10 @@ JSON printed has five parts:
   `correct`.
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
-  turn, `MICRO_ROUNDS` rounds; the median of each side in microseconds
-  per call, and the change's ratio to the parent.
+  turn, `MICRO_ROUNDS` rounds, the order flipped on every other round;
+  the median of each side in microseconds per call, and the change's
+  ratio to the parent.  A row on a held `Modulus` builds it outside
+  the timed call.
 - `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
   that runs `import epszeta`, with and without `-S -I`, or one
   `epszeta.cli eval`, for each side, beside a bare interpreter that only
@@ -50,12 +56,12 @@ It takes about 55 minutes on a shared 2-vCPU host.
 """
 
 import argparse
-import compileall
 import importlib.util
 import json
 import os
 import platform
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -94,11 +100,13 @@ CLI_COMMANDS = (
 
 
 def bench_run(root, workload, seconds, trace=0):
-    """The result line of one `bench/run.py` run of the checkout at root."""
+    """The result line of one `bench/run.py` run of the checkout at root,
+    which writes no bytecode."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, check=True, capture_output=True, text=True).stdout
+        cwd=root, check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -106,15 +114,16 @@ def quartiles(values):
     return [round(q, 6) for q in statistics.quantiles(values, n=4)]
 
 
-def pin_bytecode(roots):
-    """Write the bytecode of each checkout's `src` and `bench` afresh."""
+def clear_bytecode(roots):
+    """Remove the bytecode caches of each checkout's `src` and `bench`."""
     for root in roots:
         for part in ("src", "bench"):
-            compileall.compile_dir(Path(root) / part, quiet=1, force=True)
+            for cache in list((Path(root) / part).rglob("__pycache__")):
+                shutil.rmtree(cache)
 
 
 def end_to_end(roots, workloads, better, seconds):
-    pin_bytecode(roots)
+    clear_bytecode(roots)
     runs = {w: ([], []) for w in workloads}
     for i in range(PAIRS):
         for w in workloads:
@@ -171,8 +180,9 @@ def micro_calls(pkg):
     rule = ez._rule(ez.Modulus.real(2.0))
     params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
-    nodes = [(m.regime.value, pkg.regime_integrand(m)) for m in (
-        pkg.Modulus.real(0.5), pkg.Modulus.real(2.0), pkg.Modulus.imaginary(1.0))]
+    held = [("real 0.5", pkg.Modulus.real(0.5)), ("real 2", pkg.Modulus.real(2.0)),
+            ("imag 1", pkg.Modulus.imaginary(1.0))]
+    nodes = [(m.regime.value, pkg.regime_integrand(m)) for _, m in held]
     return (
         ("Modulus.real(0.5)", 50000, lambda: pkg.Modulus.real(0.5)),
         ("Modulus.real(2.0)", 50000, lambda: pkg.Modulus.real(2.0)),
@@ -191,6 +201,10 @@ def micro_calls(pkg):
         ("epsilon_any(0.5, imag 1)", 10000,
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.imaginary(1.0))),
         ("zeta_any(0.5, imag 1)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.imaginary(1.0))),
+        *((f"epsilon_any(0.5, held {name})", 20000, lambda m=m: pkg.epsilon_any(0.5, m))
+          for name, m in held),
+        *((f"zeta_any(0.5, held {name})", 20000, lambda m=m: pkg.zeta_any(0.5, m))
+          for name, m in held),
         *((f"integrand node ({regime})", 100000, lambda f=f: f(0.7)) for regime, f in nodes),
         ("newton_cotes_8 panel (standard)", 20000, lambda: panel(nodes[0][1], 0.0, 0.5)),
         ("epsilon_by_quadrature(0.5, real 0.5, 1e-11)", 2000,
@@ -216,9 +230,10 @@ def micro(roots):
     sides = [micro_calls(load(f"epszeta_{tag}", root))
              for tag, root in zip(("parent", "change"), roots)]
     times = {name: ([], []) for name, _, _ in sides[0]}
-    for _ in range(MICRO_ROUNDS):
+    for i in range(MICRO_ROUNDS):
         for calls in zip(*sides):
-            for side, (name, number, call) in enumerate(calls):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                name, number, call = calls[side]
                 times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
     table = {}
     for name, (parent, change) in times.items():
