@@ -61,7 +61,7 @@ def _curve(kind, p, us):
     m = Modulus(_CURVES[kind], p.k)
     rule = m._rule
     slope, w, a = rule.slope, p.omega, -2.0 * m.k
-    start = rule.agm.K if kind == "flexural" else 0  # an int u stays an int
+    start = rule.half if kind == "flexural" else 0  # an int u stays an int
 
     def points(us):
         cns, ps = rule.columns(us, start)

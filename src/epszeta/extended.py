@@ -3,43 +3,46 @@
 A `Modulus` is the one place where a modulus is validated, its range
 included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
 the entry points.  Each regime has one rule, a private class that
-holds two things under the same names in every regime: `k`, the
-modulus's own k, and `agm`, the one standard-range AGM kernel
-(jacobi.py) its values descend; never the `Modulus`, so no reference
-cycle is made.  One table, `_RULES`, maps each regime to its rule: the
-only branch on the regime that evaluates anything.  `Modulus.__init__`
-builds its regime's rule once, into the slot `_rule`, after its checks;
-`Regime` members hash by identity, so the lookup runs no Python code.
-Every caller reads that one rule: the dispatchers, `k_e_continued`, the
-elastica's curves and the quadrature oracle, whose half period and
-integrand so descend the kernel that `epsilon_any` does.  A caller who
-holds a `Modulus` builds the kernel once, with it, and each value after
-that costs one descent.  The three rules answer the same four calls and
-one attribute: `ek(s)`, E/K of the modulus on the branch of sign s;
-`epsilon(x)`; `zeta(x, s)`; `integrand()`, the real function whose
+`Modulus.__init__` builds in the branch that checked its range, once,
+into the slot `_rule`: the only branch on the regime that evaluates
+anything.  A rule holds `agm`, the one standard-range AGM kernel
+(jacobi.py) its values descend, and what its own calls read besides,
+such as the large-real rule's k; never the `Modulus`, so no reference
+cycle is made.  Every caller reads `m._rule`: the dispatchers,
+`k_e_continued`, the elastica's curves and the quadrature oracle, whose
+half period and integrand so descend the kernel that `epsilon_any`
+does.  A caller who holds a `Modulus` builds the kernel once, with it,
+and each value after that costs one descent.
+
+In every regime epsilon is a linear term plus a periodic part, as the
+reductions below write it: epsilon(x) = slope x + P(x), with slope the
+real E/K and P = epsilon - slope x the periodic part of one modulus in
+[0, 1].  The three rules answer the same calls and attributes:
+`slope`; `periodic(x)`, P; `ek(s)`, E/K of the modulus on the branch
+of sign s; `zeta(x, s)`; `integrand()`, the real function whose
 integral from 0 to x is epsilon (the quadrature oracle's); and `half`,
 its half period H in t: the integrand has period 2H and is even about H
-(DLMF 22.4), which the oracle folds by.  Each node of an integrand costs one
-amplitude-only descent, `agm.cos_phase`, which skips King's sum and
-gives the cosine of the reduced amplitude: its square is formed from
-cos am, with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the
-sign of an odd period index drops out, so no Z, sin, sqrt or tuple is
-made, and the closure holds only `agm` and k or k1p; only the k = 1
-limit keeps sech^2 from `jacobi`, since cos^2 gd t is not sech^2 t at
-large t.  The two real-modulus rules also give
-`columns(us, s)`, all an elastica curve needs and no more: the columns
-of cn of their own k and of P = epsilon - slope x at every x = u + s of
-a list, from one batch descent (`_Agm.phases`, jacobi.py), which refuses
-what one descent would.  Past the reduction bound of the descent,
-where Z keeps no correct digit, `epsilon_any` returns the rule's linear
-term (slope x): the periodic part is at most about 2^-50 of it there.
-Signs of moduli are stripped up front: epsilon and zeta are even in the
-modulus.
+(DLMF 22.4), which the oracle folds by.  `epsilon_any` forms P(x) +
+slope x, the one place the sum is written.  Each node of an integrand
+costs one amplitude-only descent, `agm.cos_phase`, which skips King's
+sum and gives the cosine of the reduced amplitude: its square is formed
+from cos am, with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where
+the sign of an odd period index drops out, so no Z, sin, sqrt or tuple
+is made, and the closure holds only `agm` and k or k1p.  At k = 1 the
+kernel's limit gives cos am = sech t itself and k'^2 = 0 (jacobi.py),
+so the standard integrand has one form.  The two real-modulus rules
+also give `columns(us, s)`, all an elastica curve needs and no more:
+the columns of cn of their own k and of P at every x = u + s of a list,
+from one batch descent (`_Agm.phases`, jacobi.py), which refuses what
+one descent would.  Past the reduction bound of the descent, where Z
+keeps no correct digit, `epsilon_any` returns the linear term slope x:
+the periodic part is at most about 2^-50 of it there.  Signs of moduli
+are stripped up front: epsilon and zeta are even in the modulus.
 
 `_Standard`, 0 <= k <= 1, descends the kernel of k itself
-(`jacobi._kernel`, with its k = 1 limit): Z is King's sum and epsilon =
-Z + (E/K) x; its slope E/K is the kernel's, its columns cn(x, k) and Z
-for 0 <= k < 1 (the curves refuse k = 1), its integrand dn^2(t, k).
+(`jacobi._kernel`, with its k = 1 limit): P = Z is King's sum and the
+slope E/K is the kernel's; its columns are cn(x, k) and Z for 0 <= k < 1
+(the curves refuse k = 1), its integrand dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -61,8 +64,8 @@ k_c^2 = 1 - 1/k^2:
 
 The last imaginary part is written as pi/(2K) + K' ((1 - E/K) - 1/k^2)
 once k_c^2 > 1/2, where k_c^2 - (1 - E'/K') cancels and E' is not
-needed; `pair(s)` gives this (K, E) for `k_e_continued`.  The columns
-are cn of k = dn(kx, 1/k) and P = k Z(kx, 1/k), and the integrand is
+needed; `pair(s)` gives this (K, E) for `k_e_continued`.  P = k Z(kx,
+1/k), the columns are cn of k = dn(kx, 1/k) and P, and the integrand is
 cn^2(kt, 1/k).  The two branches are complex conjugates; the
 default "lower" one makes Im Z(x,k) negative for x > 0.  epsilon stays real.
 
@@ -73,8 +76,9 @@ E(k1)/(k1p^2 K(k1)), and with u = x/k1p
 
     Z(x, i*k) = Z(u + K(k1), k1)/k1p = (Z(u) - k1^2 sn cn/dn)/k1p,
 
-from one descent at u inside the primary cell; epsilon = Z + (E/K) x
-and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay real.
+from one descent at u inside the primary cell; this Z is P, the slope
+is E/K and the integrand is 1/dn^2(t/k1p, k1).  Both functions stay
+real.
 
 `Modulus(regime, k)` checks one range per regime, each bound by one
 comparison against a constant: standard 0 <= k <= 1; large-real
@@ -88,17 +92,21 @@ member is refused by name.  A `Modulus` is a frozen value, as
 import time), and a copied or unpickled value is checked again.  The
 fields of a `Modulus` are `regime` and `k` alone; its rule is not one,
 so a pickle holds no kernel and a copy builds its own.
-`Modulus.real` and `Modulus.imaginary` take |k| as a float first and
-refuse, as non-real, a bool (numpy's too), a string and what float()
-cannot convert.  The rule's descent at x, kx or x/k1p is the one check
-of x, a non-finite x included; a dispatcher names its x, regime and k
-when that descent fails (an int x past the float range included) or its
-result is not finite.
+Every k that is neither an int nor a float, in `Modulus(regime, k)`
+as in `Modulus.real` and `Modulus.imaginary`, is taken as float(k)
+(numpy's float32 or int64, a Fraction), and a bool (numpy's too), a string,
+bytes and what float() cannot convert are refused as non-real; `real`
+and `imaginary` then take |k|.  The rule's descent at x, kx or x/k1p is
+the one check of x, a non-finite x included; a dispatcher names its x,
+regime and k when that descent fails (an int x past the float range
+included) or its result is not finite.
 
 Each fact is checked once, on the path of a fresh-modulus call:
 
-    k is a finite real number      `Modulus.__init__` (a float by its type)
-    k lies in its regime's range   `Modulus.__init__`, one comparison a bound
+    k is a finite real number      `Modulus.__init__` (a float by its type;
+                                   `_real` converts any other number)
+    k lies in its regime's range   `Modulus.__init__`, one comparison a
+                                   bound, in the branch that builds the rule
     x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`);
                                    `epsilon_any` takes a finite x past the
                                    reduction bound as its linear term
@@ -112,7 +120,7 @@ import operator
 from math import cos, hypot, sin, sqrt
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .jacobi import EllipticPair, _Agm, _Unit, _kernel
+from .jacobi import EllipticPair, _Agm, _kernel
 
 _MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
 _MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
@@ -122,15 +130,19 @@ def _not_real(k):
     return DomainError(f"modulus must be a finite real number, got k={_shown(k)}")
 
 
-def _magnitude(k):
-    # |k| as a float of a k that is not one; float() would also take a bool
-    # (numpy's too) and parse a string
+def _real(k):
+    # k as a float, of a k that is not one (numpy's float32, an int64, a
+    # Fraction); float() would also take a bool (numpy's too) and parse a string
     if type(k).__name__ not in ("bool", "bool_") and not isinstance(k, (str, bytes, bytearray)):
         try:
-            return abs(float(k))
+            return float(k)
         except (TypeError, ValueError, OverflowError):
             pass
     raise _not_real(k)
+
+
+def _magnitude(k):
+    return abs(_real(k))
 
 
 class Regime(enum.Enum):
@@ -196,21 +208,25 @@ class Modulus(_Value):
     __slots__ = (*__match_args__, "_rule")
 
     def __init__(self, regime, k):
-        # a float is real as it is; compared with the largest float, not by
+        # an int or a float is real as it is (`_real` takes any other k, and
+        # refuses a bool); compared with the largest float, not by
         # math.isfinite, which raises OverflowError on an int past the float
-        # range; NaN fails both ways
-        if (type(k) is not float and (isinstance(k, bool) or not isinstance(k, (int, float)))
-                or not -_MAX_FLOAT <= k <= _MAX_FLOAT):
+        # range; NaN fails both ways.  Each branch builds its regime's rule
+        if type(k) is not float and (isinstance(k, bool) or not isinstance(k, (int, float))):
+            k = _real(k)
+        if not -_MAX_FLOAT <= k <= _MAX_FLOAT:
             raise _not_real(k)
         if regime is _STANDARD:
             if not 0.0 <= k <= 1.0:
                 raise DomainError(f"standard regime requires k in [0, 1], got k={k!r}")
+            _set_rule(self, _Standard(k))
         elif regime is _LARGE_REAL:
             if not k > 1.0:
                 raise DomainError(f"large-real regime requires k > 1, got k={k!r}")
             if not k <= _MAX_LARGE:
                 raise DomainError(f"the large-real rule has no finite value for the large_real "
                                   f"modulus k={k!r}: its k^2 overflows from k = 1.34e154 on")
+            _set_rule(self, _LargeReal(k))
         elif regime is not _PURE_IMAGINARY:
             raise DomainError(f"regime must be a Regime member, got regime={regime!r}")
         elif not k > 0.0:  # the pure-imaginary regime from here on
@@ -218,9 +234,10 @@ class Modulus(_Value):
         elif not k < _MAX_IMAG:
             raise DomainError(f"pure_imaginary modulus k={k!r}: k1 = k/sqrt(1+k^2) "
                               "rounds to 1 from k = 2^26 on, where K(k1) diverges")
+        else:
+            _set_rule(self, _Imaginary(k))
         _set_regime(self, regime)
         _set_k(self, k)
-        _set_rule(self, _RULES[regime](k))
 
     # `real` and `imaginary` call __init__ themselves, not through type.__call__,
     # so that it runs in their interpreter loop: the rule and the kernel it
@@ -246,28 +263,24 @@ class Modulus(_Value):
 
 _set_regime, _set_k, _set_rule = Modulus.regime.__set__, Modulus.k.__set__, Modulus._rule.__set__
 _new = object.__new__
-_rule = operator.attrgetter("_rule")  # the rule a Modulus built, as a function of it
 
 
 class _Standard:
     # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself
-    __slots__ = ("k", "agm")
+    __slots__ = ("agm", "slope")
 
     def __init__(self, k):
-        self.k = k
-        self.agm = _kernel(k)
+        self.agm = agm = _kernel(k)
+        self.slope = agm.ek
 
-    # E/K, read through at no cost to building the rule
-    slope = property(operator.attrgetter("agm.ek"))
     # the integrand's half period K, in t: inf at k = 1
     half = property(operator.attrgetter("agm.K"))
 
     def ek(self, s):
-        return complex(self.agm.ek, 0.0)
+        return complex(self.slope, 0.0)
 
-    def epsilon(self, x):
-        agm = self.agm
-        return agm.phase(x)[2] + agm.ek * x
+    def periodic(self, x):
+        return self.agm.phase(x)[2]
 
     def columns(self, us, s):
         # the kernel's cn and Z at each x = u + s, from one batch descent of
@@ -280,10 +293,8 @@ class _Standard:
 
     def integrand(self):
         # dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as `jacobi` forms
-        # it before its sqrt; the k = 1 limit keeps sech^2, which cos^2 gd t is not
+        # it before its sqrt; at k = 1 cos am is sech t and k'^2 = 0
         agm = self.agm
-        if isinstance(agm, _Unit):
-            return lambda t: agm.jacobi(t)[2] ** 2
 
         def dn2(t):
             c = agm.cos_phase(t)
@@ -339,10 +350,9 @@ class _LargeReal:
         kp2, q = agm.kp2, 1.0 - agm.kp2
         return [math.sqrt(kp2 + q * c * c) for c in map(math.cos, phis)], [k * z for z in zs]
 
-    def epsilon(self, x):
+    def periodic(self, x):
         k = self.k
-        z = self.agm.phase(k * x)[2]
-        return x * self.slope + k * z
+        return k * self.agm.phase(k * x)[2]
 
     def zeta(self, x, s):
         k = self.k
@@ -363,10 +373,9 @@ class _LargeReal:
 class _Imaginary:
     # the rule for the modulus i*k (module docstring): the kernel of k1, built
     # on the exact k1p, and the modulus's E/K = E(k1)/(k1p^2 K(k1))
-    __slots__ = ("k", "agm", "slope", "k1k1", "q")
+    __slots__ = ("agm", "slope", "k1k1", "q")
 
     def __init__(self, k):
-        self.k = k
         h = hypot(1.0, k)
         self.agm = agm = _Agm(k / h, 1.0 / h)
         self.slope = agm.ek / agm.kp2
@@ -376,14 +385,7 @@ class _Imaginary:
     def ek(self, s):
         return complex(self.slope, 0.0)
 
-    def epsilon(self, x):
-        z = self._z(x)
-        return self.slope * x + z
-
-    def zeta(self, x, s):
-        return complex(self._z(x), 0.0)
-
-    def _z(self, x):
+    def periodic(self, x):
         # Z(u + K(k1), k1)/k1p from one descent at u = x/k1p; sn cn and dn are
         # formed from phi as `_Agm.jacobi` forms them, where the sign of an odd
         # period drops out of sn cn and of dn^2 = k1p^2 + k1^2 cn^2
@@ -392,6 +394,9 @@ class _Imaginary:
         phi, _, z = agm.phase(x / kp)
         cn = cos(phi)
         return (z - self.k1k1 * sin(phi) * cn / sqrt(agm.kp2 + self.q * cn * cn)) / kp
+
+    def zeta(self, x, s):
+        return complex(self.periodic(x), 0.0)
 
     @property
     def half(self):
@@ -406,9 +411,6 @@ class _Imaginary:
             c = agm.cos_phase(t / k1p)
             return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)
         return inverse_dn2
-
-
-_RULES = {_STANDARD: _Standard, _LARGE_REAL: _LargeReal, _PURE_IMAGINARY: _Imaginary}
 
 
 def _branch_sign(branch):
@@ -471,7 +473,7 @@ def epsilon_any(x: float, m: Modulus) -> float:
     # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
     rule = m._rule
     try:
-        value = rule.epsilon(x)
+        value = rule.periodic(x) + rule.slope * x
     except (DomainError, OverflowError) as exc:
         if not abs(x) <= _MAX_FLOAT:  # an OverflowError is an int x past the float range
             raise _failed("epsilon_any", x, m, exc) from exc

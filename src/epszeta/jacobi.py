@@ -42,7 +42,7 @@ reduced argument keeps no correct digit and the descent raises
 DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 3.5e15 at k = 0, where K = pi/2 is smallest).  epsilon alone has a value
 there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
-linear term (E/K) x (epsilon_zeta.py, and each rule in extended.py).
+linear term (E/K) x (epsilon_zeta.py, and `epsilon_any` in extended.py).
 
 The kernel descends in three ways, with the same reduction and the same
 steps, so they agree bit for bit; each computes only what its caller
@@ -68,7 +68,11 @@ most one descent.  `_kernel` is the one check of k: it strips the sign
 (K, E, dn and am are even in k) and raises DomainError naming k outside
 |k| <= 1, NaN included.  At k = 1, where the AGM degenerates (b0 = 0)
 and K diverges, it returns the limit `_Unit`: K = inf, E = 1, am = gd x
-(DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  The
+(DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  Its
+`cos_phase` gives cos am = sech x itself, as 1/cosh x (2 e^-|x| from
+|x| = 710 on, where cosh overflows), not as cos gd x, which keeps no
+relative digit as it falls to 0; with k'^2 = 0 an integrand squares it
+as it squares cos phi of an `_Agm`.  The
 descent is the one check of x and names an x that is not a finite float
 (nan, an infinity or an int past the float range) as such.
 `complete_k` has no value at |k| = 1 and raises there, naming k.
@@ -233,20 +237,26 @@ class _Agm:
 
 
 class _Unit:
-    """The k = 1 limit of `_Agm` (module docstring): phase gives (gd x, 0, tanh x)."""
+    """The k = 1 limit of `_Agm` (module docstring): phase gives (gd x, 0, tanh x),
+    and cos_phase sech x, the cosine of am = gd x, not formed through gd x."""
 
     __slots__ = ()
-    k, K, E, ek = 1.0, math.inf, 1.0, 0.0
+    k, kp2, K, E, ek = 1.0, 0.0, math.inf, 1.0, 0.0
 
     def phase(self, x):
         if not abs(x) <= _MAX_FLOAT:
             raise _bad_x(self, x)
         return 2.0 * math.atan(math.tanh(0.5 * x)), 0, math.tanh(x)
 
+    def cos_phase(self, x):
+        if not abs(x) <= _MAX_FLOAT:
+            raise _bad_x(self, x)
+        # cosh overflows from |x| = 710.5 on, where sech x rounds to 2 e^-|x|
+        return 1.0 / math.cosh(x) if abs(x) < 710.0 else 2.0 * math.exp(-abs(x))
+
     def jacobi(self, x):
         t = self.phase(x)[2]
-        # cosh overflows from |x| = 710.5 on, where sech x rounds to 2 e^-|x|
-        sech = 1.0 / math.cosh(x) if abs(x) < 710.0 else 2.0 * math.exp(-abs(x))
+        sech = self.cos_phase(x)
         return t, sech, sech, t
 
 

@@ -24,14 +24,14 @@ import random
 import pytest
 
 from epszeta import Modulus, Regime, epsilon_any
-from epszeta.extended import _MAX_IMAG, _MAX_LARGE, _rule
+from epszeta.extended import _MAX_IMAG, _MAX_LARGE
 
 BELOW_IMAG = math.nextafter(_MAX_IMAG, 0.0)  # the largest admitted i*k
 
 
 def sn_and_parameter(m):
     """sn(. | m) from the descent of m's rule, and the parameter m."""
-    rule = _rule(m)
+    rule = m._rule
     if m.regime is Regime.PURE_IMAGINARY:
         agm = rule.agm
 

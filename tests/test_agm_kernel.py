@@ -18,7 +18,7 @@ from carlson_ref import carlson_e, carlson_k_e
 from epszeta import (DomainError, Modulus, amplitude, complete_e, complete_k,
                      ek_ratio, epsilon, incomplete_e, k_e_continued, sncndn, zeta,
                      zeta_any)
-from epszeta.extended import _MAX_LARGE, _rule
+from epszeta.extended import _MAX_LARGE
 from epszeta.jacobi import _Agm
 
 MODULI = (1e-12, 1e-6, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15)
@@ -132,7 +132,7 @@ def test_period_ratio_against_mpmath():
     ks = (1.0 + 2.0 ** -52, _MAX_LARGE, *(min(1.0 + float(d), _MAX_LARGE) for d in spread))
     with mp.workdps(40):
         for k in ks:
-            ratio = _rule(Modulus.real(k)).agm.period_ratio()
+            ratio = Modulus.real(k)._rule.agm.period_ratio()
             inv = 1 / mp.mpf(k)
             ref = mp.agm(1, mp.sqrt(1 - inv * inv)) / mp.agm(1, inv)
             assert abs(ratio - ref) <= 5e-16 * ref, k
@@ -170,8 +170,8 @@ def test_large_real_calls_build_one_kernel(monkeypatch):
 # and the last x on each side of the reduction bound
 BATCH_KERNELS = [
     *(_Agm(k) for k in (0.0, 1e-9, 0.5, 0.999999, 1.0 - 2.0 ** -40)),
-    *(_rule(Modulus.real(k)).agm for k in (1.0 + 2.0 ** -52, 2.0, 1e8, 1e150)),
-    *(_rule(Modulus.imaginary(k)).agm for k in (1e-6, 2.0, 1e7))]
+    *(Modulus.real(k)._rule.agm for k in (1.0 + 2.0 ** -52, 2.0, 1e8, 1e150)),
+    *(Modulus.imaginary(k)._rule.agm for k in (1e-6, 2.0, 1e7))]
 
 
 def descent_xs(agm):

@@ -6,6 +6,7 @@ import pickle
 import re
 import struct
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,8 @@ import epszeta
 from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
                      ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
                      zeta_any)
-from epszeta.extended import _MAX_IMAG, _MAX_LARGE, _RULES, _rule
+from epszeta import extended
+from epszeta.extended import _MAX_IMAG, _MAX_LARGE
 from epszeta.jacobi import _kernel
 from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    epsilon_large_real_via_zeta, imaginary_submoduli,
@@ -24,6 +26,24 @@ from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    zeta_large_real)
 
 TABLE_TOL = 5e-7
+
+
+def python_calls(call):
+    """The names of the Python-level frames that call() enters, after a first
+    call that warms it up."""
+    call()
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    assert names[0] == call.__code__.co_name
+    return names[1:]
 
 
 class TestModulus:
@@ -130,6 +150,24 @@ class TestModulus:
         assert Modulus.real(k) == Modulus(Regime.LARGE_REAL, 2.0)
         assert Modulus.imaginary(-k) == Modulus(Regime.PURE_IMAGINARY, 2.0)
 
+    @pytest.mark.parametrize("regime, k", [
+        (Regime.STANDARD, np.float32(0.5)), (Regime.STANDARD, Fraction(1, 2)),
+        (Regime.LARGE_REAL, np.int64(2)), (Regime.PURE_IMAGINARY, np.float32(2.0))], ids=repr)
+    def test_modulus_converts_numbers_as_real_does(self, regime, k):
+        # a k that is neither an int nor a float is taken as float(k), as
+        # `real` and `imaginary` take it, not refused as non-real
+        m = Modulus(regime, k)
+        assert type(m.k) is float and m == Modulus(regime, float(k))
+        if regime is not Regime.PURE_IMAGINARY:
+            assert m == Modulus.real(k)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("k", [True, np.True_, "0.5", b"0.5", None, 1j, np.float32("nan")],
+                             ids=repr)
+    def test_modulus_refuses_what_is_not_a_real_number(self, regime, k):
+        with pytest.raises(DomainError, match="modulus must be a finite real number, got k="):
+            Modulus(regime, k)
+
 
 class TestModulusValue:
     # a Modulus is a frozen value: equal, hashed and shown by (regime, k)
@@ -178,7 +216,7 @@ class TestModulusValue:
         # a copy builds its own rule through __init__ and evaluates as the original
         for m in self.MODULI:
             c = copy_of(m)
-            assert c == m and _rule(c) is not _rule(m)
+            assert c == m and c._rule is not m._rule
             for x in (-2.5, 0.3, 7.0):
                 assert repr(epsilon_any(x, c)) == repr(epsilon_any(x, m)), (m, x)
                 assert repr(zeta_any(x, c)) == repr(zeta_any(x, m)), (m, x)
@@ -676,22 +714,28 @@ class TestDispatchers:
             (-0.0, -0.0), (5e-324, -5e-324), (1e308, -1e308), (-1e308, 1e308)])], ids=repr)
     def test_finiteness_test_is_cmath_isfinite(self, monkeypatch, value):
         # each dispatcher refuses what cmath.isfinite refuses, naming x, the
-        # regime and k, and returns anything else as the rule gave it
+        # regime and k, and returns anything else as the rule gave it, to
+        # which epsilon_any adds the rule's linear term slope x
         class Rule:
-            def __init__(self, m):
+            slope = 0.0
+
+            def __init__(self, k):
                 pass
 
-            def epsilon(self, x):
+            def periodic(self, x):
                 return value
 
             def zeta(self, x, s):
                 return value
 
-        monkeypatch.setitem(_RULES, Regime.STANDARD, Rule)
+        monkeypatch.setattr(extended, "_Standard", Rule)
         m = Modulus.real(0.5)
         for fn in (epsilon_any, zeta_any):
             if cmath.isfinite(value):
-                assert fn(0.25, m) is value
+                if fn is epsilon_any:
+                    assert repr(fn(0.25, m)) == repr(value + 0.0 * 0.25)
+                else:
+                    assert fn(0.25, m) is value
             else:
                 with pytest.raises(DomainError, match=re.escape(
                         f"{fn.__name__}(x=0.25) has no finite value for the standard "
@@ -700,27 +744,21 @@ class TestDispatchers:
 
     @pytest.mark.parametrize("fn, make, k, calls", [
         (epsilon_any, Modulus.real, 0.5, 8), (epsilon_any, Modulus.real, 2.5, 7),
-        (epsilon_any, Modulus.imaginary, 2.5, 8), (zeta_any, Modulus.real, 0.5, 9),
+        (epsilon_any, Modulus.imaginary, 2.5, 7), (zeta_any, Modulus.real, 0.5, 9),
         (zeta_any, Modulus.real, 2.5, 10), (zeta_any, Modulus.imaginary, 2.5, 9)])
     def test_python_calls_of_a_fresh_modulus_call(self, fn, make, k, calls):
         # the Python-level frames of one fresh-modulus call, pinned: a change
         # that adds one to this path, the benchmark's mixed-points, says so here
-        def call():
-            return fn(0.7, make(k))
+        names = python_calls(lambda: fn(0.7, make(k)))
+        assert len(names) == calls, names
 
-        call()
-        names = []
-
-        def profile(frame, event, arg):
-            if event == "call":
-                names.append(frame.f_code.co_name)
-        sys.setprofile(profile)
-        try:
-            call()
-        finally:
-            sys.setprofile(None)
-        assert names[0] == "call"
-        assert len(names) - 1 == calls, names[1:]
+    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(2.5), Modulus.imaginary(2.5)],
+                             ids=repr)
+    def test_python_calls_of_a_held_modulus_call(self, m):
+        # epsilon_any on a Modulus the caller holds: the dispatcher, the rule's
+        # periodic part and the one descent, in every regime
+        names = python_calls(lambda: epsilon_any(0.7, m))
+        assert len(names) == 3, names
 
 
 @pytest.mark.parametrize("m", [
@@ -744,10 +782,10 @@ def test_rule_contract(m):
         assert abs(z - (eps - lower * x)) <= 1e-13 * scale, (x, z, eps)
         assert zeta_any(x, m, "upper") == z.conjugate()
     assert zeta_any(0.0, m) == 0j and zeta_any(0.0, m, "upper") == 0j
-    # every rule holds its modulus's k, not the modulus, and the kernel of its
-    # standard-range modulus
-    rule = _rule(m)
-    assert rule.k == m.k
+    # no rule holds the modulus, which would make a reference cycle; each holds
+    # the kernel of its standard-range modulus
+    rule = m._rule
+    assert not any(isinstance(getattr(rule, name), Modulus) for name in type(rule).__slots__)
     if m.regime is Regime.STANDARD:
         reduced = m.k
     elif m.regime is Regime.LARGE_REAL:
@@ -770,7 +808,7 @@ def test_real_rule_jacobi(m):
     # epsilon - slope x at each x = u + s from one batch descent: epsilon =
     # slope x + P bit for bit, and cn is the scalar kernel's, cn(x, k) for
     # k < 1 and dn(kx, 1/k) past k = 1 (DLMF 22.17.14), also at a shift s
-    rule, k = _rule(m), m.k
+    rule, k = m._rule, m.k
     xs = [x / k if k > 1.0 else x  # kx stays within the period reduction
           for x in (-7.3, -0.4, -0.0, 0.0, 1e-300, 0.25, 1.0, 3.3, 40.0)]
     for s in (0, 0.5 * rule.agm.K / max(1.0, k)):
@@ -814,7 +852,7 @@ def test_epsilon_past_the_float_range_names_x():
             "epsilon_any(x=1e+300) has no finite value for the pure_imaginary "
             "modulus k=10000000.0")):
         epsilon_any(1e300, Modulus.imaginary(1e7))
-    assert epsilon_any(1e300, Modulus.real(1e20)) == 1e300 * _rule(Modulus.real(1e20)).slope
+    assert epsilon_any(1e300, Modulus.real(1e20)) == 1e300 * Modulus.real(1e20)._rule.slope
 
 
 UNIT_ROUNDOFF = 2.0 ** -53

@@ -10,8 +10,7 @@ import goldens
 from epszeta import (ConvergenceError, DomainError, Modulus, complete_k, epsilon_any,
                      epsilon_by_quadrature, regime_integrand, sncndn)
 from epszeta import quadrature
-from epszeta.extended import _rule
-from epszeta.jacobi import _Agm
+from epszeta.jacobi import _Agm, _Unit
 from epszeta.quadrature import integrate, newton_cotes_8
 
 
@@ -113,6 +112,26 @@ class TestRegimeIntegrands:
         f = regime_integrand(Modulus.real(1.0))
         for t in (0.0, 1e-300, -0.4, 2.0, -30.0, 700.0):
             assert f(t) == (1.0 / math.cosh(t)) ** 2
+
+    def test_unit_limit_is_sech_squared_near_mpmath(self):
+        # at k = 1 each node squares s = sech t from `_Unit.cos_phase`, which is
+        # 2 e^-|t| from |t| = 710 on, where cosh overflows.  From |t| = 700 on,
+        # into the subnormal range, s is within 1 ulp of sech t; the node is
+        # within 4 ulp of sech^2 t (cosh, its reciprocal and the square each
+        # round: the worst of 3000 log-spread t in [1e-8, 1600] reads 4)
+        f, unit = regime_integrand(Modulus.real(1.0)), _Unit()
+        rng = np.random.default_rng(17)
+        ts = [*map(float, 10.0 ** rng.uniform(-8.0, 2.9, 200)), 0.0, 372.0, 700.0, 709.9,
+              710.0, 710.5, 720.0, 744.0, 745.2, 800.0, 1e4]
+        with mp.workdps(40):
+            for t in (*ts, *(-t for t in ts)):
+                sech = mp.sech(t)
+                s = unit.cos_phase(t)
+                assert f(t) == s * s, t
+                ref = float(sech ** 2)
+                assert abs(f(t) - sech ** 2) <= 4 * math.ulp(ref), t
+                if abs(t) >= 700.0:
+                    assert abs(s - sech) <= math.ulp(float(sech)), t
 
     def test_large_real_is_reciprocal_cn_squared(self):
         f = regime_integrand(Modulus.real(2.0))
@@ -256,7 +275,7 @@ class TestEpsilonByQuadrature:
         m = make(k)
         epsilon_any(x, m)
         epsilon_by_quadrature(x, m, 1e-11)
-        assert (abs(x) >= 2.0 * _rule(m).half) is folds
+        assert (abs(x) >= 2.0 * m._rule.half) is folds
         assert len(built) == 1
 
 
@@ -277,17 +296,17 @@ class TestFoldByHalfPeriod:
                 want = mp.ellipk(1 / (k * k)) / k
             else:
                 want = mp.ellipk(k * k / (1 + k * k)) / mp.sqrt(1 + k * k)
-            assert abs(_rule(m).half - want) <= 1e-14 * want
+            assert abs(m._rule.half - want) <= 1e-14 * want
 
     def test_no_half_period_at_k_one(self):
-        assert _rule(Modulus.real(1.0)).half == math.inf
+        assert Modulus.real(1.0)._rule.half == math.inf
 
     @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(1.0), Modulus.real(5.0),
                                    Modulus.real(100.0), Modulus.imaginary(1.5),
                                    Modulus.imaginary(10.0)], ids=repr)
     def test_one_integration_below_two_half_periods(self, m):
         # |x| < 2H (H = inf at k = 1): the single integration of [0, |x|], bit for bit
-        span = min(2.0 * _rule(m).half, 40.0)
+        span = min(2.0 * m._rule.half, 40.0)
         for x in (0.3 * span, -0.5 * span, 0.999 * span, math.nextafter(span, 0.0)):
             want = integrate(regime_integrand(m), 0.0, abs(x), 1e-11).value
             assert epsilon_by_quadrature(x, m, 1e-11) == math.copysign(want, x), x
@@ -303,7 +322,7 @@ class TestFoldByHalfPeriod:
     def test_even_and_odd_half_period_counts(self):
         # q = 2 and q = 3 half periods before the rest, on either side of the midpoint
         m = Modulus.real(0.5)
-        half = _rule(m).half
+        half = m._rule.half
         for x in (2.2 * half, 2.8 * half, 3.2 * half, 3.7 * half, 4.0 * half):
             assert abs(epsilon_by_quadrature(x, m, 1e-12) - epsilon_any(x, m)) <= 1e-11, x
 
@@ -317,7 +336,7 @@ class TestFoldByHalfPeriod:
             seen.append((a, b, tol))
             return integrate(f, a, b, tol)
         monkeypatch.setattr(quadrature, "integrate", recording)
-        half = _rule(m).half
+        half = m._rule.half
         q, r = divmod(abs(x), half)
         epsilon_by_quadrature(x, m, 1e-11)
         rest = (half - r, half) if q % 2 else (0.0, r)

@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has five parts:
+JSON printed has six parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -30,9 +30,16 @@ JSON printed has five parts:
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds, the order flipped on every other round;
-  the median of each side in microseconds per call, and the change's
-  ratio to the parent.  A row on a held `Modulus` builds it outside
-  the timed call.
+  the median and quartiles of each side in microseconds per call, the
+  change's ratio to the parent (of the medians) with the quartiles of
+  its per-round ratios, and the number of rounds the change is faster
+  in.  A row on a held `Modulus` builds it outside the timed call.
+- `micro_aa_us`: the same for the parent tree loaded twice, under two
+  package names, its first load in the place of the parent and its
+  second in that of the change.  The code is the same on both sides, so
+  the spread of each row's ratio is the noise floor of that row in this
+  file: a micro ratio says something only where its quartiles clear
+  that spread.
 - `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
   that runs `import epszeta`, with and without `-S -I`, or one
   `epszeta.cli eval`, for each side, beside a bare interpreter that only
@@ -52,7 +59,7 @@ JSON printed has five parts:
   each side beside the exit codes seen (an exit 4 of `check`, a failed
   cross-check, is recorded, not raised).
 
-It takes about 55 minutes on a shared 2-vCPU host.
+It takes about an hour on a shared 2-vCPU host.
 """
 
 import argparse
@@ -177,7 +184,7 @@ def micro_calls(pkg):
     ez = sys.modules[pkg.__name__ + ".extended"]
     agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
     panel = sys.modules[pkg.__name__ + ".quadrature"].newton_cotes_8
-    rule = ez._rule(ez.Modulus.real(2.0))
+    rule = ez.Modulus.real(2.0)._rule
     params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
     held = [("real 0.5", pkg.Modulus.real(0.5)), ("real 2", pkg.Modulus.real(2.0)),
@@ -226,9 +233,10 @@ def micro_calls(pkg):
     )
 
 
-def micro(roots):
-    sides = [micro_calls(load(f"epszeta_{tag}", root))
-             for tag, root in zip(("parent", "change"), roots)]
+def micro(roots, tags):
+    """The micro rows of the trees at roots, loaded as epszeta_<tag> (module
+    docstring); the first root and tag are the parent's side."""
+    sides = [micro_calls(load(f"epszeta_{tag}", root)) for tag, root in zip(tags, roots)]
     times = {name: ([], []) for name, _, _ in sides[0]}
     for i in range(MICRO_ROUNDS):
         for calls in zip(*sides):
@@ -238,7 +246,10 @@ def micro(roots):
     table = {}
     for name, (parent, change) in times.items():
         p, c = statistics.median(parent), statistics.median(change)
-        table[name] = {"parent": round(p, 3), "change": round(c, 3), "ratio": round(c / p, 3)}
+        table[name] = {"parent": round(p, 3), "change": round(c, 3), "ratio": round(c / p, 3),
+                       "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
+                       "ratio_quartiles": quartiles([b / a for a, b in zip(parent, change)]),
+                       "change_wins": sum(b < a for a, b in zip(parent, change))}
     return table
 
 
@@ -313,7 +324,9 @@ def main(argv):
         "per_layer": {"command": f"bench/run.py --seed {SEED} --seconds {TRACE_SECONDS} "
                                  "--trace 1, one run per side",
                       **per_layer(roots, workloads)},
-        "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots)},
+        "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots, ("parent", "change"))},
+        "micro_aa_us": {"rounds": MICRO_ROUNDS, "sides": "the parent tree loaded twice",
+                        **micro([roots[0], roots[0]], ("parent_a", "parent_b"))},
         "startup_cpu_ms": {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
                            **startup(roots)},
         "cli_wall_s": {"runs": CLI_RUNS, **cli_wall(roots)},
