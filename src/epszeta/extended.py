@@ -18,19 +18,27 @@ In every regime epsilon is a linear term plus a periodic part, as the
 reductions below write it: epsilon(x) = slope x + P(x), with slope the
 real E/K and P = epsilon - slope x the periodic part of one modulus in
 [0, 1].  The three rules answer the same calls and attributes:
-`slope`; `periodic(x)`, P; `ek(s)`, E/K of the modulus on the branch
-of sign s; `zeta(x, s)`; `integrand()`, the real function whose
-integral from 0 to x is epsilon (the quadrature oracle's); and `half`,
-its half period H in t: the integrand has period 2H and is even about H
-(DLMF 22.4), which the oracle folds by.  `epsilon_any` forms P(x) +
-slope x, the one place the sum is written.  Each node of an integrand
-costs one amplitude-only descent, `agm.cos_phase`, which skips King's
-sum and gives the cosine of the reduced amplitude: its square is formed
-from cos am, with dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where
-the sign of an odd period index drops out, so no Z, sin, sqrt or tuple
-is made, and the closure holds only `agm` and k or k1p.  At k = 1 the
-kernel's limit gives cos am = sech t itself and k'^2 = 0 (jacobi.py),
-so the standard integrand has one form.  The two real-modulus rules
+`slope`; `periodic(x)`, P; the Legendre terms `w` and `drift`, numbers
+that are 0.0 but in the large-real rule; `integrand()`, the real
+function whose integral from 0 to x is epsilon (the quadrature
+oracle's); and `half`, its half period H in t: the integrand has period
+2H and is even about H (DLMF 22.4), which the oracle folds by.  No rule
+forms epsilon, Z or E/K: each is written once, in its dispatcher, with s
+the branch sign,
+
+    epsilon_any   P(x) + slope x
+    zeta_any      P(x) + drift x + i (s w x + 0.0)
+    ek_ratio      slope - drift + i (0.0 - s w)
+
+where the 0.0 keeps a zero w's imaginary part +0.0 on both branches,
+not -0.0 on one.  Each node of an integrand costs one amplitude-only
+descent, `agm.cos_phase`, which skips King's sum and gives the cosine
+of the reduced amplitude: its square is formed from cos am, with
+dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of an
+odd period index drops out, so no Z, sin, sqrt or tuple is made, and
+the closure holds only `agm` and k or k1p.  At k = 1 the kernel's limit
+gives cos am = sech t itself and k'^2 = 0 (jacobi.py), so the standard
+integrand has one form.  The two real-modulus rules
 also give `columns(us, s)`, all an elastica curve needs and no more:
 the columns of cn of their own k and of P at every x = u + s of a list,
 from one batch descent (`_Agm.phases`, jacobi.py), which refuses what
@@ -39,10 +47,12 @@ keeps no correct digit, `epsilon_any` returns the linear term slope x:
 the periodic part is at most about 2^-50 of it there.  Signs of moduli
 are stripped up front: epsilon and zeta are even in the modulus.
 
-`_Standard`, 0 <= k <= 1, descends the kernel of k itself
-(`jacobi._kernel`, with its k = 1 limit): P = Z is King's sum and the
-slope E/K is the kernel's; its columns are cn(x, k) and Z for 0 <= k < 1
-(the curves refuse k = 1), its integrand dn^2(t, k).
+`_Standard`, 0 <= k <= 1, descends the kernel of k itself, or its
+k = 1 limit `jacobi._Unit`, built on the k that `Modulus.__init__`
+checked, not through `jacobi._kernel`, which would check it again: P = Z
+is King's sum and the slope E/K is the kernel's; its columns are
+cn(x, k) and Z for 0 <= k < 1 (the curves refuse k = 1), its integrand
+dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -50,7 +60,8 @@ sqrt(1 - 1/k^2) formed without cancellation.  By Legendre's relation
 E K' + E' K - K K' = pi/2 (DLMF 19.7.1), K, 1 - E/K and Z of 1/k and
 K', E' of its complement give everything.  K' = K (K'/K) comes from the
 same kernel, whose last step gives K'/K through the nome
-(`_Agm.period_ratio`); zeta and E/K need only K', and `pair(s)` alone
+(`_Agm.period_ratio`); zeta and E/K need only K', through w and drift
+= w K'/K, which the rule computes at construction, and `pair(s)` alone
 builds the complement's kernel, for E', and only up to k = sqrt(2).
 With s the branch sign, slope = 1 - k^2 (1 - E/K), which tends to 1/2
 without cancellation, w = (pi/2) k^2 / (K^2 + K'^2) and
@@ -92,9 +103,9 @@ member is refused by name.  A `Modulus` is a frozen value, as
 import time), and a copied or unpickled value is checked again.  The
 fields of a `Modulus` are `regime` and `k` alone; its rule is not one,
 so a pickle holds no kernel and a copy builds its own.
-Every k that is neither an int nor a float, in `Modulus(regime, k)`
+Every k whose type is neither int nor float, in `Modulus(regime, k)`
 as in `Modulus.real` and `Modulus.imaginary`, is taken as float(k)
-(numpy's float32 or int64, a Fraction), and a bool (numpy's too), a string,
+(numpy's float64, float32 or int64, a Fraction), and a bool (numpy's too), a string,
 bytes and what float() cannot convert are refused as non-real; `real`
 and `imaginary` then take |k|.  The rule's descent at x, kx or x/k1p is
 the one check of x, a non-finite x included; a dispatcher names its x,
@@ -103,10 +114,13 @@ included) or its result is not finite.
 
 Each fact is checked once, on the path of a fresh-modulus call:
 
-    k is a finite real number      `Modulus.__init__` (a float by its type;
-                                   `_real` converts any other number)
+    k is a finite real number      `Modulus.__init__` (a float or an int by
+                                   its type; `_real` converts any other
+                                   number, a float subclass included)
     k lies in its regime's range   `Modulus.__init__`, one comparison a
-                                   bound, in the branch that builds the rule
+                                   bound, in the branch that builds the
+                                   rule; a standard k too, as the rule
+                                   builds its kernel without `_kernel`
     x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`);
                                    `epsilon_any` takes a finite x past the
                                    reduction bound as its linear term
@@ -120,7 +134,7 @@ import operator
 from math import cos, hypot, sin, sqrt
 
 from .errors import _MAX_FLOAT, DomainError, _shown
-from .jacobi import EllipticPair, _Agm, _kernel
+from .jacobi import EllipticPair, _Agm, _Unit
 
 _MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
 _MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
@@ -208,11 +222,12 @@ class Modulus(_Value):
     __slots__ = (*__match_args__, "_rule")
 
     def __init__(self, regime, k):
-        # an int or a float is real as it is (`_real` takes any other k, and
-        # refuses a bool); compared with the largest float, not by
-        # math.isfinite, which raises OverflowError on an int past the float
-        # range; NaN fails both ways.  Each branch builds its regime's rule
-        if type(k) is not float and (isinstance(k, bool) or not isinstance(k, (int, float))):
+        # an int or a float is real as it is (`_real` takes any other k, a
+        # subclass such as numpy's float64 included, and refuses a bool);
+        # compared with the largest float, not by math.isfinite, which raises
+        # OverflowError on an int past the float range; NaN fails both ways.
+        # Each branch builds its regime's rule
+        if type(k) is not float and type(k) is not int:
             k = _real(k)
         if not -_MAX_FLOAT <= k <= _MAX_FLOAT:
             raise _not_real(k)
@@ -266,18 +281,17 @@ _new = object.__new__
 
 
 class _Standard:
-    # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself
+    # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself, or
+    # its k = 1 limit, of the k that `Modulus.__init__` checked
     __slots__ = ("agm", "slope")
+    w = drift = 0.0  # no Legendre terms: E/K and Z are real
 
     def __init__(self, k):
-        self.agm = agm = _kernel(k)
+        self.agm = agm = _Agm(k) if k < 1.0 else _Unit()
         self.slope = agm.ek
 
     # the integrand's half period K, in t: inf at k = 1
     half = property(operator.attrgetter("agm.K"))
-
-    def ek(self, s):
-        return complex(self.slope, 0.0)
 
     def periodic(self, x):
         return self.agm.phase(x)[2]
@@ -287,9 +301,6 @@ class _Standard:
         # 0 <= k < 1 (the curves refuse k = 1)
         phis, ns, zs = self.agm.phases([u + s for u in us])
         return [-c if n % 2 else c for c, n in zip(map(math.cos, phis), ns)], zs
-
-    def zeta(self, x, s):
-        return complex(self.agm.phase(x)[2], 0.0)
 
     def integrand(self):
         # dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as `jacobi` forms
@@ -305,27 +316,20 @@ class _Standard:
 class _LargeReal:
     # the rule for real k > 1 (module docstring), built once per modulus on
     # the kernel of 1/k
-    __slots__ = ("k", "agm", "slope")
+    __slots__ = ("k", "agm", "slope", "w", "drift")
 
     def __init__(self, k):
         self.k = k
         # the complement sqrt(1 - 1/k^2) of 1/k, formed without cancellation
         self.agm = agm = _Agm(1.0 / k, sqrt((k - 1.0) * (k + 1.0)) / k)
         self.slope = 1.0 - k * k * agm.one_minus_ek
-
-    def legendre(self):
-        # (w, w K'/K) with K' = K (K'/K) of the complement of 1/k, which
-        # epsilon and dn do not need, from the kernel's nome.  k^2 is scaled
-        # by a factor below 1, as (pi/2) k^2 can overflow
-        agm, k = self.agm, self.k
+        # the Legendre terms w and drift = w K'/K, with K' = K (K'/K) of the
+        # complement of 1/k from the kernel's nome.  k^2 is scaled by a factor
+        # below 1, as (pi/2) k^2 can overflow
         ratio = agm.period_ratio()
         kc = agm.K * ratio
-        w = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
-        return w, w * ratio
-
-    def ek(self, s):
-        w, drift = self.legendre()
-        return complex(self.slope - drift, -s * w)
+        self.w = w = k * k * (0.5 * math.pi / (agm.K * agm.K + kc * kc))
+        self.drift = w * ratio
 
     def pair(self, s):
         # (K(k), E(k)) on the branch of sign s.  Re E/k = E(1/k) - (1 - 1/k^2)
@@ -354,11 +358,6 @@ class _LargeReal:
         k = self.k
         return k * self.agm.phase(k * x)[2]
 
-    def zeta(self, x, s):
-        k = self.k
-        w, drift = self.legendre()
-        return complex(k * self.agm.phase(k * x)[2] + drift * x, s * w * x)
-
     @property
     def half(self):
         # the integrand's half period in t: K(1/k)/k
@@ -374,6 +373,7 @@ class _Imaginary:
     # the rule for the modulus i*k (module docstring): the kernel of k1, built
     # on the exact k1p, and the modulus's E/K = E(k1)/(k1p^2 K(k1))
     __slots__ = ("agm", "slope", "k1k1", "q")
+    w = drift = 0.0  # no Legendre terms: E/K and Z are real
 
     def __init__(self, k):
         h = hypot(1.0, k)
@@ -381,9 +381,6 @@ class _Imaginary:
         self.slope = agm.ek / agm.kp2
         # k1^2 of the sn cn term, and of dn^2 taken as 1 - k1p^2 (`_Agm.jacobi`)
         self.k1k1, self.q = agm.k * agm.k, 1.0 - agm.kp2
-
-    def ek(self, s):
-        return complex(self.slope, 0.0)
 
     def periodic(self, x):
         # Z(u + K(k1), k1)/k1p from one descent at u = x/k1p; sn cn and dn are
@@ -394,9 +391,6 @@ class _Imaginary:
         phi, _, z = agm.phase(x / kp)
         cn = cos(phi)
         return (z - self.k1k1 * sin(phi) * cn / sqrt(agm.kp2 + self.q * cn * cn)) / kp
-
-    def zeta(self, x, s):
-        return complex(self.periodic(x), 0.0)
 
     @property
     def half(self):
@@ -445,7 +439,9 @@ def ek_ratio(m: Modulus, branch: str = "lower") -> complex:
     branch makes Im E/K positive and so Im Z negative for x > 0.  At
     k = 1 the ratio vanishes (K diverges).
     """
-    return m._rule.ek(_branch_sign(branch))
+    # the one place E/K is formed: 0.0 - s w keeps a zero w's part +0.0
+    rule = m._rule
+    return complex(rule.slope - rule.drift, 0.0 - _branch_sign(branch) * rule.w)
 
 
 def k_e_continued(m: Modulus, branch: str = "lower") -> EllipticPair:
@@ -491,9 +487,12 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     Imaginary i*k: Z(x/k1p + K(k1), k1)/k1p, shifted inside the primary cell.
     """
     s = _branch_sign(branch)
-    # as in epsilon_any; v - v is 0.0 only if both parts of v are finite
+    # the one place Z is formed, P(x) + drift x + i s w x, where + 0.0 keeps a
+    # zero w's part +0.0; as in epsilon_any, v - v is 0.0 only if both parts
+    # of v are finite
+    rule = m._rule
     try:
-        value = m._rule.zeta(x, s)
+        value = complex(rule.periodic(x) + rule.drift * x, s * rule.w * x + 0.0)
     except (DomainError, OverflowError) as exc:
         raise _failed("zeta_any", x, m, exc) from exc
     if value - value == 0.0:

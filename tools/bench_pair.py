@@ -31,15 +31,19 @@ JSON printed has six parts:
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds, the order flipped on every other round;
   the median and quartiles of each side in microseconds per call, the
-  change's ratio to the parent (of the medians) with the quartiles of
-  its per-round ratios, and the number of rounds the change is faster
-  in.  A row on a held `Modulus` builds it outside the timed call.
+  change's ratio to the parent as the median of its per-round ratios,
+  with their quartiles (a ratio of the two sides' medians would take in
+  the host's drift between rounds), and the number of rounds the change
+  is faster in.  A row on a held `Modulus` builds it outside the timed
+  call.
 - `micro_aa_us`: the same for the parent tree loaded twice, under two
   package names, its first load in the place of the parent and its
   second in that of the change.  The code is the same on both sides, so
   the spread of each row's ratio is the noise floor of that row in this
   file: a micro ratio says something only where its quartiles clear
-  that spread.
+  that spread, which each `micro_us` row states as `clears_aa`, true
+  when its ratio quartiles lie wholly above or wholly below those of its
+  `micro_aa_us` row.
 - `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
   that runs `import epszeta`, with and without `-S -I`, or one
   `epszeta.cli eval`, for each side, beside a bare interpreter that only
@@ -181,10 +185,8 @@ def load(name, root):
 
 def micro_calls(pkg):
     """(name, calls per timing, call) for one loaded package."""
-    ez = sys.modules[pkg.__name__ + ".extended"]
     agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
     panel = sys.modules[pkg.__name__ + ".quadrature"].newton_cotes_8
-    rule = ez.Modulus.real(2.0)._rule
     params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
     held = [("real 0.5", pkg.Modulus.real(0.5)), ("real 2", pkg.Modulus.real(2.0)),
@@ -196,7 +198,6 @@ def micro_calls(pkg):
         ("Modulus.imaginary(1.0)", 50000, lambda: pkg.Modulus.imaginary(1.0)),
         ("ElasticaParams(0.35)", 50000, lambda: pkg.ElasticaParams(0.35)),
         ("_Agm(0.5)", 20000, lambda: agm(0.5)),
-        ("_LargeReal(2).legendre()", 20000, rule.legendre),
         ("epsilon_any(0.5, real 0.5)", 10000,
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(0.5))),
         ("zeta_any(0.5, real 0.5)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.real(0.5))),
@@ -212,6 +213,7 @@ def micro_calls(pkg):
           for name, m in held),
         *((f"zeta_any(0.5, held {name})", 20000, lambda m=m: pkg.zeta_any(0.5, m))
           for name, m in held),
+        *((f"ek_ratio(held {name})", 50000, lambda m=m: pkg.ek_ratio(m)) for name, m in held),
         *((f"integrand node ({regime})", 100000, lambda f=f: f(0.7)) for regime, f in nodes),
         ("newton_cotes_8 panel (standard)", 20000, lambda: panel(nodes[0][1], 0.0, 0.5)),
         ("epsilon_by_quadrature(0.5, real 0.5, 1e-11)", 2000,
@@ -245,12 +247,28 @@ def micro(roots, tags):
                 times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
     table = {}
     for name, (parent, change) in times.items():
-        p, c = statistics.median(parent), statistics.median(change)
-        table[name] = {"parent": round(p, 3), "change": round(c, 3), "ratio": round(c / p, 3),
+        ratios = [b / a for a, b in zip(parent, change)]
+        table[name] = {"parent": round(statistics.median(parent), 3),
+                       "change": round(statistics.median(change), 3),
+                       "ratio": round(statistics.median(ratios), 3),
                        "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-                       "ratio_quartiles": quartiles([b / a for a, b in zip(parent, change)]),
+                       "ratio_quartiles": quartiles(ratios),
                        "change_wins": sum(b < a for a, b in zip(parent, change))}
     return table
+
+
+def micro_sections(roots):
+    """The `micro_us` and `micro_aa_us` parts (module docstring), each micro row
+    marked `clears_aa` where its ratio quartiles lie wholly above or wholly
+    below those of its A/A row."""
+    rows = micro(roots, ("parent", "change"))
+    aa = micro([roots[0], roots[0]], ("parent_a", "parent_b"))
+    for name, row in rows.items():
+        low, _, high = row["ratio_quartiles"]
+        aa_low, _, aa_high = aa[name]["ratio_quartiles"]
+        row["clears_aa"] = high < aa_low or low > aa_high
+    return ({"rounds": MICRO_ROUNDS, **rows},
+            {"rounds": MICRO_ROUNDS, "sides": "the parent tree loaded twice", **aa})
 
 
 def child_cpu_ms(root, flags, code):
@@ -324,13 +342,11 @@ def main(argv):
         "per_layer": {"command": f"bench/run.py --seed {SEED} --seconds {TRACE_SECONDS} "
                                  "--trace 1, one run per side",
                       **per_layer(roots, workloads)},
-        "micro_us": {"rounds": MICRO_ROUNDS, **micro(roots, ("parent", "change"))},
-        "micro_aa_us": {"rounds": MICRO_ROUNDS, "sides": "the parent tree loaded twice",
-                        **micro([roots[0], roots[0]], ("parent_a", "parent_b"))},
-        "startup_cpu_ms": {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
-                           **startup(roots)},
-        "cli_wall_s": {"runs": CLI_RUNS, **cli_wall(roots)},
     }
+    result["micro_us"], result["micro_aa_us"] = micro_sections(roots)
+    result["startup_cpu_ms"] = {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
+                                **startup(roots)}
+    result["cli_wall_s"] = {"runs": CLI_RUNS, **cli_wall(roots)}
     print(json.dumps(result, indent=1))
     return 0
 

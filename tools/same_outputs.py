@@ -18,12 +18,18 @@ exception it raised:
   k - 1 log-spread from 2^-52 up to `extended._MAX_LARGE` (1.34e154, read
   from this checkout's `src`), the other callers of the large-real rule's
   Legendre relation besides `zeta_any`;
+- `zeta_any` on both branches, for moduli of every regime (`MODULI`),
+  at each x of `XS`: zeros of both signs, the smallest subnormal, and x
+  of both signs and many periods;
+- `ek_ratio` on both branches for the standard and i*k moduli of
+  `MODULI`;
 - every public routine given the int 10**400, past the float range, as
   one argument;
 - the constructors of the checked values, `Modulus(regime, k)` for each
   regime, `Modulus.real`, `Modulus.imaginary` and `ElasticaParams`, each
   given every k of a list: a bool, numpy's bool, a str and bytes, NaN,
-  both infinities, a negative k, 10**400 and both sides of each regime's
+  both infinities, a negative k, 10**400, numpy's float64 and float32
+  (which the constructors take as floats) and both sides of each regime's
   range bounds (the large-real one read from this checkout's `src`, as
   above); `Modulus` given a regime that is not a `Regime`; and
   `ElasticaParams` at k = 1 and with an omega that is not finite and > 0.
@@ -79,6 +85,10 @@ SHOWN = 5        # differing rows printed per workload
 PREVIEW = 300    # characters of an output printed for a differing row
 CLI = "cli transcripts"
 OUT = "{missing}/curve.csv"  # an --out path under a directory that does not exist
+# (constructor, k) of the moduli whose zeta_any and ek_ratio are compared, and the x
+MODULI = (("real", 0.0), ("real", 0.5), ("real", 1.0), ("real", 1.0 + 2.0 ** -52), ("real", 2.0),
+          ("real", 1e8), ("imaginary", 1e-6), ("imaginary", 1.5), ("imaginary", 1e7))
+XS = (0.0, -0.0, 0.7, -0.7, 5e-324, 1e3)
 # a decimal number standing alone in an output (not part of a name such as k1),
 # with the j of a complex part
 NUMBER = re.compile(r"(?<![A-Za-z_.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?(?![\w.])")
@@ -177,6 +187,7 @@ def refusals(top):
     from epszeta import ElasticaParams, Modulus, Regime
     ks = (True, numpy.bool_(True), "0.5", b"0.5", math.nan, math.inf, -math.inf, -0.5, BIG,
           # both sides of each regime's range bounds
+          numpy.float64(0.5), numpy.float32(0.5), numpy.float64(2.5), numpy.float32(2.5),
           -0.0, 0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, 2, top,
           math.nextafter(top, math.inf), math.nextafter(2.0 ** 26, 0.0), 2.0 ** 26)
     omegas = (0.0, -1.0, math.nan, math.inf, BIG, True, numpy.bool_(True), "1.0", None)
@@ -233,12 +244,21 @@ def emit(out, missing, top):
         workload = WORKLOADS[name]
         for i, row in enumerate(islice(workload.rows(seed), n or workload.pool)):
             write(f"{name} seed {seed}", i, list(row), outcome(workload.op, row))
-    from epszeta import Modulus, ek_ratio, k_e_continued
+    from epszeta import Modulus, ek_ratio, k_e_continued, zeta_any
     for fn in (ek_ratio, k_e_continued):
         rows = [(k, branch) for k in large_real_ks(top) for branch in ("lower", "upper")]
         for i, row in enumerate(rows):
             write(fn.__name__, i, list(row),
                   outcome(lambda k, branch: fn(Modulus.real(k), branch), row))
+    moduli = [(f"{make} {k!r}", getattr(Modulus, make)(k)) for make, k in MODULI]
+    rows = [(name, m, x, branch) for name, m in moduli for x in XS
+            for branch in ("lower", "upper")]
+    for i, (name, m, x, branch) in enumerate(rows):
+        write("zeta_any", i, [name, x, branch], outcome(zeta_any, (x, m, branch)))
+    rows = [(name, m, branch) for name, m in moduli if m.regime.value != "large_real"
+            for branch in ("lower", "upper")]
+    for i, (name, m, branch) in enumerate(rows):
+        write("ek_ratio, standard and i*k", i, [name, branch], outcome(ek_ratio, (m, branch)))
     for i, (name, call) in enumerate(past_the_float_range()):
         write("int past the float range", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(refusals(top)):
