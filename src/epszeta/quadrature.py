@@ -9,13 +9,14 @@ scales as h^11, so halving the step gains a factor of 2^10).
 
 `epsilon_by_quadrature`, the oracle that checks the regime transforms,
 integrates a regime's integrand (extended.py) from 0 to |x|.  Once |x|
-spans two of the integrand's half periods it folds by them: it
-integrates one half period once and the rest once (its docstring), so
-an interval of many periods costs little more than one and cannot alias
-under its first 9-node panel.  Its half period and integrand come from
-the rule that the `Modulus` built (extended.py), so an oracle call and
-an `epsilon_any` call on one `Modulus` descend one AGM kernel between
-them and build none.
+spans one of the integrand's half periods it folds by them: it
+integrates one half period once, in two pieces split where the rest
+ends, and weights each piece by how often it recurs in [0, |x|] (its
+docstring), so an interval of many periods costs no more than one and
+cannot alias under its first 9-node panel.  Its half period and
+integrand come from the rule that the `Modulus` built (extended.py), so
+an oracle call and an `epsilon_any` call on one `Modulus` descend one
+AGM kernel between them and build none.
 """
 
 from collections import namedtuple
@@ -99,24 +100,33 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
 
     Each integrand f has period 2H and is even about H as about 0, with
     H = K(k), K(1/k)/k or K(k1) k1p (the rule's `half`), so each half
-    period holds the same integral J.  Where 2H <= |x| <= 2^50 H, with
-    |x| = q H + r and 0 <= r < H, the result is q J + R: J integrated
-    once on [0, H] to tol/(2q), and R on [0, r] for even q or [H - r, H]
-    for odd q to tol/2.  This assumes only the period and symmetry of
-    dn^2, cn^2 and 1/dn^2, not the transforms under test; J's error is
-    multiplied by q.  Everywhere else, and always at k = 1 (H = inf), it
-    is one integration of [0, |x|] to tol, whose last node meets the
-    descent's refusal of x past 2^51 H.
+    period holds the same integral J.  Where H <= |x| <= 2^50 H, with
+    |x| = q H + r and 0 <= r < H, the result is q J + R, with R the
+    integral over [0, r] for even q or over [H - r, H] for odd q.  [0, H]
+    is integrated once, in two pieces split at p = r (q even) or
+    p = H - r (q odd): A over [0, p] and B over [p, H].  Then J = A + B,
+    R is A (q even) or B (q odd), and q J + R = n_A A + n_B B with
+    n_A = q + [q even] and n_B = q + [q odd].  Each piece is integrated
+    to tol/(2n) for its weight n, so the weighted errors still sum to
+    tol; at r = 0 one piece is empty.  This assumes only the period and
+    symmetry of dn^2, cn^2 and 1/dn^2, not the transforms under test.
+    Real k = 5 at x = 3 took 567 integrand evaluations as one
+    integration, 90 folded from 2H on, and takes 54.  Below H, past
+    2^50 H, and always at k = 1 (H = inf), it is one integration of
+    [0, |x|] to tol.  Past 2^50 H that integration fails: up to 2^51 H
+    its bisection meets no tolerance on a tiny interval (ConvergenceError),
+    and beyond, its last node meets the descent's refusal of x past
+    2^51 H (DomainError).
     """
     half = m._rule.half
     f = regime_integrand(m)
     ax = abs(x)
     try:
-        if 2.0 * half <= ax <= _MAX_PERIODS * half:
+        if half <= ax <= _MAX_PERIODS * half:
             q, r = divmod(ax, half)  # r = |x| - q H exactly
-            whole = integrate(f, 0.0, half, tol / (2.0 * q)).value
-            a, b = (half - r, half) if q % 2 else (0.0, r)
-            value = q * whole + integrate(f, a, b, 0.5 * tol).value
+            p, n_a, n_b = (half - r, q, q + 1.0) if q % 2 else (r, q + 1.0, q)
+            value = (n_a * integrate(f, 0.0, p, tol / (2.0 * n_a)).value
+                     + n_b * integrate(f, p, half, tol / (2.0 * n_b)).value)
         else:
             value = integrate(f, 0.0, ax, tol).value
     except (DomainError, ConvergenceError) as exc:

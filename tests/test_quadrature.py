@@ -9,7 +9,7 @@ import pytest
 import goldens
 from epszeta import (ConvergenceError, DomainError, Modulus, complete_k, epsilon_any,
                      epsilon_by_quadrature, regime_integrand, sncndn)
-from epszeta import quadrature
+from epszeta import cli, quadrature
 from epszeta.jacobi import _Agm, _Unit
 from epszeta.quadrature import integrate, newton_cotes_8
 
@@ -275,13 +275,14 @@ class TestEpsilonByQuadrature:
         m = make(k)
         epsilon_any(x, m)
         epsilon_by_quadrature(x, m, 1e-11)
-        assert (abs(x) >= 2.0 * m._rule.half) is folds
+        assert (abs(x) >= m._rule.half) is folds
         assert len(built) == 1
 
 
 class TestFoldByHalfPeriod:
-    # the integrand has period 2H and is even about H; from |x| = 2H on the
-    # oracle integrates one half period once (the docstring of epsilon_by_quadrature)
+    # the integrand has period 2H and is even about H; from |x| = H on the
+    # oracle integrates one half period once, in two pieces (the docstring of
+    # epsilon_by_quadrature)
     @pytest.mark.parametrize("m", [Modulus.real(0.0), Modulus.real(0.5), Modulus.real(1.0 - 1e-12),
                                    Modulus.real(1.0 + 1e-9), Modulus.real(3.0), Modulus.real(1e6),
                                    Modulus.imaginary(0.1), Modulus.imaginary(3.0),
@@ -304,10 +305,10 @@ class TestFoldByHalfPeriod:
     @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(1.0), Modulus.real(5.0),
                                    Modulus.real(100.0), Modulus.imaginary(1.5),
                                    Modulus.imaginary(10.0)], ids=repr)
-    def test_one_integration_below_two_half_periods(self, m):
-        # |x| < 2H (H = inf at k = 1): the single integration of [0, |x|], bit for bit
-        span = min(2.0 * m._rule.half, 40.0)
-        for x in (0.3 * span, -0.5 * span, 0.999 * span, math.nextafter(span, 0.0)):
+    def test_one_integration_below_one_half_period(self, m):
+        # |x| < H (H = inf at k = 1): the single integration of [0, |x|], bit for bit
+        span = min(m._rule.half, 40.0)
+        for x in (0.3 * span, -0.6 * span, 0.999 * span, math.nextafter(span, 0.0)):
             want = integrate(regime_integrand(m), 0.0, abs(x), 1e-11).value
             assert epsilon_by_quadrature(x, m, 1e-11) == math.copysign(want, x), x
 
@@ -320,16 +321,23 @@ class TestFoldByHalfPeriod:
         assert abs(epsilon_by_quadrature(x, m, 1e-11) - epsilon_any(x, m)) <= 1e-10
 
     def test_even_and_odd_half_period_counts(self):
-        # q = 2 and q = 3 half periods before the rest, on either side of the midpoint
-        m = Modulus.real(0.5)
-        half = m._rule.half
-        for x in (2.2 * half, 2.8 * half, 3.2 * half, 3.7 * half, 4.0 * half):
-            assert abs(epsilon_by_quadrature(x, m, 1e-12) - epsilon_any(x, m)) <= 1e-11, x
+        # q = 1, 2 and 3 half periods before the rest, on either side of the
+        # midpoint, in each regime; at x = H, 2H and 4H the rest r is 0 and one
+        # piece is empty (p = H for odd q, p = 0 for even q)
+        for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(1.5)):
+            half = m._rule.half
+            for a in (1.0, 1.3, 1.9, 2.0, 2.2, 2.8, 3.2, 3.7, 4.0):
+                x = a * half
+                gap = abs(epsilon_by_quadrature(x, m, 1e-12) - epsilon_any(x, m))
+                assert gap <= 1e-11, (m, a)
 
     @pytest.mark.parametrize("m, x", [(Modulus.real(5.0), 3.0), (Modulus.real(5.0), -2.6),
-                                      (Modulus.imaginary(3.0), 3.0)], ids=repr)
+                                      (Modulus.imaginary(3.0), 3.0), (Modulus.real(0.5), 2.0),
+                                      (Modulus.imaginary(1.5), -2.5)], ids=repr)
     def test_intervals_and_tolerance_split(self, monkeypatch, m, x):
-        # q J + R: J on [0, H] to tol/(2q), R on [0, r] (q even) or [H - r, H] (q odd) to tol/2
+        # q = 9, 8, 3, 1 and 2: q J + R is n_A A + n_B B, with A on [0, p] to
+        # tol/(2 n_A) and B on [p, H] to tol/(2 n_B), where p = r and R = A for
+        # even q, p = H - r and R = B for odd q, so that R's piece counts once more
         seen = []
 
         def recording(f, a, b, tol):
@@ -338,13 +346,16 @@ class TestFoldByHalfPeriod:
         monkeypatch.setattr(quadrature, "integrate", recording)
         half = m._rule.half
         q, r = divmod(abs(x), half)
+        odd = q % 2 == 1
+        p = half - r if odd else r
+        n_a, n_b = q + (not odd), q + odd
         epsilon_by_quadrature(x, m, 1e-11)
-        rest = (half - r, half) if q % 2 else (0.0, r)
-        assert seen == [(0.0, half, 1e-11 / (2.0 * q)), (*rest, 0.5e-11)]
+        assert seen == [(0.0, p, 1e-11 / (2.0 * n_a)), (p, half, 1e-11 / (2.0 * n_b))]
 
-    def test_evaluations_at_real_five(self, monkeypatch):
-        # every node goes through the module's regime_integrand; the whole
-        # interval [0, 3] took 567 evaluations
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        # every node goes through the module's regime_integrand; the list holds
+        # the count of nodes evaluated since the fixture was set up
         count = [0]
 
         def counting(m):
@@ -355,7 +366,20 @@ class TestFoldByHalfPeriod:
                 return f(t)
             return g
         monkeypatch.setattr(quadrature, "regime_integrand", counting)
+        return count
+
+    def test_evaluations_at_real_five(self, evaluations):
+        # the whole interval [0, 3] took 567 evaluations, the fold from 2H 90
+        # and the fold from H 54
         m = Modulus.real(5.0)
         value = epsilon_by_quadrature(3.0, m, 1e-11)
-        assert count[0] <= 120
+        assert evaluations[0] <= 60
         assert abs(value - epsilon_any(3.0, m)) <= 1e-10
+
+    def test_evaluations_over_the_default_check(self, evaluations, capsys):
+        # the 300 (regime, k, x) draws of `check --seed 0`, 100 per regime, at
+        # its oracle tolerance 1e-11: 27 855 evaluations with the fold from 2H,
+        # 21 771 with the fold from H
+        assert cli.main(["check", "--seed", "0"]) == 0
+        assert "100 trials per regime" in capsys.readouterr().out
+        assert evaluations[0] <= 21771

@@ -227,6 +227,11 @@ def micro_calls(pkg):
          lambda: pkg.epsilon_by_quadrature(3.0, pkg.Modulus.real(5.0), 1e-11)),
         ("epsilon_by_quadrature(3.0, imag 3, 1e-11)", 200,
          lambda: pkg.epsilon_by_quadrature(3.0, pkg.Modulus.imaginary(3.0), 1e-11)),
+        # one half period and part of the next
+        ("epsilon_by_quadrature(2.0, real 0.5, 1e-11)", 1000,
+         lambda: pkg.epsilon_by_quadrature(2.0, pkg.Modulus.real(0.5), 1e-11)),
+        ("epsilon_by_quadrature(1.2, imag 1.5, 1e-11)", 1000,
+         lambda: pkg.epsilon_by_quadrature(1.2, pkg.Modulus.imaginary(1.5), 1e-11)),
         ("sample_curve(flexural, 600)", 100,
          lambda: pkg.sample_curve("flexural", params, 0.0, 12.0, 600)),
         ("sample_curve(inflexural, 600)", 100,
