@@ -2,13 +2,21 @@
 
 epsilon(x,k) = integral 0..x dn^2(t,k) dt grows linearly with a periodic
 wobble; zeta is the wobble alone.  Both are odd in x and even in k.
-Each routine takes the modulus's AGM kernel from `jacobi._kernel`, which
-checks k and gives the k = 1 limit, and descends it once at x: King's
-sum gives Z, and epsilon = Z + (E/K) x.
+Each routine is a call of the standard rule (extended.py) on the
+`Modulus` of |k|, which checks k as every `Modulus` does: epsilon is
+`epsilon_any`, where epsilon = Z + (E/K) x and its linear term past the
+reduction bound are written, and zeta the rule's periodic part Z, King's
+sum of one descent.
 """
 
-from .errors import _MAX_FLOAT, DomainError
-from .jacobi import _kernel, amplitude  # noqa: F401 (a lookup site bench/tests traces)
+from .errors import _magnitude
+from .extended import _STANDARD, Modulus, epsilon_any
+from .jacobi import amplitude  # noqa: F401 (a lookup site bench/tests traces)
+
+
+def _standard(k):
+    # the standard Modulus of |k|, which refuses |k| > 1 naming |k|
+    return Modulus(_STANDARD, abs(k) if type(k) is float else _magnitude(k))
 
 
 def epsilon(x: float, k: float) -> float:
@@ -17,14 +25,7 @@ def epsilon(x: float, k: float) -> float:
     Past the reduction bound |x| = 2^51 K, where Z keeps no correct digit
     but |Z| < 1 is below 2^-51 of (E/K) x, it is the linear term (E/K) x.
     """
-    agm = _kernel(k)
-    try:
-        z = agm.phase(x)[2]
-    except DomainError:
-        if not abs(x) <= _MAX_FLOAT:
-            raise
-        return agm.ek * x
-    return z + agm.ek * x
+    return epsilon_any(x, _standard(k))
 
 
 def zeta(x: float, k: float) -> float:
@@ -33,4 +34,4 @@ def zeta(x: float, k: float) -> float:
     At |k| = 1 the slope E/K vanishes (K diverges) and Z coincides with
     epsilon, i.e. tanh.
     """
-    return _kernel(k).phase(x)[2]
+    return _standard(k)._rule.periodic(x)

@@ -1,4 +1,12 @@
-"""Exception types shared across the library, and what the checks that raise them share."""
+"""Exception types shared across the library, and what the checks that raise them share.
+
+One definition of "k is a finite real number" serves every check of a
+modulus, `Modulus` (extended.py) and `jacobi._kernel` alike: `_real`
+takes a k that is not a float as float(k) (numpy's float64, float32 or
+int64, a Fraction) and refuses a bool (numpy's too), a string, bytes
+and what float() cannot convert with `_not_real`, which also names a
+k that is not finite; `_magnitude` is |k| of that float.
+"""
 
 import math
 
@@ -21,3 +29,22 @@ def _shown(v):
         return repr(v)
     except Exception:
         return f"<{type(v).__name__} without a repr>"
+
+
+def _not_real(k):
+    return DomainError(f"modulus must be a finite real number, got k={_shown(k)}")
+
+
+def _real(k):
+    # k as a float, of a k that is not one (numpy's float32, an int64, a
+    # Fraction); float() would also take a bool (numpy's too) and parse a string
+    if type(k).__name__ not in ("bool", "bool_") and not isinstance(k, (str, bytes, bytearray)):
+        try:
+            return float(k)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _not_real(k)
+
+
+def _magnitude(k):
+    return abs(_real(k))

@@ -1,8 +1,10 @@
 """Epsilon and zeta continued to real moduli beyond 1 and to pure imaginary moduli.
 
 A `Modulus` is the one place where a modulus is validated, its range
-included; the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio` are
-the entry points.  Each regime has one rule, a private class that
+included, for the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio`,
+the entry points, and for `epsilon` and `zeta` (epsilon_zeta.py), which
+are calls of the standard rule on the `Modulus` of |k|.  Each regime
+has one rule, a private class that
 `Modulus.__init__` builds in the branch that checked its range, once,
 into the slot `_rule`: the only branch on the regime that evaluates
 anything.  A rule holds `agm`, the one standard-range AGM kernel
@@ -115,8 +117,9 @@ included) or its result is not finite.
 Each fact is checked once, on the path of a fresh-modulus call:
 
     k is a finite real number      `Modulus.__init__` (a float or an int by
-                                   its type; `_real` converts any other
-                                   number, a float subclass included)
+                                   its type; `errors._real` converts any
+                                   other number, a float subclass included,
+                                   as it does for `jacobi._kernel`)
     k lies in its regime's range   `Modulus.__init__`, one comparison a
                                    bound, in the branch that builds the
                                    rule; a standard k too, as the rule
@@ -133,30 +136,11 @@ import math
 import operator
 from math import cos, hypot, sin, sqrt
 
-from .errors import _MAX_FLOAT, DomainError, _shown
+from .errors import _MAX_FLOAT, DomainError, _magnitude, _not_real, _real, _shown
 from .jacobi import EllipticPair, _Agm, _Unit
 
 _MAX_LARGE = 1.3407807929942596e154  # the largest float k whose k * k is finite
 _MAX_IMAG = 2.0 ** 26  # from here on k1 = k/sqrt(1 + k^2) rounds to 1
-
-
-def _not_real(k):
-    return DomainError(f"modulus must be a finite real number, got k={_shown(k)}")
-
-
-def _real(k):
-    # k as a float, of a k that is not one (numpy's float32, an int64, a
-    # Fraction); float() would also take a bool (numpy's too) and parse a string
-    if type(k).__name__ not in ("bool", "bool_") and not isinstance(k, (str, bytes, bytearray)):
-        try:
-            return float(k)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise _not_real(k)
-
-
-def _magnitude(k):
-    return abs(_real(k))
 
 
 class Regime(enum.Enum):

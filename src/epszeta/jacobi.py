@@ -42,7 +42,7 @@ reduced argument keeps no correct digit and the descent raises
 DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 3.5e15 at k = 0, where K = pi/2 is smallest).  epsilon alone has a value
 there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
-linear term (E/K) x (epsilon_zeta.py, and `epsilon_any` in extended.py).
+linear term (E/K) x (`epsilon_any` in extended.py, which `epsilon` calls).
 
 The kernel descends in three ways, with the same reduction and the same
 steps, so they agree bit for bit; each computes only what its caller
@@ -63,11 +63,16 @@ reads:
   squares it.  It skips King's sum, n and the tuple, and it checks x as
   `phase` does, raising the same error.
 
-Every public routine here and in epsilon_zeta.py is `_kernel(k)` and at
-most one descent.  `_kernel` is the one check of k: it strips the sign
-(K, E, dn and am are even in k) and raises DomainError naming k outside
-|k| <= 1, NaN included.  At k = 1, where the AGM degenerates (b0 = 0)
-and K diverges, it returns the limit `_Unit`: K = inf, E = 1, am = gd x
+Every public routine here is `_kernel(k)` and at most one descent
+(epsilon_zeta.py's go through the standard `Modulus` of |k| instead).
+`_kernel` is the one check of k here, and it checks k as `Modulus`
+does: a k that is not a float is converted by `errors._real` (numpy's
+float32, an int64, a Fraction) or refused as not a real number (a
+bool, a string, None, a complex); then it strips the sign (K, E, dn
+and am are even in k), refuses NaN and the infinities as not finite
+real numbers, and raises DomainError naming k outside |k| <= 1.  At
+k = 1, where the AGM degenerates (b0 = 0) and K diverges, it returns
+the limit `_Unit`: K = inf, E = 1, am = gd x
 (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  Its
 `cos_phase` gives cos am = sech x itself, as 1/cosh x (2 e^-|x| from
 |x| = 710 on, where cosh overflows), not as cos gd x, which keeps no
@@ -89,7 +94,7 @@ from collections import namedtuple
 from math import asin, cos, ldexp, sin, sqrt
 
 from .carlson import rf
-from .errors import _MAX_FLOAT, DomainError, _shown
+from .errors import _MAX_FLOAT, DomainError, _magnitude, _not_real, _shown
 
 # Largest period index |n| of the reduction x = x_r + 2K n (module docstring).
 _MAX_PERIODS = 2.0 ** 50
@@ -272,10 +277,12 @@ def _bad_x(agm, x):
 
 
 def _kernel(k):
-    """The AGM kernel of |k|, or its limit at |k| = 1; the one check of a standard modulus."""
-    a = abs(k)
+    """The AGM kernel of |k|, or its limit at |k| = 1: a k that is not a float
+    is converted and refused as `Modulus` converts and refuses it."""
+    a = abs(k) if type(k) is float else _magnitude(k)
     if not a <= 1.0:
-        raise DomainError(f"k={_shown(k)} is outside the standard range |k| <= 1")
+        raise _not_real(k) if not a <= _MAX_FLOAT else DomainError(
+            f"k={_shown(k)} is outside the standard range |k| <= 1")
     return _Agm(a) if a < 1.0 else _Unit()
 
 

@@ -111,12 +111,16 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     tol; at r = 0 one piece is empty.  This assumes only the period and
     symmetry of dn^2, cn^2 and 1/dn^2, not the transforms under test.
     Real k = 5 at x = 3 took 567 integrand evaluations as one
-    integration, 90 folded from 2H on, and takes 54.  Below H, past
-    2^50 H, and always at k = 1 (H = inf), it is one integration of
-    [0, |x|] to tol.  Past 2^50 H that integration fails: up to 2^51 H
-    its bisection meets no tolerance on a tiny interval (ConvergenceError),
-    and beyond, its last node meets the descent's refusal of x past
-    2^51 H (DomainError).
+    integration, 90 folded from 2H on, and takes 54.  The fold fails
+    long before 2^50 H: once a piece's absolute tolerance tol/(2n) is
+    below the rounding error of a piece of size about H, its bisection
+    raises ConvergenceError, at tol 1e-11 from about 1.3 2^24 H at i*1.5,
+    1.3 2^26 H at real 0.5 and real 0.05, and 1.3 2^28 H at real 5.
+    Below H, past 2^50 H, and always at k = 1 (H = inf), it is one
+    integration of [0, |x|] to tol.  Past 2^50 H that integration fails:
+    up to 2^51 H its bisection meets no tolerance on a tiny interval
+    (ConvergenceError), and beyond, its last node meets the descent's
+    refusal of x past 2^51 H (DomainError).
     """
     half = m._rule.half
     f = regime_integrand(m)

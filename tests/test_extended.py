@@ -1,5 +1,6 @@
 import cmath
 import copy
+import functools
 import gc
 import math
 import pickle
@@ -14,8 +15,9 @@ import pytest
 
 import goldens
 import epszeta
-from epszeta import (DomainError, Modulus, Regime, complete_e, complete_k,
-                     ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature,
+from epszeta import (DomainError, Modulus, Regime, amplitude, complete_e,
+                     complete_k, ek_ratio, epsilon, epsilon_any,
+                     epsilon_by_quadrature, incomplete_e, sncndn, zeta,
                      zeta_any)
 from epszeta import extended
 from epszeta.extended import _MAX_IMAG, _MAX_LARGE
@@ -26,6 +28,16 @@ from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    zeta_large_real)
 
 TABLE_TOL = 5e-7
+
+# the (x, k) routines of the standard range, which take a raw k, each as a
+# function of k alone (at x = 0.5), keyed by its name
+XK_ROUTINES = {
+    **{fn.__name__: (lambda k, fn=fn: fn(0.5, k))
+       for fn in (epsilon, zeta, amplitude, sncndn, incomplete_e)},
+    "complete_k": complete_k, "complete_e": complete_e}
+# each call that checks a raw modulus k: Modulus(regime, k), keyed by the
+# regime, and the (x, k) routines
+K_CALLS = {**{regime: functools.partial(Modulus, regime) for regime in Regime}, **XK_ROUTINES}
 
 
 def python_calls(call):
@@ -150,16 +162,19 @@ class TestModulus:
         assert Modulus.real(k) == Modulus(Regime.LARGE_REAL, 2.0)
         assert Modulus.imaginary(-k) == Modulus(Regime.PURE_IMAGINARY, 2.0)
 
-    @pytest.mark.parametrize("regime, k", [
-        (Regime.STANDARD, np.float32(0.5)), (Regime.STANDARD, Fraction(1, 2)),
-        (Regime.LARGE_REAL, np.int64(2)), (Regime.PURE_IMAGINARY, np.float32(2.0))], ids=repr)
-    def test_modulus_converts_numbers_as_real_does(self, regime, k):
+    @pytest.mark.parametrize("call, k", [
+        *(pytest.param(K_CALLS[regime], k, id=f"{regime!r}-{k!r}") for regime, k in (
+            (Regime.STANDARD, np.float32(0.5)), (Regime.STANDARD, Fraction(1, 2)),
+            (Regime.LARGE_REAL, np.int64(2)), (Regime.PURE_IMAGINARY, np.float32(2.0)))),
+        *(pytest.param(K_CALLS[name], k, id=f"{name}-{k!r}") for name in XK_ROUTINES
+          for k in (np.float32(0.5), np.float64(0.5), np.int64(0), Fraction(1, 2)))])
+    def test_modulus_converts_numbers_as_real_does(self, call, k):
         # a k that is neither an int nor a float is taken as float(k), as
-        # `real` and `imaginary` take it, not refused as non-real
-        m = Modulus(regime, k)
-        assert type(m.k) is float and m == Modulus(regime, float(k))
-        if regime is not Regime.PURE_IMAGINARY:
-            assert m == Modulus.real(k)
+        # `real` and `imaginary` take it, not refused as non-real: a Modulus
+        # holds a float k, and an (x, k) routine computes in floats, bit for
+        # bit as at float(k)
+        got, want = call(k), call(float(k))
+        assert type(got) is type(want) and repr(got) == repr(want)
 
     @pytest.mark.parametrize("regime, k", [
         (Regime.STANDARD, 0.5), (Regime.LARGE_REAL, 2.5), (Regime.PURE_IMAGINARY, 0.5)],
@@ -171,12 +186,13 @@ class TestModulus:
         assert type(m.k) is float and repr(m).endswith(f"k={k})")
         assert type(epsilon_any(0.3, m)) is float
 
-    @pytest.mark.parametrize("regime", list(Regime))
-    @pytest.mark.parametrize("k", [True, np.True_, "0.5", b"0.5", None, 1j, np.float32("nan")],
-                             ids=repr)
-    def test_modulus_refuses_what_is_not_a_real_number(self, regime, k):
+    @pytest.mark.parametrize("call", [pytest.param(c, id=str(name)) for name, c in K_CALLS.items()])
+    @pytest.mark.parametrize("k", [True, np.True_, "0.5", b"0.5", None, 1j, 0.5j,
+                                   np.float32("nan")], ids=repr)
+    def test_modulus_refuses_what_is_not_a_real_number(self, call, k):
+        # Modulus(regime, k) and the (x, k) routines refuse a k alike
         with pytest.raises(DomainError, match="modulus must be a finite real number, got k="):
-            Modulus(regime, k)
+            call(k)
 
 
 class TestModulusValue:

@@ -43,7 +43,10 @@ JSON printed has six parts:
   file: a micro ratio says something only where its quartiles clear
   that spread, which each `micro_us` row states as `clears_aa`, true
   when its ratio quartiles lie wholly above or wholly below those of its
-  `micro_aa_us` row.
+  `micro_aa_us` row.  A micro row supports a claim only where its
+  `clears_aa` holds.  The rows of `epsilon`, `zeta` and `complete_k`
+  are the only record of what the (x, k) routines cost, as no workload
+  calls them.
 - `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
   that runs `import epszeta`, with and without `-S -I`, or one
   `epszeta.cli eval`, for each side, beside a bare interpreter that only
@@ -198,6 +201,12 @@ def micro_calls(pkg):
         ("Modulus.imaginary(1.0)", 50000, lambda: pkg.Modulus.imaginary(1.0)),
         ("ElasticaParams(0.35)", 50000, lambda: pkg.ElasticaParams(0.35)),
         ("_Agm(0.5)", 20000, lambda: agm(0.5)),
+        # the (x, k) routines, which no workload calls: each call builds the
+        # standard Modulus of |k| (epsilon, zeta) or the kernel of k (complete_k)
+        ("epsilon(0.5, 0.5)", 10000, lambda: pkg.epsilon(0.5, 0.5)),
+        ("zeta(0.5, 0.5)", 10000, lambda: pkg.zeta(0.5, 0.5)),
+        ("epsilon(0.5, 1.0)", 20000, lambda: pkg.epsilon(0.5, 1.0)),
+        ("complete_k(0.5)", 20000, lambda: pkg.complete_k(0.5)),
         ("epsilon_any(0.5, real 0.5)", 10000,
          lambda: pkg.epsilon_any(0.5, pkg.Modulus.real(0.5))),
         ("zeta_any(0.5, real 0.5)", 10000, lambda: pkg.zeta_any(0.5, pkg.Modulus.real(0.5))),

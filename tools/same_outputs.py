@@ -32,7 +32,14 @@ exception it raised:
   (which the constructors take as floats) and both sides of each regime's
   range bounds (the large-real one read from this checkout's `src`, as
   above); `Modulus` given a regime that is not a `Regime`; and
-  `ElasticaParams` at k = 1 and with an omega that is not finite and > 0.
+  `ElasticaParams` at k = 1 and with an omega that is not finite and > 0;
+- the seven (x, k) routines of the standard range, `epsilon`, `zeta`,
+  `amplitude`, `sncndn` and `incomplete_e` at each x of `XS` and at
+  x = 1e17, past the reduction bound, where `epsilon` is its linear
+  term, and `complete_k` and `complete_e`, each given every k of
+  `XK_KS` (0, 0.5, the float below 1 and 1, each of both signs, and
+  0.5j, None and Fraction(1, 2)) and every k of the constructors' list
+  above.
 
 It also runs each command line of `COMMANDS` through `epszeta.cli.main`
 in-process and records its transcript: the exit code (or the type and
@@ -71,6 +78,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -89,6 +97,13 @@ OUT = "{missing}/curve.csv"  # an --out path under a directory that does not exi
 MODULI = (("real", 0.0), ("real", 0.5), ("real", 1.0), ("real", 1.0 + 2.0 ** -52), ("real", 2.0),
           ("real", 1e8), ("imaginary", 1e-6), ("imaginary", 1.5), ("imaginary", 1e7))
 XS = (0.0, -0.0, 0.7, -0.7, 5e-324, 1e3)
+# the x and k of the (x, k) routines of the standard range, besides the k of
+# `refusals`: XS and an x past the reduction bound, where epsilon is its linear
+# term; k of both signs at 0, 0.5, below 1 and at 1, and a complex, None and a
+# Fraction, which no constructor is given there
+XK_XS = (*XS, 1e17)
+XK_KS = (0.0, 0.5, -0.5, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.0, -1.0,
+         0.5j, None, Fraction(1, 2))
 # a decimal number standing alone in an output (not part of a name such as k1),
 # with the j of a complex part
 NUMBER = re.compile(r"(?<![A-Za-z_.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?(?![\w.])")
@@ -180,24 +195,47 @@ def past_the_float_range():
     )
 
 
+def shown(v):
+    return "10**400" if v is BIG else repr(v)
+
+
+def refusal_ks(top):
+    """The k given to each constructor by `refusals`; top is the large-real
+    bound, _MAX_LARGE."""
+    import numpy
+    return (True, numpy.bool_(True), "0.5", b"0.5", math.nan, math.inf, -math.inf, -0.5, BIG,
+            # both sides of each regime's range bounds
+            numpy.float64(0.5), numpy.float32(0.5), numpy.float64(2.5), numpy.float32(2.5),
+            -0.0, 0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, 2, top,
+            math.nextafter(top, math.inf), math.nextafter(2.0 ** 26, 0.0), 2.0 ** 26)
+
+
+def standard_routines(top):
+    """(name, call) for each (x, k) routine of the standard range at each x of
+    XK_XS and each k of XK_KS and `refusal_ks`; `complete_k` and `complete_e`
+    take no x."""
+    import epszeta as ez
+    ks = (*XK_KS, *refusal_ks(top))
+    return (
+        *((f"{fn.__name__}({x!r}, {shown(k)})", lambda fn=fn, x=x, k=k: fn(x, k))
+          for fn in (ez.epsilon, ez.zeta, ez.amplitude, ez.sncndn, ez.incomplete_e)
+          for x in XK_XS for k in ks),
+        *((f"{fn.__name__}({shown(k)})", lambda fn=fn, k=k: fn(k))
+          for fn in (ez.complete_k, ez.complete_e) for k in ks),
+    )
+
+
 def refusals(top):
     """(name, call) for each constructor of a checked value given each input it
     may refuse (module docstring); top is the large-real bound, _MAX_LARGE."""
     import numpy
     from epszeta import ElasticaParams, Modulus, Regime
-    ks = (True, numpy.bool_(True), "0.5", b"0.5", math.nan, math.inf, -math.inf, -0.5, BIG,
-          # both sides of each regime's range bounds
-          numpy.float64(0.5), numpy.float32(0.5), numpy.float64(2.5), numpy.float32(2.5),
-          -0.0, 0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, 2, top,
-          math.nextafter(top, math.inf), math.nextafter(2.0 ** 26, 0.0), 2.0 ** 26)
+    ks = refusal_ks(top)
     omegas = (0.0, -1.0, math.nan, math.inf, BIG, True, numpy.bool_(True), "1.0", None)
     constructors = (
         *((f"Modulus({regime})", lambda k, regime=regime: Modulus(regime, k)) for regime in Regime),
         ("Modulus.real", Modulus.real), ("Modulus.imaginary", Modulus.imaginary),
         ("ElasticaParams", ElasticaParams))
-
-    def shown(v):
-        return "10**400" if v is BIG else repr(v)
     return (
         *((f"{name} k={shown(k)}", lambda make=make, k=k: make(k))
           for name, make in constructors for k in ks),
@@ -263,6 +301,8 @@ def emit(out, missing, top):
         write("int past the float range", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(refusals(top)):
         write("constructor refusals", i, name, outcome(call, ()))
+    for i, (name, call) in enumerate(standard_routines(top)):
+        write("(x, k) routines", i, name, outcome(call, ()))
     for i, argv in enumerate(COMMANDS):
         argv = [a.format(missing=missing) for a in argv]
         write(CLI, i, " ".join(argv), transcript(argv))
