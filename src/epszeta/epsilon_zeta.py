@@ -14,18 +14,13 @@ from .extended import _STANDARD, Modulus, epsilon_any
 from .jacobi import amplitude  # noqa: F401 (a lookup site bench/tests traces)
 
 
-def _standard(k):
-    # the standard Modulus of |k|, which refuses |k| > 1 naming |k|
-    return Modulus(_STANDARD, abs(k) if type(k) is float else _magnitude(k))
-
-
 def epsilon(x: float, k: float) -> float:
     """epsilon(x,k) = E(am(x,k), k), evaluated as Z + (E/K) x.
 
     Past the reduction bound |x| = 2^51 K, where Z keeps no correct digit
     but |Z| < 1 is below 2^-51 of (E/K) x, it is the linear term (E/K) x.
     """
-    return epsilon_any(x, _standard(k))
+    return epsilon_any(x, Modulus(_STANDARD, _magnitude(k)))
 
 
 def zeta(x: float, k: float) -> float:
@@ -34,4 +29,4 @@ def zeta(x: float, k: float) -> float:
     At |k| = 1 the slope E/K vanishes (K diverges) and Z coincides with
     epsilon, i.e. tanh.
     """
-    return _standard(k)._rule.periodic(x)
+    return Modulus(_STANDARD, _magnitude(k))._rule.periodic(x)

@@ -118,8 +118,9 @@ Each fact is checked once, on the path of a fresh-modulus call:
 
     k is a finite real number      `Modulus.__init__` (a float or an int by
                                    its type; `errors._real` converts any
-                                   other number, a float subclass included,
-                                   as it does for `jacobi._kernel`)
+                                   other `numbers.Real`, a float subclass
+                                   included, as it does for
+                                   `jacobi._kernel`)
     k lies in its regime's range   `Modulus.__init__`, one comparison a
                                    bound, in the branch that builds the
                                    rule; a standard k too, as the rule

@@ -68,8 +68,8 @@ Every public routine here is `_kernel(k)` and at most one descent
 `_kernel` is the one check of k here, and it checks k as `Modulus`
 does: a k that is not a float is converted by `errors._real` (numpy's
 float32, an int64, a Fraction) or refused as not a real number (a
-bool, a string, None, a complex); then it strips the sign (K, E, dn
-and am are even in k), refuses NaN and the infinities as not finite
+bool, a string, None, a complex, numpy's too); then it strips the
+sign (K, E, dn and am are even in k), refuses NaN and the infinities as not finite
 real numbers, and raises DomainError naming k outside |k| <= 1.  At
 k = 1, where the AGM degenerates (b0 = 0) and K diverges, it returns
 the limit `_Unit`: K = inf, E = 1, am = gd x

@@ -7,6 +7,7 @@ import pickle
 import re
 import struct
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -133,8 +134,8 @@ class TestModulus:
             Modulus(Regime.LARGE_REAL, 10**200)
 
     @pytest.mark.parametrize("make", [Modulus.real, Modulus.imaginary])
-    @pytest.mark.parametrize("k", [True, False, "2", "abc", b"0.5", None, 1j,
-                                   pytest.param(10**400, id="10**400")], ids=repr)
+    @pytest.mark.parametrize("k", [True, False, "2", "abc", b"0.5", None, 1j, np.complex128(2j),
+                                   Decimal("2"), pytest.param(10**400, id="10**400")], ids=repr)
     def test_constructors_reject_what_is_not_a_real_number(self, make, k):
         # float() would take a bool and parse a string; the constructors refuse
         # them, and what float() cannot convert, as Modulus refuses a non-real k
@@ -167,12 +168,15 @@ class TestModulus:
             (Regime.STANDARD, np.float32(0.5)), (Regime.STANDARD, Fraction(1, 2)),
             (Regime.LARGE_REAL, np.int64(2)), (Regime.PURE_IMAGINARY, np.float32(2.0)))),
         *(pytest.param(K_CALLS[name], k, id=f"{name}-{k!r}") for name in XK_ROUTINES
-          for k in (np.float32(0.5), np.float64(0.5), np.int64(0), Fraction(1, 2)))])
+          for k in (np.float32(0.5), np.float64(0.5), np.int64(0), Fraction(1, 2))),
+        *(pytest.param(make, k, id=f"{make.__name__}-{k!r}")
+          for make in (Modulus.real, Modulus.imaginary)
+          for k in (np.float32(0.5), Fraction(1, 2), np.int64(2), np.float32(-2.0)))])
     def test_modulus_converts_numbers_as_real_does(self, call, k):
         # a k that is neither an int nor a float is taken as float(k), as
         # `real` and `imaginary` take it, not refused as non-real: a Modulus
-        # holds a float k, and an (x, k) routine computes in floats, bit for
-        # bit as at float(k)
+        # holds a float k (its repr would show any other type), and an (x, k)
+        # routine computes in floats, bit for bit as at float(k)
         got, want = call(k), call(float(k))
         assert type(got) is type(want) and repr(got) == repr(want)
 
@@ -188,6 +192,7 @@ class TestModulus:
 
     @pytest.mark.parametrize("call", [pytest.param(c, id=str(name)) for name, c in K_CALLS.items()])
     @pytest.mark.parametrize("k", [True, np.True_, "0.5", b"0.5", None, 1j, 0.5j,
+                                   np.complex128(0.5j), np.complex64(0.5j), Decimal("0.5"),
                                    np.float32("nan")], ids=repr)
     def test_modulus_refuses_what_is_not_a_real_number(self, call, k):
         # Modulus(regime, k) and the (x, k) routines refuse a k alike

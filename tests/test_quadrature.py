@@ -335,11 +335,12 @@ class TestFoldByHalfPeriod:
         "each piece's absolute tolerance tol/(2n) falls below the rounding error of a piece "
         "of size about H: at tol 1e-11 the fold fails from about 1.3 2^24 H at i 1.5, "
         "1.3 2^26 H at real 0.5 and 0.05 and 1.3 2^28 H at real 5 (ROADMAP item 2(b))"))
-    def test_far_fold_within_relative_tolerance(self):
-        for m in (Modulus.imaginary(1.5), Modulus.real(0.5), Modulus.real(0.05), Modulus.real(5.0)):
-            x = 1.3 * 2.0 ** 30 * m._rule.half
-            want = epsilon_any(x, m)
-            assert abs(epsilon_by_quadrature(x, m, 1e-11) - want) <= 1e-9 * abs(want), m
+    @pytest.mark.parametrize("m", [Modulus.imaginary(1.5), Modulus.real(0.5), Modulus.real(0.05),
+                                   Modulus.real(5.0)], ids=repr)
+    def test_far_fold_within_relative_tolerance(self, m):
+        x = 1.3 * 2.0 ** 30 * m._rule.half
+        want = epsilon_any(x, m)
+        assert abs(epsilon_by_quadrature(x, m, 1e-11) - want) <= 1e-9 * abs(want)
 
     @pytest.mark.parametrize("m, x", [(Modulus.real(5.0), 3.0), (Modulus.real(5.0), -2.6),
                                       (Modulus.imaginary(3.0), 3.0), (Modulus.real(0.5), 2.0),

@@ -38,7 +38,8 @@ exception it raised:
   x = 1e17, past the reduction bound, where `epsilon` is its linear
   term, and `complete_k` and `complete_e`, each given every k of
   `XK_KS` (0, 0.5, the float below 1 and 1, each of both signs, and
-  0.5j, None and Fraction(1, 2)) and every k of the constructors' list
+  0.5j, None and Fraction(1, 2)), numpy's complex128(0.5j) and every k
+  of the constructors' list
   above.
 
 It also runs each command line of `COMMANDS` through `epszeta.cli.main`
@@ -212,10 +213,11 @@ def refusal_ks(top):
 
 def standard_routines(top):
     """(name, call) for each (x, k) routine of the standard range at each x of
-    XK_XS and each k of XK_KS and `refusal_ks`; `complete_k` and `complete_e`
-    take no x."""
+    XK_XS and each k of XK_KS, numpy's complex128(0.5j) and `refusal_ks`;
+    `complete_k` and `complete_e` take no x."""
     import epszeta as ez
-    ks = (*XK_KS, *refusal_ks(top))
+    import numpy
+    ks = (*XK_KS, numpy.complex128(0.5j), *refusal_ks(top))
     return (
         *((f"{fn.__name__}({x!r}, {shown(k)})", lambda fn=fn, x=x, k=k: fn(x, k))
           for fn in (ez.epsilon, ez.zeta, ez.amplitude, ez.sncndn, ez.incomplete_e)
