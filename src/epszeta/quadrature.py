@@ -8,12 +8,13 @@ estimate |delta|/1023 meets the local tolerance (the rule's local error
 scales as h^11, so halving the step gains a factor of 2^10).
 
 `epsilon_by_quadrature`, the oracle that checks the regime transforms,
-integrates a regime's integrand (extended.py) from 0 to |x|.  Once |x|
-spans one of the integrand's half periods it folds by them: it
-integrates one half period once, in two pieces split where the rest
-ends, and weights each piece by how often it recurs in [0, |x|] (its
-docstring), so an interval of many periods costs no more than one and
-cannot alias under its first 9-node panel.  Its half period and
+integrates a regime's integrand (extended.py) from 0 to |x|.  It folds
+|x| by the integrand's half period H: the q whole half periods in |x|
+each hold the same integral J, which the periodic trapezoidal rule
+gives to a few ulps, and the rest of |x| is one adaptive integration on
+[0, H] (its docstring).  So an interval of many periods costs no more
+than one, cannot alias under its first 9-node panel, and keeps its
+relative precision however many half periods it spans.  Its half period and
 integrand come from the rule that the `Modulus` built (extended.py), so
 an oracle call and an `epsilon_any` call on one `Modulus` descend one
 AGM kernel between them and build none.
@@ -24,9 +25,9 @@ from collections.abc import Callable
 
 from .errors import _MAX_FLOAT, ConvergenceError, DomainError
 from .extended import Modulus, _failed
-from .jacobi import _MAX_PERIODS
 
 _MAX_DEPTH = 48  # interval widths hit the machine-epsilon scale well before this
+_MAX_NODES = 2 ** 12  # intervals of [0, H]; k next to 1 and i*k near 2^26 need 128
 
 
 QuadratureResult = namedtuple("QuadratureResult", "value err_estimate")
@@ -100,40 +101,50 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
 
     Each integrand f has period 2H and is even about H as about 0, with
     H = K(k), K(1/k)/k or K(k1) k1p (the rule's `half`), so each half
-    period holds the same integral J.  Where H <= |x| <= 2^50 H, with
-    |x| = q H + r and 0 <= r < H, the result is q J + R, with R the
-    integral over [0, r] for even q or over [H - r, H] for odd q.  [0, H]
-    is integrated once, in two pieces split at p = r (q even) or
-    p = H - r (q odd): A over [0, p] and B over [p, H].  Then J = A + B,
-    R is A (q even) or B (q odd), and q J + R = n_A A + n_B B with
-    n_A = q + [q even] and n_B = q + [q odd].  Each piece is integrated
-    to tol/(2n) for its weight n, so the weighted errors still sum to
-    tol; at r = 0 one piece is empty.  This assumes only the period and
+    period holds the same integral J.  With |x| = q H + r and 0 <= r < H
+    (q = 0 below H, and always at k = 1, where H = inf), the result is
+    q J + R for even q and q J + J - R for odd q, with R the integral over
+    [0, r] or over [0, H - r].  R is one adaptive integration, to tol
+    where q = 0 and to tol/2 where q > 0.  J is the trapezoidal rule on
+    [0, H] (`_half_period`), which converges geometrically for a periodic
+    analytic f, so q J keeps a relative error of a few ulps whatever q
+    is, and no node lies past H.  This assumes only the period and
     symmetry of dn^2, cn^2 and 1/dn^2, not the transforms under test.
     Real k = 5 at x = 3 took 567 integrand evaluations as one
-    integration, 90 folded from 2H on, and takes 54.  The fold fails
-    long before 2^50 H: once a piece's absolute tolerance tol/(2n) is
-    below the rounding error of a piece of size about H, its bisection
-    raises ConvergenceError, at tol 1e-11 from about 1.3 2^24 H at i*1.5,
-    1.3 2^26 H at real 0.5 and real 0.05, and 1.3 2^28 H at real 5.
-    Below H, past 2^50 H, and always at k = 1 (H = inf), it is one
-    integration of [0, |x|] to tol.  Past 2^50 H that integration fails:
-    up to 2^51 H its bisection meets no tolerance on a tiny interval
-    (ConvergenceError), and beyond, its last node meets the descent's
-    refusal of x past 2^51 H (DomainError).
+    integration and takes 36.
     """
     half = m._rule.half
     f = regime_integrand(m)
-    ax = abs(x)
     try:
-        if half <= ax <= _MAX_PERIODS * half:
-            q, r = divmod(ax, half)  # r = |x| - q H exactly
-            p, n_a, n_b = (half - r, q, q + 1.0) if q % 2 else (r, q + 1.0, q)
-            value = (n_a * integrate(f, 0.0, p, tol / (2.0 * n_a)).value
-                     + n_b * integrate(f, p, half, tol / (2.0 * n_b)).value)
-        else:
-            value = integrate(f, 0.0, ax, tol).value
-    except (DomainError, ConvergenceError) as exc:
-        # the integrand sees kt or t/k1p and the bisection its own interval, not the caller's x
+        q, r = divmod(abs(x), half)  # r = |x| - q H exactly
+        odd = q % 2.0
+        j = _half_period(f, half) if q else 0.0
+        rest = integrate(f, 0.0, half - r if odd else r, 0.5 * tol if q else tol).value
+        value = q * j + (j - rest if odd else rest)
+    except (DomainError, ConvergenceError, OverflowError) as exc:
+        # the bisection names its own interval and the trapezoidal rule its
+        # half period, not the caller's x; an int x past the float range
+        # overflows in divmod
         raise _failed("epsilon_by_quadrature", x, m, exc) from exc
     return value if x >= 0.0 else -value
+
+
+def _half_period(f, half):
+    # J, the integral of f over [0, H], by the trapezoidal rule with halved
+    # end weights: half the rule over a full period 2H, whose error falls
+    # geometrically with the node count for a periodic analytic f (Trefethen
+    # and Weideman, SIAM Review 56, 2014).  Each level halves the step and
+    # adds the new midpoints to the sum; once two levels agree to 1.5e-8 J,
+    # about the root of the float epsilon, the finer one is good to about
+    # its square
+    n, step = 4, 0.25 * half
+    total = 0.5 * (f(0.0) + f(half)) + f(step) + f(2.0 * step) + f(3.0 * step)
+    value = total * step
+    while n < _MAX_NODES:
+        n, step = 2 * n, 0.5 * step
+        for i in range(1, n, 2):
+            total += f(i * step)
+        last, value = value, total * step
+        if abs(value - last) <= 1.5e-8 * value:
+            return value
+    raise ConvergenceError(f"no convergence on [0, {half!r}] after {n} trapezoidal intervals")

@@ -723,9 +723,10 @@ class TestDispatchers:
                      lambda m: epsilon_by_quadrature(0.5, m)):
             with pytest.raises(DomainError):
                 call(Modulus.real(1e200))
-        # the quadrature names the caller's x and k, not its integrand's kx and 1/k
-        with pytest.raises(DomainError, match=r"x=1e\+16.*k=2\.0"):
-            epsilon_by_quadrature(1e16, Modulus.real(2.0))
+        # past 2^51 H the quadrature folds to a value (it raised DomainError
+        # at its last node, past the reduction bound)
+        want = epsilon_any(1e16, Modulus.real(2.0))
+        assert abs(epsilon_by_quadrature(1e16, Modulus.real(2.0)) - want) <= 1e-15 * want
 
     def test_wrong_regime_is_domain_error(self):
         # k_e_continued is the one public routine bound to a single regime

@@ -194,17 +194,6 @@ class TestIntegrandGrid:
                 ref = _integrand_ref(m, t)
                 assert abs(f(t) - ref) <= bound * max(1.0, abs(ref)), t
 
-    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(3.0),
-                                   Modulus.imaginary(3.0)], ids=lambda m: m.regime.value)
-    def test_node_past_the_reduction_bound_names_the_caller(self, m):
-        # the descent at the node 1e16 (past 2^51 K) names its own argument;
-        # the error names the caller's x, the regime and k
-        with pytest.raises(DomainError, match=(
-                rf"^epsilon_by_quadrature\(x=1e\+16\) fails for the {m.regime.value} "
-                rf"modulus k={m.k!r}: x=.* is too large for k=")):
-            epsilon_by_quadrature(1e16, m)
-
-
 class TestEpsilonByQuadrature:
     def test_zero(self):
         for m in (Modulus.real(0.5), Modulus.real(3.0), Modulus.imaginary(1.0)):
@@ -232,15 +221,18 @@ class TestEpsilonByQuadrature:
         with pytest.raises(DomainError):
             epsilon_by_quadrature(math.nan, Modulus.real(0.5), 1e-10)
 
-    def test_traced_memory_peak(self):
+    @pytest.mark.parametrize("x", [0.5, -4.0])
+    def test_traced_memory_peak(self, x):
         # a node allocates nothing that outlives it: after a warm-up, one call's
         # traced peak is 496 B standard and 536 B for the other two regimes
-        # (CPython 3.11), and the benchmark bounds its mem_peak_kib to 15 %
+        # (CPython 3.11), 48 B more where x = -4 folds (the trapezoidal rule's
+        # range), and the benchmark bounds its mem_peak_kib to 15 %
         for m in (Modulus.real(0.5), Modulus.real(2.5), Modulus.imaginary(1.5)):
-            epsilon_by_quadrature(0.5, m, 1e-11)
+            assert (abs(x) >= m._rule.half) is (x == -4.0)
+            epsilon_by_quadrature(x, m, 1e-11)
             tracemalloc.start()
             try:
-                epsilon_by_quadrature(0.5, m, 1e-11)
+                epsilon_by_quadrature(x, m, 1e-11)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -248,17 +240,18 @@ class TestEpsilonByQuadrature:
 
     def test_no_convergence_names_the_caller(self):
         # the bisection names only its own interval; the error adds x, the
-        # regime and k and keeps the bisection's message
-        m = Modulus.imaginary(1e4)
+        # regime and k and keeps the bisection's message.  At i*1e6 the rest's
+        # absolute tol/2 is about 5e-17 of its size, below the rounding
+        m = Modulus.imaginary(1e6)
         with pytest.raises(ConvergenceError, match=r"^epsilon_by_quadrature\(x=0\.5\) fails "
-                           r"for the pure_imaginary modulus k=10000\.0: no convergence to tol="):
+                           r"for the pure_imaginary modulus k=1000000\.0: no convergence to tol="):
             epsilon_by_quadrature(0.5, m)
 
     def test_no_convergence_shows_its_interval(self):
-        # the interval is printed in full: at tol 3.8e-28 its two ends agree to
-        # 15 digits, which a shorter format rounds to one number
+        # the interval is printed in full: at tol 1.8e-25 its two ends agree to
+        # 14 digits, which a shorter format rounds to one number
         with pytest.raises(ConvergenceError) as info:
-            epsilon_by_quadrature(0.5, Modulus.imaginary(1e4))
+            epsilon_by_quadrature(0.5, Modulus.imaginary(1e6))
         a, b = map(float, re.search(r" on \[(\S+), (\S+)\] after ", str(info.value)).groups())
         assert a < b
 
@@ -279,14 +272,16 @@ class TestEpsilonByQuadrature:
         assert len(built) == 1
 
 
+HALF_PERIOD_MODULI = [Modulus.real(0.0), Modulus.real(0.5), Modulus.real(1.0 - 1e-12),
+                      Modulus.real(1.0 + 1e-9), Modulus.real(3.0), Modulus.real(1e6),
+                      Modulus.imaginary(0.1), Modulus.imaginary(3.0), Modulus.imaginary(1e7)]
+
+
 class TestFoldByHalfPeriod:
     # the integrand has period 2H and is even about H; from |x| = H on the
-    # oracle integrates one half period once, in two pieces (the docstring of
-    # epsilon_by_quadrature)
-    @pytest.mark.parametrize("m", [Modulus.real(0.0), Modulus.real(0.5), Modulus.real(1.0 - 1e-12),
-                                   Modulus.real(1.0 + 1e-9), Modulus.real(3.0), Modulus.real(1e6),
-                                   Modulus.imaginary(0.1), Modulus.imaginary(3.0),
-                                   Modulus.imaginary(1e7)], ids=repr)
+    # oracle adds q half periods of the trapezoidal J to one integration of
+    # the rest (the docstring of epsilon_by_quadrature)
+    @pytest.mark.parametrize("m", HALF_PERIOD_MODULI, ids=repr)
     def test_half_is_the_integrand_half_period(self, m):
         # H = K(k), K(1/k)/k or K(k1) k1p, against 30-digit mpmath from the exact k
         with mp.workdps(30):
@@ -298,6 +293,33 @@ class TestFoldByHalfPeriod:
             else:
                 want = mp.ellipk(k * k / (1 + k * k)) / mp.sqrt(1 + k * k)
             assert abs(m._rule.half - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("m", HALF_PERIOD_MODULI, ids=repr)
+    def test_half_period_integral_near_mpmath(self, m):
+        # J = E(k), k (E - k_c^2 K) at the modulus k_c = 1/k, or E(k1)/k1p,
+        # against 30-digit mpmath from the exact k: the worst reads 2.8 ulp, at
+        # k = 1 - 1e-12.  At i*1e7 it reads 1.8e-10, from the integrand's own
+        # floor (TestIntegrandGrid)
+        with mp.workdps(30):
+            k = mp.mpf(m.k)
+            if m.regime.value == "standard":
+                want = mp.ellipe(k * k)
+            elif m.regime.value == "large_real":
+                c = 1 / (k * k)
+                want = k * (mp.ellipe(c) - (1 - c) * mp.ellipk(c))
+            else:
+                want = mp.sqrt(1 + k * k) * mp.ellipe(k * k / (1 + k * k))
+            got = quadrature._half_period(regime_integrand(m), m._rule.half)
+            assert abs(got - want) <= (1e-9 if m.k == 1e7 else 1e-15) * want
+
+    def test_node_cap_names_the_caller(self, monkeypatch):
+        # real 0.9 needs 16 intervals of the half period; at a cap of 8 the
+        # rule stops, and the error names the caller's x, the regime and k
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 8)
+        with pytest.raises(ConvergenceError, match=(
+                r"^epsilon_by_quadrature\(x=4\.0\) fails for the standard modulus k=0\.9: "
+                r"no convergence on \[0, .*\] after 8 trapezoidal intervals$")):
+            epsilon_by_quadrature(4.0, Modulus.real(0.9))
 
     def test_no_half_period_at_k_one(self):
         assert Modulus.real(1.0)._rule.half == math.inf
@@ -314,16 +336,18 @@ class TestFoldByHalfPeriod:
 
     @pytest.mark.parametrize("m, x", [
         *((Modulus.real(k), x) for k in (2.0, 5.0, 100.0, 1e3, 1e4) for x in (0.5, -3.0)),
-        *((Modulus.imaginary(k), 3.0) for k in (1.0, 3.0, 10.0))], ids=repr)
+        *((Modulus.imaginary(k), 3.0) for k in (1.0, 3.0, 10.0)), (Modulus.real(1e15), 2.5)],
+        ids=repr)
     def test_agrees_with_transform_across_many_periods(self, m, x):
         # up to k = 1e3 the whole-interval bisection aliased: 0.24 off at
-        # real k = 100, 0.039 at 1e3
+        # real k = 100, 0.039 at 1e3.  Real 1e15 at x = 2.5 lies past 2^50 H,
+        # where the oracle integrated [0, |x|] whole and raised ConvergenceError
         assert abs(epsilon_by_quadrature(x, m, 1e-11) - epsilon_any(x, m)) <= 1e-10
 
     def test_even_and_odd_half_period_counts(self):
         # q = 1, 2 and 3 half periods before the rest, on either side of the
-        # midpoint, in each regime; at x = H, 2H and 4H the rest r is 0 and one
-        # piece is empty (p = H for odd q, p = 0 for even q)
+        # midpoint, in each regime; at x = H, 2H and 4H the rest r is 0, and R
+        # is J for odd q and empty for even q
         for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(1.5)):
             half = m._rule.half
             for a in (1.0, 1.3, 1.9, 2.0, 2.2, 2.8, 3.2, 3.7, 4.0):
@@ -331,13 +355,11 @@ class TestFoldByHalfPeriod:
                 gap = abs(epsilon_by_quadrature(x, m, 1e-12) - epsilon_any(x, m))
                 assert gap <= 1e-11, (m, a)
 
-    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "each piece's absolute tolerance tol/(2n) falls below the rounding error of a piece "
-        "of size about H: at tol 1e-11 the fold fails from about 1.3 2^24 H at i 1.5, "
-        "1.3 2^26 H at real 0.5 and 0.05 and 1.3 2^28 H at real 5 (ROADMAP item 2(b))"))
     @pytest.mark.parametrize("m", [Modulus.imaginary(1.5), Modulus.real(0.5), Modulus.real(0.05),
                                    Modulus.real(5.0)], ids=repr)
     def test_far_fold_within_relative_tolerance(self, m):
+        # the two-piece fold with tolerances tol/(2n) raised ConvergenceError
+        # from about 1.3 2^24 H; q J keeps J's relative error
         x = 1.3 * 2.0 ** 30 * m._rule.half
         want = epsilon_any(x, m)
         assert abs(epsilon_by_quadrature(x, m, 1e-11) - want) <= 1e-9 * abs(want)
@@ -346,9 +368,8 @@ class TestFoldByHalfPeriod:
                                       (Modulus.imaginary(3.0), 3.0), (Modulus.real(0.5), 2.0),
                                       (Modulus.imaginary(1.5), -2.5)], ids=repr)
     def test_intervals_and_tolerance_split(self, monkeypatch, m, x):
-        # q = 9, 8, 3, 1 and 2: q J + R is n_A A + n_B B, with A on [0, p] to
-        # tol/(2 n_A) and B on [p, H] to tol/(2 n_B), where p = r and R = A for
-        # even q, p = H - r and R = B for odd q, so that R's piece counts once more
+        # q = 9, 8, 3, 1 and 2: one adaptive integration, over [0, r] for even q
+        # and [0, H - r] for odd q, to tol/2; J is the trapezoidal rule's
         seen = []
 
         def recording(f, a, b, tol):
@@ -357,11 +378,16 @@ class TestFoldByHalfPeriod:
         monkeypatch.setattr(quadrature, "integrate", recording)
         half = m._rule.half
         q, r = divmod(abs(x), half)
-        odd = q % 2 == 1
-        p = half - r if odd else r
-        n_a, n_b = q + (not odd), q + odd
         epsilon_by_quadrature(x, m, 1e-11)
-        assert seen == [(0.0, p, 1e-11 / (2.0 * n_a)), (p, half, 1e-11 / (2.0 * n_b))]
+        assert seen == [(0.0, half - r if q % 2 else r, 0.5e-11)]
+
+    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(3.0),
+                                   Modulus.imaginary(3.0)], ids=repr)
+    def test_past_the_reduction_bound(self, m):
+        # at x = 1e16, past 2^51 H, the integration of [0, |x|] met the
+        # descent's refusal at its last node; the fold's nodes stay in [0, H]
+        want = epsilon_any(1e16, m)
+        assert abs(epsilon_by_quadrature(1e16, m) - want) <= 1e-15 * abs(want)
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
@@ -380,17 +406,17 @@ class TestFoldByHalfPeriod:
         return count
 
     def test_evaluations_at_real_five(self, evaluations):
-        # the whole interval [0, 3] took 567 evaluations, the fold from 2H 90
-        # and the fold from H 54
+        # the whole interval [0, 3] took 567 evaluations, the fold from 2H 90,
+        # the two-piece fold from H 54, and the trapezoidal J with the rest 36
         m = Modulus.real(5.0)
         value = epsilon_by_quadrature(3.0, m, 1e-11)
-        assert evaluations[0] <= 60
+        assert evaluations[0] <= 36
         assert abs(value - epsilon_any(3.0, m)) <= 1e-10
 
     def test_evaluations_over_the_default_check(self, evaluations, capsys):
         # the 300 (regime, k, x) draws of `check --seed 0`, 100 per regime, at
         # its oracle tolerance 1e-11: 27 855 evaluations with the fold from 2H,
-        # 21 771 with the fold from H
+        # 21 771 with the two-piece fold from H, 15 517 with the trapezoidal J
         assert cli.main(["check", "--seed", "0"]) == 0
         assert "100 trials per regime" in capsys.readouterr().out
-        assert evaluations[0] <= 21771
+        assert evaluations[0] <= 15517
