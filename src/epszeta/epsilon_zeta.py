@@ -6,10 +6,11 @@ Each routine is a call of the standard rule (extended.py) on the
 `Modulus` of |k|, which checks k as every `Modulus` does: epsilon is
 `epsilon_any`, where epsilon = Z + (E/K) x and its linear term past the
 reduction bound are written, and zeta the rule's periodic part Z, King's
-sum of one descent.
+sum of one descent, at x taken as `epsilon_any` takes it (a float as it
+is, any other real number as float(x) by `errors._real`).
 """
 
-from .errors import _magnitude
+from .errors import _magnitude, _real
 from .extended import _STANDARD, Modulus, epsilon_any
 from .jacobi import amplitude  # noqa: F401 (a lookup site bench/tests traces)
 
@@ -29,4 +30,5 @@ def zeta(x: float, k: float) -> float:
     At |k| = 1 the slope E/K vanishes (K diverges) and Z coincides with
     epsilon, i.e. tanh.
     """
-    return Modulus(_STANDARD, _magnitude(k))._rule.periodic(x)
+    return Modulus(_STANDARD, _magnitude(k))._rule.periodic(
+        x if type(x) is float else _real(x, "x"))

@@ -1,13 +1,15 @@
 """Exception types shared across the library, and what the checks that raise them share.
 
-One definition of "k is a finite real number" serves every check of a
-modulus, `Modulus` (extended.py) and `jacobi._kernel` alike: `_real`
-takes a k that is not a float as float(k) if it is a `numbers.Real`
-(numpy's float64, float32 or int64, a Fraction) and refuses a bool, what
-is not a `numbers.Real` (numpy's bool, a complex number, numpy's complex
-scalars included, a string, bytes, a Decimal) and what float() cannot
-convert with `_not_real`, which also names a k that is not finite;
-`_magnitude` is |k| of that float.
+One definition of "a finite real number" serves every check of a
+modulus, `Modulus` (extended.py) and `jacobi._kernel` alike, and of an
+argument x (or phi, u) where a public routine takes it: `_real` takes
+an argument that is not a float as float(v) if it is a `numbers.Real`
+(numpy's float64, float32 or int64, a Fraction, an int) and refuses a
+bool, what is not a `numbers.Real` (numpy's bool, a complex number,
+numpy's complex scalars included, a string, bytes, a Decimal, None) and
+what float() cannot convert (an int past the float range), naming the
+argument: a k with `_not_real`, which also names a k that is not finite,
+any other as not a finite float; `_magnitude` is |k| of that float.
 """
 
 import math
@@ -38,16 +40,16 @@ def _not_real(k):
     return DomainError(f"modulus must be a finite real number, got k={_shown(k)}")
 
 
-def _real(k):
-    # k as a float, of a real number that is not one (numpy's float32, an
-    # int64, a Fraction); float() would also take a bool, parse a string and
-    # take the real part of a numpy complex scalar
-    if isinstance(k, numbers.Real) and type(k) is not bool:
+def _real(v, name="k"):
+    # v as a float, of a real number that is not one (numpy's float32, an
+    # int64, a Fraction, an int); float() would also take a bool, parse a
+    # string and take the real part of a numpy complex scalar
+    if isinstance(v, numbers.Real) and type(v) is not bool:
         try:
-            return float(k)
+            return float(v)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise _not_real(k)
+    raise _not_real(v) if name == "k" else DomainError(f"{name}={_shown(v)} is not a finite float")
 
 
 def _magnitude(k):

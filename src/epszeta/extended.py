@@ -109,10 +109,13 @@ Every k whose type is neither int nor float, in `Modulus(regime, k)`
 as in `Modulus.real` and `Modulus.imaginary`, is taken as float(k)
 (numpy's float64, float32 or int64, a Fraction), and a bool (numpy's too), a string,
 bytes and what float() cannot convert are refused as non-real; `real`
-and `imaginary` then take |k|.  The rule's descent at x, kx or x/k1p is
-the one check of x, a non-finite x included; a dispatcher names its x,
-regime and k when that descent fails (an int x past the float range
-included) or its result is not finite.
+and `imaginary` then take |k|.  The dispatchers take x as the (x, k)
+routines of jacobi.py take it: a float as it is, any other real number
+(an int too) as float(x) by `errors._real`, which refuses what is not
+one, an int past the float range included, naming x.  The rule's descent
+at x, kx or x/k1p is then the one check of the float x, a non-finite x
+included; a dispatcher names its x, regime and k when the conversion or
+that descent fails or its result is not finite.
 
 Each fact is checked once, on the path of a fresh-modulus call:
 
@@ -125,6 +128,8 @@ Each fact is checked once, on the path of a fresh-modulus call:
                                    bound, in the branch that builds the
                                    rule; a standard k too, as the rule
                                    builds its kernel without `_kernel`
+    x is a real number             the dispatcher, as a float by its type;
+                                   `errors._real` converts any other
     x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`);
                                    `epsilon_any` takes a finite x past the
                                    reduction bound as its linear term
@@ -148,10 +153,6 @@ class Regime(enum.Enum):
     STANDARD = "standard"
     LARGE_REAL = "large_real"
     PURE_IMAGINARY = "pure_imaginary"
-
-    # members are singletons: hashed by identity in C, where Enum's own
-    # __hash__ is a Python function that hashes the name
-    __hash__ = object.__hash__
 
 
 # the members as module names: a read of Regime.X goes through the enum's metaclass
@@ -404,10 +405,9 @@ def _branch_sign(branch):
 def _failed(fn, x, m, exc, arg="x"):
     # a descent names the kx or x/k1p and the 1/k or k1 it saw, and the
     # bisection its own interval, not the caller's x (the elastica's u, as
-    # `arg` says) and k: an error of the same type that names them, a
-    # DomainError for the OverflowError of an int x past the float range
-    kind = DomainError if isinstance(exc, OverflowError) else type(exc)
-    return kind(f"{fn}({arg}={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
+    # `arg` says) and k: an error of the same type that names them
+    return type(exc)(
+        f"{fn}({arg}={_shown(x)}) fails for the {m.regime.value} modulus k={m.k!r}: {exc}")
 
 
 def _not_finite(fn, x, m):
@@ -448,15 +448,17 @@ def epsilon_any(x: float, m: Modulus) -> float:
     Real k > 1: epsilon(x,k) = k epsilon(kx, 1/k) + (1 - k^2) x, summed
     as in the module docstring.  Imaginary i*k: epsilon = Z + (E/K) x.
     """
-    # a descent refuses a finite x only past its reduction bound, where Z keeps
-    # no correct digit and epsilon is its linear term; a refused non-finite x
-    # and a value that is not finite name the caller's x, the regime and k:
-    # v - v is 0.0 for a finite v and NaN for an infinite or NaN one
+    # a descent refuses a finite float x only past its reduction bound, where
+    # Z keeps no correct digit and epsilon is its linear term; an x refused
+    # as not a real number or not finite and a value that is not finite name
+    # the caller's x, the regime and k: v - v is 0.0 for a finite v and NaN
+    # for an infinite or NaN one
     rule = m._rule
     try:
+        x = x if type(x) is float else _real(x, "x")
         value = rule.periodic(x) + rule.slope * x
-    except (DomainError, OverflowError) as exc:
-        if not abs(x) <= _MAX_FLOAT:  # an OverflowError is an int x past the float range
+    except DomainError as exc:
+        if type(x) is not float or not abs(x) <= _MAX_FLOAT:
             raise _failed("epsilon_any", x, m, exc) from exc
         value = rule.slope * x  # kx may overflow where the linear term does not
     if value - value == 0.0:
@@ -477,8 +479,9 @@ def zeta_any(x: float, m: Modulus, branch: str = "lower") -> complex:
     # of v are finite
     rule = m._rule
     try:
+        x = x if type(x) is float else _real(x, "x")
         value = complex(rule.periodic(x) + rule.drift * x, s * rule.w * x + 0.0)
-    except (DomainError, OverflowError) as exc:
+    except DomainError as exc:
         raise _failed("zeta_any", x, m, exc) from exc
     if value - value == 0.0:
         return value

