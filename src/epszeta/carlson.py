@@ -11,7 +11,7 @@ descends the AGM kernel (jacobi.py).
 
 import math
 
-from .errors import _MAX_FLOAT, DomainError, _shown
+from .errors import _MAX_FLOAT, DomainError, _real
 
 # Duplication stops once the normalized deviations |X|, |Y|, |Z| drop
 # below this cutoff: the remainder of the degree-7 series is below
@@ -23,13 +23,16 @@ def rf(x: float, y: float, z: float) -> float:
     """Carlson RF(x,y,z) = (1/2) * integral 0..inf dt / sqrt((t+x)(t+y)(t+z)).
 
     Fully symmetric; at most one argument may be zero.  Arguments are
-    sorted on entry so all six orderings give bit-identical results.
+    sorted on entry so all six orderings give bit-identical results.  Each
+    is taken as a public routine takes its x: a float as it is, any other
+    real number as its float (`errors._real`), which refuses what is not
+    one, naming it.
     """
-    # checked as given: an int past the float range has no float to check
+    x, y, z = (x if type(x) is float else _real(x, "x"), y if type(y) is float else _real(y, "y"),
+               z if type(z) is float else _real(z, "z"))
     if not all(0.0 <= v <= _MAX_FLOAT for v in (x, y, z)):
-        raise DomainError(f"rf arguments must be finite and non-negative, got "
-                          f"({', '.join(map(_shown, (x, y, z)))})")
-    x, y, z = float(x), float(y), float(z)
+        raise DomainError(
+            f"rf arguments must be finite and non-negative, got ({x!r}, {y!r}, {z!r})")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise DomainError("rf diverges when two or more arguments are zero")
     x, y, z = sorted((x, y, z))

@@ -2,13 +2,13 @@
 
 One definition of "a finite real number" serves every check of a
 modulus, `Modulus` (extended.py) and `jacobi._kernel` alike, and of an
-argument x (or phi, u) where a public routine takes it: `_real` takes
-an argument that is not a float as float(v) if it is a `numbers.Real`
-(numpy's float64, float32 or int64, a Fraction, an int) and refuses a
-bool, what is not a `numbers.Real` (numpy's bool, a complex number,
-numpy's complex scalars included, a string, bytes, a Decimal, None) and
-what float() cannot convert (an int past the float range), naming the
-argument: a k with `_not_real`, which also names a k that is not finite,
+argument x (or phi, u, rf's y and z) where a public routine takes it:
+`_real` takes an argument that is not a float as float(v) if it is a
+`numbers.Real` (numpy's float64, float32 or int64, a Fraction, an int)
+and refuses a bool, what is not a `numbers.Real` (numpy's bool, a
+complex number, numpy's complex scalars included, a string, bytes, a
+Decimal, None) and what float() cannot convert (an int past the float
+range), naming the argument: a k with `_not_real`, which also names a k that is not finite,
 any other as not a finite float; `_magnitude` is |k| of that float.
 """
 

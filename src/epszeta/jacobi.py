@@ -36,9 +36,10 @@ function, Z(x) = sum_{n=1..N} c(n) sin phi(n) (A&S 17.6); then
 epsilon = Z + (E/K) x and sn, cn, dn follow from phi(0).
 
 The descent first reduces x = x_r + 2K n with |x_r| <= K, once: am(x) =
-am(x_r) + n pi and Z has period 2K.  The rounding error of 2K n is at
-least |n| 2K 2^-53, a quarter of K at |n| = 2^50, so beyond that the
-reduced argument keeps no correct digit and the descent raises
+am(x_r) + n pi and Z has period 2K (`cos_phase` skips it in the primary
+cell |x| <= K, where it leaves x as it is).  The rounding error of 2K n
+is at least |n| 2K 2^-53, a quarter of K at |n| = 2^50, so beyond that
+the reduced argument keeps no correct digit and the descent raises
 DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 3.5e15 at k = 0, where K = pi/2 is smallest).  epsilon alone has a value
 there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
@@ -61,7 +62,11 @@ reads:
 - `cos_phase(x)`, a quadrature node's, gives cos phi alone, which is
   +-cos am(x) (the sign of an odd period dropped), as an integrand
   squares it.  It skips King's sum, n and the tuple, and it checks x as
-  `phase` does, raising the same error.
+  `phase` does, raising the same error.  In the primary cell |x| <= K,
+  where every quadrature node lies (quadrature.py), it also skips the
+  reduction, which is exact there and leaves x as it is: 2K is K doubled
+  exactly, so |x / 2K| <= 1/2, which `round` (half to even) takes to
+  n = 0, and x - 2K 0 is x itself, -0.0 included.
 
 Every public routine here is `_kernel(k)` and at most one descent
 (epsilon_zeta.py's go through the standard `Modulus` of |k| instead).
@@ -182,12 +187,17 @@ class _Agm:
 
     def cos_phase(self, x):
         """cos phi of `phase(x)`, bit for bit: +-cos am(x), the sign of an odd
-        period dropped; the same check of x and steps, without Z, n or a tuple."""
-        period = self._period
-        t = x / period
-        if not abs(t) <= _MAX_PERIODS:
-            raise _bad_x(self, x)
-        phi = self._scale * (x - period * round(t))
+        period dropped; the same check of x and steps, without Z, n or a tuple.
+        It skips the reduction in the primary cell |x| <= K, where it gives
+        n = 0 and x itself (module docstring); NaN and the infinities fail
+        that comparison and reach the check."""
+        if not -self.K <= x <= self.K:
+            period = self._period
+            t = x / period
+            if not abs(t) <= _MAX_PERIODS:
+                raise _bad_x(self, x)
+            x -= period * round(t)
+        phi = self._scale * x
         for _, r in self._steps:
             phi = 0.5 * (phi + asin(r * sin(phi)))
         return cos(phi)

@@ -14,12 +14,16 @@ each hold the same integral J, which the periodic trapezoidal rule
 gives to a few ulps, and the rest of |x| is one adaptive integration on
 [0, H] (its docstring).  So an interval of many periods costs no more
 than one, cannot alias under its first 9-node panel, and keeps its
-relative precision however many half periods it spans.  Its half period and
+relative precision however many half periods it spans.  Every node lies
+in [0, H], so inside its kernel's primary cell |x| <= K (up to a rounding
+of the descent's argument at t = H), where `_Agm.cos_phase` skips the
+period reduction, exact and a no-op there (jacobi.py).  Its half period and
 integrand come from the rule that the `Modulus` built (extended.py), so
 an oracle call and an `epsilon_any` call on one `Modulus` descend one
 AGM kernel between them and build none.  It takes x as `epsilon_any`
 does, a float as it is and any other real number as float(x)
-(`errors._real`), and names a refused x, the regime and k.
+(`errors._real`), refuses a NaN or infinite x before it folds, and names
+a refused x, the regime and k.
 """
 
 from collections import namedtuple
@@ -119,6 +123,9 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     f = regime_integrand(m)
     try:
         x = x if type(x) is float else _real(x, "x")
+        if not abs(x) <= _MAX_FLOAT:
+            # refused before the fold: divmod gives it a NaN q, which is true
+            raise DomainError(f"x={x!r} is not a finite float")
         q, r = divmod(abs(x), half)  # r = |x| - q H exactly
         odd = q % 2.0
         j = _half_period(f, half) if q else 0.0

@@ -179,6 +179,9 @@ def descent_xs(agm):
     edge = 2.0 ** 50 * period  # |x / 2K| = 2^50 exactly: the last x admitted
     return [0.0, -0.0, 5e-324, -5e-324, 0.3, -0.3, *(n * period + 0.25 for n in range(-4, 5)),
             *(n * period - 1e-9 for n in (1, 2, -3)), 0.5 * period, -0.5 * period,
+            # either side of the primary cell's edge K, where cos_phase skips the reduction
+            math.nextafter(agm.K, math.inf), math.nextafter(-agm.K, -math.inf),
+            math.nextafter(agm.K, 0.0),
             edge, -edge, math.nextafter(edge, 0.0), 1e15 * period, 7]
 
 

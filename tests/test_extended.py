@@ -19,7 +19,7 @@ import epszeta
 from epszeta import (DomainError, ElasticaParams, Modulus, Regime, amplitude,
                      complete_e, complete_k, ek_ratio, epsilon, epsilon_any,
                      epsilon_by_quadrature, flexural_point, incomplete_e,
-                     inflexural_point, sncndn, uniform_grid, zeta, zeta_any)
+                     inflexural_point, rf, sncndn, uniform_grid, zeta, zeta_any)
 from epszeta import extended
 from epszeta.extended import _MAX_IMAG, _MAX_LARGE
 from epszeta.jacobi import _kernel
@@ -42,7 +42,7 @@ K_CALLS = {**{regime: functools.partial(Modulus, regime) for regime in Regime}, 
 # each public routine that takes an argument x (incomplete_e its phi, a curve
 # point its u) as a function of it alone, keyed by its name, with the
 # argument's name: the (x, k) routines at k = 0.5, the dispatchers and the
-# oracle on a modulus of each regime, and the curve points
+# oracle on a modulus of each regime, the curve points and each of rf's x, y, z
 X_CALLS = {
     **{fn.__name__: (lambda x, fn=fn: fn(x, 0.5), "x") for fn in (epsilon, zeta, amplitude, sncndn)},
     "incomplete_e": (lambda phi: incomplete_e(phi, 0.5), "phi"),
@@ -50,7 +50,10 @@ X_CALLS = {
        for fn in (epsilon_any, zeta_any, epsilon_by_quadrature)
        for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(2.0))},
     "flexural_point": (lambda u: flexural_point(u, ElasticaParams(0.5)), "u"),
-    "inflexural_point": (lambda u: inflexural_point(u, ElasticaParams(2.0)), "u")}
+    "inflexural_point": (lambda u: inflexural_point(u, ElasticaParams(2.0)), "u"),
+    "rf x": (lambda x: rf(x, 2.0, 3.0), "x"),
+    "rf y": (lambda y: rf(1.0, y, 3.0), "y"),
+    "rf z": (lambda z: rf(1.0, 2.0, z), "z")}
 # the other checked numbers, which keep an int as Modulus keeps k: each as a
 # function of it alone, with the text of its refusal of what is not a real number
 NUMBER_CALLS = {

@@ -111,7 +111,7 @@ PAST_THE_FLOAT_RANGE = {
     "uniform_grid u_min": (lambda v: epszeta.uniform_grid(v, 2 * v, 3), "u_min={}"),
     "uniform_grid u_max": (lambda v: epszeta.uniform_grid(0.0, v, 3), "u_max={}"),
     "uniform_grid n": (lambda v: epszeta.uniform_grid(0.0, 1.0, v), "n={}"),
-    "rf": (lambda v: epszeta.rf(1.0, v, 2.0), "(1.0, {}, 2.0)"),
+    "rf": (lambda v: epszeta.rf(1.0, v, 2.0), "y={} is not a finite float"),
 }
 
 

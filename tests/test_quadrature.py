@@ -217,15 +217,27 @@ class TestEpsilonByQuadrature:
         minus = epsilon_by_quadrature(-1.2, m, 1e-11)
         assert minus == -plus
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            epsilon_by_quadrature(math.nan, Modulus.real(0.5), 1e-10)
+    @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(2.0),
+                                   Modulus.real(1.0)], ids=repr)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_rejects_non_finite(self, monkeypatch, m, x):
+        # refused before the fold, in epsilon_any's words and naming the
+        # caller's x, the regime and k: neither the trapezoidal rule nor the
+        # bisection is entered (at k = 1 too, where H is inf)
+        def entered(*args):
+            raise AssertionError("entered with a non-finite x")
+        monkeypatch.setattr(quadrature, "_half_period", entered)
+        monkeypatch.setattr(quadrature, "integrate", entered)
+        text = (f"epsilon_by_quadrature(x={x!r}) fails for the {m.regime.value} modulus "
+                f"k={m.k!r}: x={x!r} is not a finite float")
+        with pytest.raises(DomainError, match=re.escape(text) + "$"):
+            epsilon_by_quadrature(x, m, 1e-10)
 
     @pytest.mark.parametrize("x", [0.5, -4.0])
     def test_traced_memory_peak(self, x):
         # a node allocates nothing that outlives it: after a warm-up, one call's
-        # traced peak is 496 B standard and 536 B for the other two regimes
-        # (CPython 3.11), 48 B more where x = -4 folds (the trapezoidal rule's
+        # traced peak is 256 B standard and 296 B for the other two regimes
+        # (CPython 3.11), 32 B more where x = -4 folds (the trapezoidal rule's
         # range), and the benchmark bounds its mem_peak_kib to 15 %
         for m in (Modulus.real(0.5), Modulus.real(2.5), Modulus.imaginary(1.5)):
             assert (abs(x) >= m._rule.half) is (x == -4.0)

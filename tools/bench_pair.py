@@ -224,6 +224,9 @@ def micro_calls(pkg):
           for name, m in held),
         *((f"ek_ratio(held {name})", 50000, lambda m=m: pkg.ek_ratio(m)) for name, m in held),
         *((f"integrand node ({regime})", 100000, lambda f=f: f(0.7)) for regime, f in nodes),
+        # past K = 1.69 of real 0.5, where the node's descent reduces t by the period
+        ("integrand node (standard) outside the primary cell", 100000,
+         lambda: nodes[0][1](5.0)),
         ("newton_cotes_8 panel (standard)", 20000, lambda: panel(nodes[0][1], 0.0, 0.5)),
         ("epsilon_by_quadrature(0.5, real 0.5, 1e-11)", 2000,
          lambda: pkg.epsilon_by_quadrature(0.5, pkg.Modulus.real(0.5), 1e-11)),
