@@ -21,12 +21,12 @@ reductions below write it: epsilon(x) = slope x + P(x), with slope the
 real E/K and P = epsilon - slope x the periodic part of one modulus in
 [0, 1].  The three rules answer the same calls and attributes:
 `slope`; `periodic(x)`, P; the Legendre terms `w` and `drift`, numbers
-that are 0.0 but in the large-real rule; `integrand()`, the real
-function whose integral from 0 to x is epsilon (the quadrature
-oracle's); and `half`, its half period H in t: the integrand has period
-2H and is even about H (DLMF 22.4), which the oracle folds by.  No rule
-forms epsilon, Z or E/K: each is written once, in its dispatcher, with s
-the branch sign,
+that are 0.0 but in the large-real rule; `integrand(t)`, the real
+function of t whose integral from 0 to x is epsilon (the quadrature
+oracle's, which takes the bound method); and `half`, its half period H
+in t: the integrand has period 2H and is even about H (DLMF 22.4),
+which the oracle folds by.  No rule forms epsilon, Z or E/K: each is
+written once, in its dispatcher, with s the branch sign,
 
     epsilon_any   P(x) + slope x
     zeta_any      P(x) + drift x + i (s w x + 0.0)
@@ -38,16 +38,17 @@ descent, `agm.cos_phase`, which skips King's sum and gives the cosine
 of the reduced amplitude: its square is formed from cos am, with
 dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of an
 odd period index drops out, so no Z, sin, sqrt or tuple is made, and
-the closure holds only `agm` and k or k1p.  At k = 1 the kernel's limit
-gives cos am = sech t itself and k'^2 = 0 (jacobi.py), so the standard
-integrand has one form.  The two real-modulus rules
-also give `columns(us, s)`, all an elastica curve needs and no more:
-the columns of cn of their own k and of P at every x = u + s of a list,
-from one batch descent (`_Agm.phases`, jacobi.py), which refuses what
-one descent would.  Past the reduction bound of the descent, where Z
-keeps no correct digit, `epsilon_any` returns the linear term slope x:
-the periodic part is at most about 2^-50 of it there.  Signs of moduli
-are stripped up front: epsilon and zeta are even in the modulus.
+no function is built per call: the method reads `agm` and k from its
+rule.  At k = 1 the kernel's limit gives cos am = sech t itself and
+k'^2 = 0 (jacobi.py), so the standard integrand has one form.  The two
+real-modulus rules also give `columns(us, s)`, all an elastica curve
+needs and no more: the columns of cn of their own k and of P at every
+x = u + s of a list, from one batch descent (`_Agm.phases`, jacobi.py),
+which refuses what one descent would.  Past the reduction bound of the
+descent, where Z keeps no correct digit, `epsilon_any` returns the
+linear term slope x: the periodic part is at most about 2^-50 of it
+there.  Signs of moduli are stripped up front: epsilon and zeta are even
+in the modulus.
 
 `_Standard`, 0 <= k <= 1, descends the kernel of k itself, or its
 k = 1 limit `jacobi._Unit`, built on the k that `Modulus.__init__`
@@ -288,15 +289,12 @@ class _Standard:
         phis, ns, zs = self.agm.phases([u + s for u in us])
         return [-c if n % 2 else c for c, n in zip(map(math.cos, phis), ns)], zs
 
-    def integrand(self):
+    def integrand(self, t):
         # dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as `jacobi` forms
         # it before its sqrt; at k = 1 cos am is sech t and k'^2 = 0
         agm = self.agm
-
-        def dn2(t):
-            c = agm.cos_phase(t)
-            return agm.kp2 + (1.0 - agm.kp2) * c * c
-        return dn2
+        c = agm.cos_phase(t)
+        return agm.kp2 + (1.0 - agm.kp2) * c * c
 
 
 class _LargeReal:
@@ -349,10 +347,9 @@ class _LargeReal:
         # the integrand's half period in t: K(1/k)/k
         return self.agm.K / self.k
 
-    def integrand(self):
+    def integrand(self, t):
         # cn^2(kt, 1/k) = cos^2 am(kt): the sign of an odd period drops out
-        k, agm = self.k, self.agm
-        return lambda t: agm.cos_phase(k * t) ** 2
+        return self.agm.cos_phase(self.k * t) ** 2
 
 
 class _Imaginary:
@@ -383,14 +380,11 @@ class _Imaginary:
         # the integrand's half period in t: K(k1) k1p
         return self.agm.K * self.agm.kp
 
-    def integrand(self):
+    def integrand(self, t):
         # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as in `_Standard`
-        agm, k1p = self.agm, self.agm.kp
-
-        def inverse_dn2(t):
-            c = agm.cos_phase(t / k1p)
-            return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)
-        return inverse_dn2
+        agm = self.agm
+        c = agm.cos_phase(t / agm.kp)
+        return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)
 
 
 def _branch_sign(branch):

@@ -20,10 +20,13 @@ of the descent's argument at t = H), where `_Agm.cos_phase` skips the
 period reduction, exact and a no-op there (jacobi.py).  Its half period and
 integrand come from the rule that the `Modulus` built (extended.py), so
 an oracle call and an `epsilon_any` call on one `Modulus` descend one
-AGM kernel between them and build none.  It takes x as `epsilon_any`
-does, a float as it is and any other real number as float(x)
-(`errors._real`), refuses a NaN or infinite x before it folds, and names
-a refused x, the regime and k.
+AGM kernel between them and build none.  At k = 1, where H = inf, it
+integrates sech^2 over [0, min(|x|, 64)]: the rest of the integral is
+below 6e-56, and the bisection of a wider interval cannot resolve the
+peak at 0.  It takes x as `epsilon_any` does, and tol alike, a float as
+it is and any other real number as its float (`errors._real`); it
+refuses a NaN or infinite x before it folds and a tol that is not a real
+number, naming the refused argument, the caller's x, the regime and k.
 """
 
 from collections import namedtuple
@@ -34,6 +37,7 @@ from .extended import Modulus, _failed
 
 _MAX_DEPTH = 48  # interval widths hit the machine-epsilon scale well before this
 _MAX_NODES = 2 ** 12  # intervals of [0, H]; k next to 1 and i*k near 2^26 need 128
+_UNIT_SPAN = 64.0  # at k = 1, where H = inf, the integral of sech^2 past it is below 6e-56
 
 
 QuadratureResult = namedtuple("QuadratureResult", "value err_estimate")
@@ -89,13 +93,14 @@ def regime_integrand(m: Modulus) -> Callable[[float], float]:
     """The real integrand whose integral from 0 to x gives epsilon(x, m).
 
     Standard: dn^2(t,k).  Real k > 1: cn^2(kt, 1/k).  Imaginary i*k:
-    1/dn^2(t/k1p, k1).  It is the `integrand()` of the rule that the
-    `Modulus` built with the AGM kernel of its standard-range modulus
-    (extended.py), so each evaluation is one amplitude-only descent
-    (`_Agm.cos_phase`, no King's sum) and the square formed from its cos
-    am; at k = 1 it stays sech^2.
+    1/dn^2(t/k1p, k1).  It is the bound `integrand` method of the rule
+    that the `Modulus` built with the AGM kernel of its standard-range
+    modulus (extended.py), so no function is built here, and each
+    evaluation is one amplitude-only descent (`_Agm.cos_phase`, no
+    King's sum) and the square formed from its cos am; at k = 1 it stays
+    sech^2.
     """
-    return m._rule.integrand()
+    return m._rule.integrand
 
 
 def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
@@ -110,14 +115,16 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     period holds the same integral J.  With |x| = q H + r and 0 <= r < H
     (q = 0 below H, and always at k = 1, where H = inf), the result is
     q J + R for even q and q J + J - R for odd q, with R the integral over
-    [0, r] or over [0, H - r].  R is one adaptive integration, to tol
-    where q = 0 and to tol/2 where q > 0.  J is the trapezoidal rule on
-    [0, H] (`_half_period`), which converges geometrically for a periodic
-    analytic f, so q J keeps a relative error of a few ulps whatever q
-    is, and no node lies past H.  This assumes only the period and
-    symmetry of dn^2, cn^2 and 1/dn^2, not the transforms under test.
-    Real k = 5 at x = 3 took 567 integrand evaluations as one
-    integration and takes 36.
+    [0, r] or over [0, H - r]; at k = 1 over [0, min(r, 64)], as the
+    integral of sech^2 past 64 is below 6e-56.  R is one adaptive
+    integration, to tol where q = 0 and to tol/2 where q > 0; tol is any
+    real number, taken as its float, and `integrate` refuses it unless it
+    is > 0.  J is the trapezoidal rule on [0, H] (`_half_period`), which
+    converges geometrically for a periodic analytic f, so q J keeps a
+    relative error of a few ulps whatever q is, and no node lies past H.
+    This assumes only the period and symmetry of dn^2, cn^2 and 1/dn^2,
+    not the transforms under test.  Real k = 5 at x = 3 took 567
+    integrand evaluations as one integration and takes 36.
     """
     half = m._rule.half
     f = regime_integrand(m)
@@ -126,7 +133,11 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
         if not abs(x) <= _MAX_FLOAT:
             # refused before the fold: divmod gives it a NaN q, which is true
             raise DomainError(f"x={x!r} is not a finite float")
+        tol = tol if type(tol) is float else _real(tol, "tol")
         q, r = divmod(abs(x), half)  # r = |x| - q H exactly
+        # r < H < 20 (K next to k = 1 is 19.4) but at k = 1, where H = inf and
+        # the rest stops at the span
+        r = min(r, _UNIT_SPAN)
         odd = q % 2.0
         j = _half_period(f, half) if q else 0.0
         rest = integrate(f, 0.0, half - r if odd else r, 0.5 * tol if q else tol).value

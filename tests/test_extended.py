@@ -42,13 +42,16 @@ K_CALLS = {**{regime: functools.partial(Modulus, regime) for regime in Regime}, 
 # each public routine that takes an argument x (incomplete_e its phi, a curve
 # point its u) as a function of it alone, keyed by its name, with the
 # argument's name: the (x, k) routines at k = 0.5, the dispatchers and the
-# oracle on a modulus of each regime, the curve points and each of rf's x, y, z
+# oracle on a modulus of each regime, the oracle's tol, the curve points and
+# each of rf's x, y, z
 X_CALLS = {
     **{fn.__name__: (lambda x, fn=fn: fn(x, 0.5), "x") for fn in (epsilon, zeta, amplitude, sncndn)},
     "incomplete_e": (lambda phi: incomplete_e(phi, 0.5), "phi"),
     **{f"{fn.__name__} {m.regime.value}": (lambda x, fn=fn, m=m: fn(x, m), "x")
        for fn in (epsilon_any, zeta_any, epsilon_by_quadrature)
        for m in (Modulus.real(0.5), Modulus.real(2.0), Modulus.imaginary(2.0))},
+    "epsilon_by_quadrature tol": (lambda tol: epsilon_by_quadrature(0.5, Modulus.real(0.5), tol),
+                                  "tol"),
     "flexural_point": (lambda u: flexural_point(u, ElasticaParams(0.5)), "u"),
     "inflexural_point": (lambda u: inflexural_point(u, ElasticaParams(2.0)), "u"),
     "rf x": (lambda x: rf(x, 2.0, 3.0), "x"),

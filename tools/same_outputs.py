@@ -31,6 +31,12 @@ exception it raised:
   a Fraction and an int, which are taken as floats, and a bool, numpy's
   bool, a str, bytes, None, a Decimal and a complex (numpy's too), which
   are refused;
+- oracle arguments: `epsilon_by_quadrature` at k = 1 (where its half
+  period is infinite) at each x of `UNIT_XS`, below, at and past the
+  span it integrates there, and at x = 0.5 on real 0.5 given each tol
+  of `TOLS`: numpy's float32 and a Fraction, which are taken as floats,
+  a str, None, a bool and a complex, which are refused, and 0, a
+  negative tol and NaN, which `integrate` refuses;
 - the constructors of the checked values, `Modulus(regime, k)` for each
   regime, `Modulus.real`, `Modulus.imaginary` and `ElasticaParams`, each
   given every k of a list: a bool, numpy's bool, a str and bytes, NaN,
@@ -115,6 +121,9 @@ XK_KS = (0.0, 0.5, -0.5, math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), 1.
 # the x of `x_arguments` besides numpy's: a Fraction and an int, which the
 # routines take as floats, and what is not a real number
 X_ARGS = (Fraction(1, 2), 1, True, "0.5", b"0.5", None, Decimal("0.5"), 0.5j)
+# the x of the oracle at k = 1 and its tol besides numpy's float32 (`oracle_arguments`)
+UNIT_XS = (19.0, 40.0, 64.0, 1e6, 1e9, 1e20, -1e300)
+TOLS = ("1e-10", None, True, 1j, Fraction(1, 10 ** 10), 0, -1.0, math.nan)
 # a decimal number standing alone in an output (not part of a name such as k1),
 # with the j of a complex part
 NUMBER = re.compile(r"(?<![A-Za-z_.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?j?(?![\w.])")
@@ -230,6 +239,20 @@ def x_arguments():
                  for x in xs)
 
 
+def oracle_arguments():
+    """(name, call) for `epsilon_by_quadrature` at k = 1 at each x of UNIT_XS,
+    and at x = 0.5 on real 0.5 given each tol of TOLS and numpy's float32."""
+    import epszeta as ez
+    import numpy
+    unit, m = ez.Modulus.real(1.0), ez.Modulus.real(0.5)
+    return (
+        *((f"k=1 x={x!r}", lambda x=x: ez.epsilon_by_quadrature(x, unit, 1e-11))
+          for x in UNIT_XS),
+        *((f"tol={tol!r}", lambda tol=tol: ez.epsilon_by_quadrature(0.5, m, tol))
+          for tol in (numpy.float32(1e-10), *TOLS)),
+    )
+
+
 def shown(v):
     return "10**400" if v is BIG else repr(v)
 
@@ -337,6 +360,8 @@ def emit(out, missing, top):
         write("int past the float range", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(x_arguments()):
         write("x arguments", i, name, outcome(call, ()))
+    for i, (name, call) in enumerate(oracle_arguments()):
+        write("oracle arguments", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(refusals(top)):
         write("constructor refusals", i, name, outcome(call, ()))
     for i, (name, call) in enumerate(standard_routines(top)):
