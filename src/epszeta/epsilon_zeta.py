@@ -21,7 +21,8 @@ def epsilon(x: float, k: float) -> float:
     Past the reduction bound |x| = 2^51 K, where Z keeps no correct digit
     but |Z| < 1 is below 2^-51 of (E/K) x, it is the linear term (E/K) x.
     """
-    return epsilon_any(x, Modulus(_STANDARD, _magnitude(k)))
+    k = abs(k) if type(k) is float else _magnitude(k)  # a float skips a frame
+    return epsilon_any(x, Modulus(_STANDARD, k))
 
 
 def zeta(x: float, k: float) -> float:
@@ -30,5 +31,6 @@ def zeta(x: float, k: float) -> float:
     At |k| = 1 the slope E/K vanishes (K diverges) and Z coincides with
     epsilon, i.e. tanh.
     """
-    return Modulus(_STANDARD, _magnitude(k))._rule.periodic(
+    k = abs(k) if type(k) is float else _magnitude(k)
+    return Modulus(_STANDARD, k)._rule.periodic(
         x if type(x) is float else _real(x, "x"))

@@ -35,7 +35,8 @@ written once, in its dispatcher, with s the branch sign,
 where the 0.0 keeps a zero w's imaginary part +0.0 on both branches,
 not -0.0 on one.  Each node of an integrand costs one amplitude-only
 descent, `agm.cos_phase`, which skips King's sum and gives the cosine
-of the reduced amplitude: its square is formed from cos am, with
+of the reduced amplitude (past the primary cell, where a node lies only
+by a rounding at the half period, that of `agm.phase`): its square is formed from cos am, with
 dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of an
 odd period index drops out, so no Z, sin, sqrt or tuple is made, and
 no function is built per call: the method reads `agm` and k from its
@@ -44,7 +45,8 @@ k'^2 = 0 (jacobi.py), so the standard integrand has one form.  The two
 real-modulus rules also give `columns(us, s)`, all an elastica curve
 needs and no more: the columns of cn of their own k and of P at every
 x = u + s of a list, from one batch descent (`_Agm.phases`, jacobi.py),
-which refuses what one descent would.  Past the reduction bound of the
+which checks each x in its one loop and refuses, at the first x that
+fails, what one descent of it would.  Past the reduction bound of the
 descent, where Z keeps no correct digit, `epsilon_any` returns the
 linear term slope x: the periodic part is at most about 2^-50 of it
 there.  Signs of moduli are stripped up front: epsilon and zeta are even

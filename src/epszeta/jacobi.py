@@ -45,28 +45,28 @@ DomainError instead: from |x| of about 2^51 K on (3.8e15 at k = 0.5;
 there: |Z| < 1 is below 2^-51 of (E/K) x, so past the bound it is the
 linear term (E/K) x (`epsilon_any` in extended.py, which `epsilon` calls).
 
-The kernel descends in three ways, with the same reduction and the same
-steps, so they agree bit for bit; each computes only what its caller
-reads:
+The kernel descends in three ways, with the same steps, so they agree
+bit for bit; each computes only what its caller reads.  Only `phase`
+and `phases` reduce x and check it against the bound:
 
 - `phase(x)`, the one-x descent of the public routines and dispatchers,
   gives (phi, n, z);
 - `phases(xs)`, the batch of many x at one k that an elastica curve
-  takes, gives the columns (phi, n, z) of `phase` over a list: one pass
+  takes, gives the columns (phi, n, z) of `phase` over a list: one loop
   over the list runs the same operations in the same order at each x,
-  z starting at 0.0.  It skips the call, the attribute lookups and the
-  tuple of one `phase` per x (a loop of the steps over all x, step by
-  step, was slower in pure Python).  It checks every x before it
-  descends any, and on a failure replays `phase` in order, so it raises
-  what `phase` raises at the first x that fails;
+  the check of x and its reduction included, z starting at 0.0.  It
+  skips the call, the attribute lookups and the tuple of one `phase` per
+  x (a loop of the steps over all x, step by step, was slower in pure
+  Python), and it raises what `phase` raises at the first x that fails;
 - `cos_phase(x)`, a quadrature node's, gives cos phi alone, which is
   +-cos am(x) (the sign of an odd period dropped), as an integrand
-  squares it.  It skips King's sum, n and the tuple, and it checks x as
-  `phase` does, raising the same error.  In the primary cell |x| <= K,
-  where every quadrature node lies (quadrature.py), it also skips the
+  squares it.  In the primary cell |x| <= K, where every quadrature node
+  lies (quadrature.py), it skips King's sum, n, the tuple and the
   reduction, which is exact there and leaves x as it is: 2K is K doubled
   exactly, so |x / 2K| <= 1/2, which `round` (half to even) takes to
-  n = 0, and x - 2K 0 is x itself, -0.0 included.
+  n = 0, and x - 2K 0 is x itself, -0.0 included.  Outside the cell,
+  NaN and the infinities included, it is cos of `phase`'s phi, so it
+  checks x as `phase` does, raising the same error.
 
 Every public routine here is `_kernel(k)` and at most one descent
 (epsilon_zeta.py's go through the standard `Modulus` of |k| instead).
@@ -88,9 +88,10 @@ the limit `_Unit`: K = inf, E = 1, am = gd x
 `cos_phase` gives cos am = sech x itself, as 1/cosh x (2 e^-|x| from
 |x| = 710 on, where cosh overflows), not as cos gd x, which keeps no
 relative digit as it falls to 0; with k'^2 = 0 an integrand squares it
-as it squares cos phi of an `_Agm`.  The
-descent is the one check of a float x's finiteness and of its reduction
-bound, and names an x that fails either.
+as it squares cos phi of an `_Agm`, and its `jacobi` takes sn = tanh x
+beside it, forming no gd x.  The descent is the one check of a float
+x's finiteness and of its reduction bound, and names an x that fails
+either.
 `complete_k` has no value at |k| = 1 and raises there, naming k.
 
 `incomplete_e` is epsilon at the argument F(phi, k), since epsilon(x) =
@@ -187,16 +188,13 @@ class _Agm:
 
     def cos_phase(self, x):
         """cos phi of `phase(x)`, bit for bit: +-cos am(x), the sign of an odd
-        period dropped; the same check of x and steps, without Z, n or a tuple.
-        It skips the reduction in the primary cell |x| <= K, where it gives
-        n = 0 and x itself (module docstring); NaN and the infinities fail
-        that comparison and reach the check."""
+        period dropped.  In the primary cell |x| <= K it runs the same steps
+        without King's sum, n, a tuple or the reduction, which gives n = 0
+        and x itself there (module docstring); outside it, NaN and the
+        infinities included, it is cos of `phase`'s phi, which reduces and
+        checks x."""
         if not -self.K <= x <= self.K:
-            period = self._period
-            t = x / period
-            if not abs(t) <= _MAX_PERIODS:
-                raise _bad_x(self, x)
-            x -= period * round(t)
+            return cos(self.phase(x)[0])
         phi = self._scale * x
         for _, r in self._steps:
             phi = 0.5 * (phi + asin(r * sin(phi)))
@@ -207,17 +205,12 @@ class _Agm:
         (module docstring); raises as `phase` at the first x that fails."""
         period, scale, steps, sin, asin = (
             self._period, self._scale, self._steps, math.sin, math.asin)
-        try:
-            ts = [x / period for x in xs]
-            ns = list(map(round, ts))  # ValueError at a NaN t, OverflowError at an infinite one
-        except (OverflowError, ValueError):
-            ns = None
-        if ns is None or max(map(abs, ts), default=0.0) > _MAX_PERIODS:
-            for x in xs:
-                self.phase(x)
-        del ts
-        phis, zs = [], []
-        for x, n in zip(xs, ns):
+        phis, ns, zs = [], [], []
+        for x in xs:
+            t = x / period
+            if not abs(t) <= _MAX_PERIODS:
+                raise _bad_x(self, x)
+            n = round(t)
             phi = scale * (x - period * n)
             z = 0.0
             for c, r in steps:
@@ -225,6 +218,7 @@ class _Agm:
                 z += c * s
                 phi = 0.5 * (phi + asin(r * s))
             phis.append(phi)
+            ns.append(n)
             zs.append(z)
         return phis, ns, zs
 
@@ -270,8 +264,7 @@ class _Unit:
         return 1.0 / math.cosh(x) if abs(x) < 710.0 else 2.0 * math.exp(-abs(x))
 
     def jacobi(self, x):
-        t = self.phase(x)[2]
-        sech = self.cos_phase(x)
+        sech, t = self.cos_phase(x), math.tanh(x)  # cos_phase checks x first
         return t, sech, sech, t
 
 

@@ -17,7 +17,8 @@ than one, cannot alias under its first 9-node panel, and keeps its
 relative precision however many half periods it spans.  Every node lies
 in [0, H], so inside its kernel's primary cell |x| <= K (up to a rounding
 of the descent's argument at t = H), where `_Agm.cos_phase` skips the
-period reduction, exact and a no-op there (jacobi.py).  Its half period and
+period reduction, exact and a no-op there; a node that the rounding puts
+past K takes the descent of `_Agm.phase` (jacobi.py).  Its half period and
 integrand come from the rule that the `Modulus` built (extended.py), so
 an oracle call and an `epsilon_any` call on one `Modulus` descend one
 AGM kernel between them and build none.  At k = 1, where H = inf, it

@@ -10,6 +10,7 @@ import pytest
 from epszeta import (ElasticaParams, Modulus, epsilon, epsilon_any, epsilon_by_quadrature,
                      flexural_point, inflexural_point,
                      sample_curve, uniform_grid, zeta_any)
+from epszeta import cli, quadrature
 from epszeta.cli import main
 
 
@@ -121,6 +122,13 @@ class TestTables:
                      "-0.050738", "-0.187029", "-0.616203"):
             assert cell in out
         assert out.count("Table") == 4
+
+    def test_gap_over_threshold_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_TABLE_TOL", 0.0)
+        code, out, _ = run(capsys, "tables")
+        assert code == 4
+        assert re.search(r"^FAIL: largest Present/Quadrature gap \S+ exceeds 0$", out,
+                         re.MULTILINE)
 
 
 class TestElastica:
@@ -334,3 +342,12 @@ class TestCheck:
                            "--seed", "3")
         assert code == 4
         assert "FAIL" in out
+
+    def test_oracle_convergence_error_exits_4(self, capsys, monkeypatch):
+        # eight trapezoidal intervals are too few for the half period of an
+        # i*k draw; the real draws before it converge
+        monkeypatch.setattr(quadrature, "_MAX_NODES", 8)
+        code, _, err = run(capsys, "check", "--trials", "5")
+        assert code == 4
+        assert err.startswith("convergence error: epsilon_by_quadrature(x=")
+        assert "fails for the pure_imaginary modulus" in err.splitlines()[0]

@@ -844,6 +844,17 @@ class TestDispatchers:
         names = python_calls(lambda: fn(0.7, make(k)))
         assert len(names) == calls, names
 
+    @pytest.mark.parametrize("fn, calls", [(epsilon, 7), (zeta, 6)])
+    def test_python_calls_of_an_x_k_call(self, fn, calls):
+        # epsilon(x, k) and zeta(x, k) take a float k as `Modulus.real` takes
+        # it; any other real number, numpy's float64 too, goes through
+        # `_magnitude`, which converts it
+        names = python_calls(lambda: fn(0.7, 0.5))
+        assert len(names) == calls, names
+        names = python_calls(lambda: fn(0.7, np.float64(-0.5)))
+        assert "_magnitude" in names, names
+        assert repr(fn(0.7, np.float64(-0.5))) == repr(fn(0.7, 0.5))
+
     @pytest.mark.parametrize("fn, calls", [(epsilon_any, 3), (zeta_any, 4)])
     @pytest.mark.parametrize("m", [Modulus.real(0.5), Modulus.real(2.5), Modulus.imaginary(2.5)],
                              ids=repr)

@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has six parts:
+JSON printed has seven parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -21,12 +21,24 @@ JSON printed has six parts:
   tree left with bytecode by an earlier run imports about 0.012 s
   faster.  (PYTHONPYCACHEPREFIX would hide the bytecode of the standard
   library and of site-packages too, and slow the bare interpreter that
-  `setup_s` is scaled by.)
+  `setup_s` is scaled by.)  Every run measures the same `setup_s`, the
+  start-up of a fresh interpreter, whatever its workload, so
+  `pooled.setup_s` gives it once more over the runs of all workloads,
+  each pair of runs kept as a pair: three times the pairs of one
+  workload's copy.
 - `per_layer`: for each workload, one `bench/run.py --seed SEED --trace 1`
   run of `TRACE_SECONDS` per side, the change's after the parent's: the
   per-layer metrics of each side (call and evaluation counts per op,
   self time per op, the per-regime maximum error), beside `failed` and
   `correct`.
+- `counts`: for each side, in its own interpreter, the operations of a
+  fixed prefix of the rows of seed SEED (`COUNT_ROWS`) run untimed,
+  with counters on `_Agm` builds, the calls of its `phase`, `cos_phase`
+  and `phases` (and the x that `phases` descends), the evaluations of
+  every rule's `integrand` and the `newton_cotes_8` panels.  The trace
+  of `per_layer` sees public names only and its runs stop at a time, so
+  the same work reads as different counts; these read equal where the
+  two sides do the same work.
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds, the order flipped on every other round;
@@ -81,9 +93,13 @@ import subprocess
 import sys
 import time
 import timeit
+from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 PAIRS, SEED = 10, 1
+# (workload, rows) of the `counts` part, the first rows of seed SEED
+COUNT_ROWS = (("quadrature-oracle", 3000), ("curve-export", 50), ("mixed-points", 20000))
 TRACE_SECONDS = 10
 MICRO_ROUNDS = 15
 STARTUP_RUNS = 21
@@ -150,16 +166,22 @@ def end_to_end(roots, workloads, better, seconds):
                "correct": all(r["correct"] for s in sides for r in s)}
         for name, entry in sides[0][0]["metrics"].items():
             values = [[r["metrics"][name]["value"] for r in s] for s in sides]
-            sign = 1 if better[name] == "higher" else -1
-            row[name] = {"unit": entry["unit"],
-                         "parent": statistics.median(values[0]),
-                         "change": statistics.median(values[1]),
-                         "parent_quartiles": quartiles(values[0]),
-                         "change_quartiles": quartiles(values[1]),
-                         "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values)),
-                         "parent_runs": values[0], "change_runs": values[1]}
+            row[name] = metric_row(entry["unit"], values, better[name])
         table[w] = row
+    setup = [[v for w in workloads for v in table[w]["setup_s"][side + "_runs"]]
+             for side in ("parent", "change")]
+    table["pooled"] = {"setup_s": metric_row("s", setup, better["setup_s"])}
     return table
+
+
+def metric_row(unit, values, better):
+    """The row of one metric from the runs [parent, change] of its pairs."""
+    sign = 1 if better == "higher" else -1
+    return {"unit": unit,
+            "parent": statistics.median(values[0]), "change": statistics.median(values[1]),
+            "parent_quartiles": quartiles(values[0]), "change_quartiles": quartiles(values[1]),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(*values)),
+            "parent_runs": values[0], "change_runs": values[1]}
 
 
 def per_layer(roots, workloads):
@@ -172,6 +194,67 @@ def per_layer(roots, workloads):
             row[name] = {"unit": entry["unit"], "parent": sides[0]["metrics"][name]["value"],
                          "change": sides[1]["metrics"][name]["value"]}
         table[w] = row
+    return table
+
+
+def count_rows(root):
+    """Print, as JSON, the counts of the `counts` part (module docstring) for
+    the checkout at root; run in an interpreter of its own."""
+    for part in ("bench", "src"):
+        sys.path.insert(0, str(Path(root) / part))
+    from workloads import WORKLOADS
+    jacobi, extended, quadrature = (sys.modules["epszeta." + name]
+                                    for name in ("jacobi", "extended", "quadrature"))
+    tally = Counter()
+
+    def count(owner, attribute, key, sized=False):
+        fn = vars(owner)[attribute]
+
+        def counted(*args, **kwargs):
+            tally[key] += 1
+            if sized:
+                tally[key + " x"] += len(args[1])
+            return fn(*args, **kwargs)
+
+        setattr(owner, attribute, counted)
+
+    agm = jacobi._Agm
+    count(agm, "__init__", "_Agm builds")
+    for name in ("phase", "cos_phase"):
+        count(agm, name, "_Agm." + name)
+    count(agm, "phases", "_Agm.phases", sized=True)
+    for rule in vars(extended).values():
+        if isinstance(rule, type) and "integrand" in vars(rule):
+            count(rule, "integrand", "integrand evals")
+    count(quadrature, "newton_cotes_8", "newton_cotes_8 panels")
+    result = {}
+    for name, rows in COUNT_ROWS:
+        workload = WORKLOADS[name]
+        tally.clear()
+        for row in islice(workload.rows(SEED), rows):
+            try:
+                workload.op(*row)
+            except Exception:
+                tally["raised"] += 1
+        result[name] = dict(sorted(tally.items()))
+    print(json.dumps(result))
+
+
+def counts(roots):
+    """The `counts` part: each side's counts and the change less the parent,
+    where it differs."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import bench_pair; bench_pair.count_rows(sys.argv[1])")
+    sides = [json.loads(subprocess.run(
+        [sys.executable, "-c", code, root], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout) for root in roots]
+    table = {}
+    for name, rows in COUNT_ROWS:
+        parent, change = (side[name] for side in sides)
+        table[name] = {"rows": rows, "parent": parent, "change": change,
+                       "change_less_parent": {key: change.get(key, 0) - parent.get(key, 0)
+                                              for key in sorted({*parent, *change})
+                                              if change.get(key) != parent.get(key)}}
     return table
 
 
@@ -359,6 +442,7 @@ def main(argv):
         "per_layer": {"command": f"bench/run.py --seed {SEED} --seconds {TRACE_SECONDS} "
                                  "--trace 1, one run per side",
                       **per_layer(roots, workloads)},
+        "counts": {"seed": SEED, **counts(roots)},
     }
     result["micro_us"], result["micro_aa_us"] = micro_sections(roots)
     result["startup_cpu_ms"] = {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
