@@ -11,10 +11,11 @@ scales as h^11, so halving the step gains a factor of 2^10).
 integrates a regime's integrand (extended.py) from 0 to |x|.  It folds
 |x| by the integrand's half period H: the q whole half periods in |x|
 each hold the same integral J, which the periodic trapezoidal rule
-gives to a few ulps, and the rest of |x| is one adaptive integration on
-[0, H] (its docstring).  So an interval of many periods costs no more
-than one, cannot alias under its first 9-node panel, and keeps its
-relative precision however many half periods it spans.  Every node lies
+gives to a few ulps, and the rest of |x| is one adaptive integration
+over the shorter side of the half period, at most H/2 long (its
+docstring).  So an interval of many periods costs no more than one,
+cannot alias under its first 9-node panel, and keeps its relative
+precision however many half periods it spans.  Every node lies
 in [0, H], so inside its kernel's primary cell |x| <= K (up to a rounding
 of the descent's argument at t = H), where `_Agm.cos_phase` skips the
 period reduction, exact and a no-op there; a node that the rounding puts
@@ -116,16 +117,24 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
     period holds the same integral J.  With |x| = q H + r and 0 <= r < H
     (q = 0 below H, and always at k = 1, where H = inf), the result is
     q J + R for even q and q J + J - R for odd q, with R the integral over
-    [0, r] or over [0, H - r]; at k = 1 over [0, min(r, 64)], as the
-    integral of sech^2 past 64 is below 6e-56.  R is one adaptive
-    integration, to tol where q = 0 and to tol/2 where q > 0; tol is any
-    real number, taken as its float, and `integrate` refuses it unless it
-    is > 0.  J is the trapezoidal rule on [0, H] (`_half_period`), which
-    converges geometrically for a periodic analytic f, so q J keeps a
-    relative error of a few ulps whatever q is, and no node lies past H.
-    This assumes only the period and symmetry of dn^2, cn^2 and 1/dn^2,
-    not the transforms under test.  Real k = 5 at x = 3 took 567
-    integrand evaluations as one integration and takes 36.
+    [0, end], end = r for even q and H - r for odd q; at k = 1 over
+    [0, min(r, 64)], as the integral of sech^2 past 64 is below 6e-56.
+    R is one adaptive integration over the shorter side of the half
+    period: over [0, end] up to end = H/2, and past it R is J less the
+    integral over [end, H], so no integration spans more than H/2, and an
+    odd q with r = 0 gives R = J exactly.  Where J is taken (q > 0, or
+    end > H/2) the integration goes to tol/2, elsewhere to tol; tol is
+    any real number, taken as its float, and `integrate` refuses it
+    unless it is > 0.  J is the trapezoidal rule on [0, H]
+    (`_half_period`), which converges geometrically for a periodic
+    analytic f, so q J keeps a relative error of a few ulps whatever q
+    is, and no node lies past H.  This assumes only the period and
+    symmetry of dn^2, cn^2 and 1/dn^2, not the transforms under test.
+    Real k = 5 at x = 3 took 567 integrand evaluations as one integration
+    and takes 36; real 0.5 at x = 0.9 H took 63 over [0, x] and takes 36.
+    The bisection's accept test is unchanged, so the rest's error can
+    still exceed its estimate (`integrate`), if with less room to over at
+    most H/2.
     """
     half = m._rule.half
     f = regime_integrand(m)
@@ -140,8 +149,16 @@ def epsilon_by_quadrature(x: float, m: Modulus, tol: float = 1e-10) -> float:
         # the rest stops at the span
         r = min(r, _UNIT_SPAN)
         odd = q % 2.0
-        j = _half_period(f, half) if q else 0.0
-        rest = integrate(f, 0.0, half - r if odd else r, 0.5 * tol if q else tol).value
+        end = half - r if odd else r
+        # the shorter side of the half period: past H/2 (never at k = 1,
+        # where H = inf) R is J less the integral over [end, H]
+        upper = end > 0.5 * half
+        if q or upper:
+            j = _half_period(f, half)
+            rest = (j - integrate(f, end, half, 0.5 * tol).value if upper
+                    else integrate(f, 0.0, end, 0.5 * tol).value)
+        else:
+            j, rest = 0.0, integrate(f, 0.0, end, tol).value
         value = q * j + (j - rest if odd else rest)
     except (DomainError, ConvergenceError) as exc:
         # the bisection names its own interval and the trapezoidal rule its

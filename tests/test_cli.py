@@ -344,10 +344,12 @@ class TestCheck:
         assert "FAIL" in out
 
     def test_oracle_convergence_error_exits_4(self, capsys, monkeypatch):
-        # eight trapezoidal intervals are too few for the half period of an
-        # i*k draw; the real draws before it converge
+        # eight trapezoidal intervals are too few for the half period of the
+        # standard draw k = 0.81, x = 1.55: below H, but past H/2, so the
+        # oracle builds J there too; the draws before it converge
         monkeypatch.setattr(quadrature, "_MAX_NODES", 8)
         code, _, err = run(capsys, "check", "--trials", "5")
         assert code == 4
         assert err.startswith("convergence error: epsilon_by_quadrature(x=")
-        assert "fails for the pure_imaginary modulus" in err.splitlines()[0]
+        assert ("fails for the standard modulus k=0.8099796663725433: no convergence on "
+                in err.splitlines()[0])

@@ -5,7 +5,7 @@
 
 PARENT and CHANGE are checkout roots, each holding `bench/run.py`,
 `src/epszeta` and `tests/goldens.py`, which the benchmark reads.  The
-JSON printed has seven parts:
+JSON printed has eight parts:
 
 - `end_to_end`: for each workload of CHANGE's BENCHMARK.json, `PAIRS`
   pairs of `bench/run.py --seed SEED --trace 0` runs of its
@@ -35,7 +35,9 @@ JSON printed has seven parts:
   fixed prefix of the rows of seed SEED (`COUNT_ROWS`) run untimed,
   with counters on `_Agm` builds, the calls of its `phase`, `cos_phase`
   and `phases` (and the x that `phases` descends), the evaluations of
-  every rule's `integrand` and the `newton_cotes_8` panels.  The trace
+  every rule's `integrand`, split into those of the trapezoidal J (the
+  `_half_period` calls) and those of the rest (the `integrate` calls),
+  and the `newton_cotes_8` panels, which are the rest's alone.  The trace
   of `per_layer` sees public names only and its runs stop at a time, so
   the same work reads as different counts; these read equal where the
   two sides do the same work.
@@ -74,9 +76,12 @@ JSON printed has seven parts:
   each command of `CLI_COMMANDS` with the checkout's `src` on
   PYTHONPATH: the two 600-sample `elastica` exports of the benchmark's
   shape, `tables`, `check --trials 1000` and the tier-1 suite of the
-  checkout; `CLI_RUNS` rounds, alternating as above, and the median of
-  each side beside the exit codes seen (an exit 4 of `check`, a failed
-  cross-check, is recorded, not raised).
+  checkout; `CLI_ROUNDS` rounds, alternating as above, with the medians,
+  quartiles, per-round ratios and `change_wins` of a micro row, beside
+  the exit codes seen (an exit 4 of `check`, a failed cross-check, is
+  recorded, not raised).  `cli_wall_aa_s` is the same for the parent
+  checkout run on both sides, and each `cli_wall_s` row states
+  `clears_aa` as a micro row does.
 
 It takes about an hour on a shared 2-vCPU host.
 """
@@ -114,7 +119,7 @@ STARTUPS = (
     ("bare -S -I", ("-S", "-I"), "pass"),
     ("import epszeta -S -I", ("-S", "-I"), "import epszeta"),
 )
-CLI_RUNS = 7
+CLI_ROUNDS = 11
 EXPORT = ("--u-min", "0", "--u-max", "12", "--samples", "600")
 # (name, arguments after the interpreter), run in the checkout's root
 CLI_COMMANDS = (
@@ -227,6 +232,19 @@ def count_rows(root):
         if isinstance(rule, type) and "integrand" in vars(rule):
             count(rule, "integrand", "integrand evals")
     count(quadrature, "newton_cotes_8", "newton_cotes_8 panels")
+    count(quadrature, "integrate", "integrate calls")
+    half_period = quadrature._half_period
+
+    def trapezoidal(*args):
+        # the integrand evaluations made inside one trapezoidal J
+        tally["_half_period calls"] += 1
+        before = tally["integrand evals"]
+        try:
+            return half_period(*args)
+        finally:
+            tally["integrand evals, trapezoidal J"] += tally["integrand evals"] - before
+
+    quadrature._half_period = trapezoidal
     result = {}
     for name, rows in COUNT_ROWS:
         workload = WORKLOADS[name]
@@ -236,6 +254,9 @@ def count_rows(root):
                 workload.op(*row)
             except Exception:
                 tally["raised"] += 1
+        if tally["integrand evals"]:
+            tally["integrand evals, rest"] = (tally["integrand evals"]
+                                              - tally["integrand evals, trapezoidal J"])
         result[name] = dict(sorted(tally.items()))
     print(json.dumps(result))
 
@@ -335,6 +356,29 @@ def micro_calls(pkg):
     )
 
 
+def timed_row(parent, change, digits):
+    """The row of one timed call or command from the times of its rounds, the
+    lower the better: each side's median and quartiles, the median and
+    quartiles of the per-round ratios change / parent, and the rounds the
+    change is faster in."""
+    ratios = [b / a for a, b in zip(parent, change)]
+    return {"parent": round(statistics.median(parent), digits),
+            "change": round(statistics.median(change), digits),
+            "ratio": round(statistics.median(ratios), 3),
+            "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
+            "ratio_quartiles": quartiles(ratios),
+            "change_wins": sum(b < a for a, b in zip(parent, change))}
+
+
+def mark_aa(rows, aa):
+    """Mark each row `clears_aa` where its ratio quartiles lie wholly above or
+    wholly below those of its A/A row."""
+    for name, row in rows.items():
+        low, _, high = row["ratio_quartiles"]
+        aa_low, _, aa_high = aa[name]["ratio_quartiles"]
+        row["clears_aa"] = high < aa_low or low > aa_high
+
+
 def micro(roots, tags):
     """The micro rows of the trees at roots, loaded as epszeta_<tag> (module
     docstring); the first root and tag are the parent's side."""
@@ -345,28 +389,14 @@ def micro(roots, tags):
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 name, number, call = calls[side]
                 times[name][side].append(timeit.timeit(call, number=number) / number * 1e6)
-    table = {}
-    for name, (parent, change) in times.items():
-        ratios = [b / a for a, b in zip(parent, change)]
-        table[name] = {"parent": round(statistics.median(parent), 3),
-                       "change": round(statistics.median(change), 3),
-                       "ratio": round(statistics.median(ratios), 3),
-                       "parent_quartiles": quartiles(parent), "change_quartiles": quartiles(change),
-                       "ratio_quartiles": quartiles(ratios),
-                       "change_wins": sum(b < a for a, b in zip(parent, change))}
-    return table
+    return {name: timed_row(parent, change, 3) for name, (parent, change) in times.items()}
 
 
 def micro_sections(roots):
-    """The `micro_us` and `micro_aa_us` parts (module docstring), each micro row
-    marked `clears_aa` where its ratio quartiles lie wholly above or wholly
-    below those of its A/A row."""
+    """The `micro_us` and `micro_aa_us` parts (module docstring)."""
     rows = micro(roots, ("parent", "change"))
     aa = micro([roots[0], roots[0]], ("parent_a", "parent_b"))
-    for name, row in rows.items():
-        low, _, high = row["ratio_quartiles"]
-        aa_low, _, aa_high = aa[name]["ratio_quartiles"]
-        row["clears_aa"] = high < aa_low or low > aa_high
+    mark_aa(rows, aa)
     return ({"rounds": MICRO_ROUNDS, **rows},
             {"rounds": MICRO_ROUNDS, "sides": "the parent tree loaded twice", **aa})
 
@@ -411,16 +441,23 @@ def wall_s(root, args):
 def cli_wall(roots):
     times = {name: ([], []) for name, _ in CLI_COMMANDS}
     codes = {name: (set(), set()) for name, _ in CLI_COMMANDS}
-    for i in range(CLI_RUNS):
+    for i in range(CLI_ROUNDS):
         for name, args in CLI_COMMANDS:
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
                 seconds, code = wall_s(roots[side], args)
                 times[name][side].append(seconds)
                 codes[name][side].add(code)
-    return {name: {"parent": round(statistics.median(p), 4),
-                   "change": round(statistics.median(c), 4),
-                   "exit_codes": [sorted(s) for s in codes[name]]}
+    return {name: {**timed_row(p, c, 4), "exit_codes": [sorted(s) for s in codes[name]]}
             for name, (p, c) in times.items()}
+
+
+def cli_sections(roots):
+    """The `cli_wall_s` and `cli_wall_aa_s` parts (module docstring)."""
+    rows = cli_wall(roots)
+    aa = cli_wall([roots[0], roots[0]])
+    mark_aa(rows, aa)
+    return ({"rounds": CLI_ROUNDS, **rows},
+            {"rounds": CLI_ROUNDS, "sides": "the parent checkout on both sides", **aa})
 
 
 def main(argv):
@@ -447,7 +484,7 @@ def main(argv):
     result["micro_us"], result["micro_aa_us"] = micro_sections(roots)
     result["startup_cpu_ms"] = {"runs": STARTUP_RUNS, "less": "the bare row with the same flags",
                                 **startup(roots)}
-    result["cli_wall_s"] = {"runs": CLI_RUNS, **cli_wall(roots)}
+    result["cli_wall_s"], result["cli_wall_aa_s"] = cli_sections(roots)
     print(json.dumps(result, indent=1))
     return 0
 
