@@ -7,7 +7,6 @@ the same record of six fields.
 
 import argparse
 import functools
-import json
 import random
 import sys
 from itertools import chain
@@ -43,6 +42,7 @@ def cmd_eval(args):
     record = {"fn": args.fn, "x": args.x, "k": m.k, "regime": m.regime.value,
               "re": value.real, "im": value.imag}
     if args.format == "json":
+        import json  # here, so no other command loads it
         print(json.dumps(record))
     else:
         print(",".join(record))

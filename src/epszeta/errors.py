@@ -13,7 +13,6 @@ any other as not a finite float; `_magnitude` is |k| of that float.
 """
 
 import math
-import numbers
 
 # The largest float: |v| <= _MAX_FLOAT fails for nan, an infinity and an int
 # past the float range, where math.isfinite would raise OverflowError.
@@ -43,7 +42,9 @@ def _not_real(k):
 def _real(v, name="k"):
     # v as a float, of a real number that is not one (numpy's float32, an
     # int64, a Fraction, an int); float() would also take a bool, parse a
-    # string and take the real part of a numpy complex scalar
+    # string and take the real part of a numpy complex scalar.  The callers
+    # pass a float on as it is, so numbers loads at the first one that is not
+    import numbers
     if isinstance(v, numbers.Real) and type(v) is not bool:
         try:
             return float(v)

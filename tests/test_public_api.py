@@ -1,6 +1,8 @@
+import json
 import re
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -65,16 +67,77 @@ def test_result_tuples_are_pinned(cls, fields, doc):
     assert repr(cls(*range(len(fields)))) == f"{cls.__name__}({shown})"
 
 
-def test_import_loads_no_dataclasses_inspect_or_typing():
-    # a fresh interpreter; -S keeps the .pth files of site-packages from
-    # importing these modules before epszeta does
+def fresh(code):
+    """The stdout of code run in a fresh interpreter with this epszeta first on
+    its path; -S keeps the .pth files of site-packages from importing modules
+    before epszeta does."""
     src = str(Path(epszeta.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import epszeta; "
-            "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    code = "import json, sys; sys.path.insert(0, sys.argv[1])\n" + textwrap.dedent(code)
     done = subprocess.run([sys.executable, "-S", "-I", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    assert fresh("""
+        import epszeta
+        print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))
+        """).split() == []
+
+
+LAZY = {"epszeta.elastica", "epszeta.quadrature", "numbers"}
+
+
+def test_a_value_loads_neither_curves_nor_oracle_nor_numbers():
+    # the elastica curves and the quadrature oracle load on first use, and
+    # numbers at the first argument that is not a float
+    assert fresh(f"""
+        from epszeta import Modulus, zeta_any
+        zeta_any(0.5, Modulus.real(2.0))
+        print(*sorted({LAZY!r} & set(sys.modules)))
+        """).split() == []
+
+
+def test_star_import_binds_each_name_from_its_submodule():
+    # `from epszeta import *` looks up every name of __all__: each is bound,
+    # as the object of the submodule that defines it, and the package then
+    # binds exactly __all__, its submodules aside
+    unbound, foreign, bound = json.loads(fresh("""
+        from epszeta import *
+        import epszeta, types
+        names = epszeta.__all__
+        print(json.dumps([
+            [n for n in names if n not in globals()],
+            [n for n in names if getattr(sys.modules[globals()[n].__module__], n) is not globals()[n]],
+            sorted(n for n, v in vars(epszeta).items()
+                   if not n.startswith("_") and not isinstance(v, types.ModuleType))]))
+        """))
+    assert unbound == [] and foreign == [] and bound == PUBLIC_NAMES
+
+
+def test_a_lazy_submodule_loads_on_its_attribute():
+    # the submodule's own names (integrate is not public) resolve through the
+    # package, and its public names are bound with it
+    assert fresh("""
+        import epszeta
+        print(epszeta.quadrature.integrate.__module__, 'epsilon_by_quadrature' in vars(epszeta),
+              'epszeta.elastica' in sys.modules)
+        """).split() == ["epszeta.quadrature", "True", "False"]
+
+
+def test_dir_and_unknown_names_load_nothing():
+    missing, error, loaded = json.loads(fresh(f"""
+        import epszeta
+        try:
+            epszeta.no_such_name
+        except AttributeError as e:
+            error = str(e)
+        print(json.dumps([sorted(set(epszeta.__all__) - set(dir(epszeta))), error,
+                          sorted({LAZY!r} & set(sys.modules))]))
+        """))
+    assert missing == [] and loaded == []
+    assert error == "module 'epszeta' has no attribute 'no_such_name'"
 
 
 def shown(v):

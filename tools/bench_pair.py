@@ -62,16 +62,22 @@ JSON printed has eight parts:
   are the only record of what the (x, k) routines cost, as no workload
   calls them.
 - `startup_cpu_ms`: the CPU time (user + system) of a fresh interpreter
-  that runs `import epszeta`, with and without `-S -I`, or one
-  `epszeta.cli eval`, for each side, beside a bare interpreter that only
-  sets the same `sys.path`; `STARTUP_RUNS` rounds, each starting every
-  row for the parent and the change one after the other (the order
-  flipped on every other round).  A bare row gives its own time; every
-  other row gives its time less the bare row with the same flags of the
-  same round and side, which cancels the host's drift between rounds.
-  Each side has the median and quartiles of its rounds, in
-  milliseconds.  `-S` leaves out `site`, whose `.pth` files may import
-  modules before epszeta does, and `-I` the environment.
+  that runs `import epszeta`, with and without `-S -I`, the benchmark's
+  `SETUP_CODE` (`from epszeta import Modulus, zeta_any` and one value,
+  the start-up that `setup_s` times) or one `epszeta.cli eval`, for each
+  side, beside a bare interpreter that only sets the same `sys.path`;
+  `STARTUP_RUNS` rounds, each starting every row for the parent and the
+  change one after the other (the order flipped on every other round).
+  A bare row gives its own time; every other row gives its time less the
+  bare row with the same flags of the same round and side, which cancels
+  the host's drift between rounds.  Each side has the median and
+  quartiles of its rounds, in milliseconds.  `-S` leaves out `site`,
+  whose `.pth` files may import modules before epszeta does, and `-I`
+  the environment.  The rows named `cold` run as `end_to_end` runs, with
+  the checkout's bytecode removed and PYTHONDONTWRITEBYTECODE=1, so each
+  compiles the modules it loads from source; every other row loads the
+  bytecode that an untimed `import epszeta.cli` at the start of its
+  round wrote for every module of `src/epszeta`.
 - `cli_wall_s`: the wall time in seconds of a fresh interpreter running
   each command of `CLI_COMMANDS` with the checkout's `src` on
   PYTHONPATH: the two 600-sample `elastica` exports of the benchmark's
@@ -109,15 +115,22 @@ TRACE_SECONDS = 10
 MICRO_ROUNDS = 15
 STARTUP_RUNS = 21
 PATH_CODE = "import sys; sys.path.insert(0, sys.argv[1]); "
-# (name, interpreter flags, code after PATH_CODE); the bare rows set the path only,
-# and every other row is reported less the bare row with its flags
+# bench/run.py's SETUP_CODE after its PATH_CODE: the start-up that `setup_s` times
+SETUP_CODE = "from epszeta import Modulus, zeta_any; print(repr(zeta_any(0.5, Modulus.real(2.0))))"
+# (name, interpreter flags, code after PATH_CODE, cold); the bare rows set the path only,
+# and every other row is reported less the bare row with its flags.  The cold rows come
+# last, as each removes the bytecode that the round's warm rows load
 STARTUPS = (
-    ("bare", (), "pass"),
-    ("import epszeta", (), "import epszeta"),
+    ("bare", (), "pass", False),
+    ("import epszeta", (), "import epszeta", False),
+    ("SETUP_CODE", (), SETUP_CODE, False),
     ("cli eval --fn zeta --x 0.5 --k 2", (),
-     "from epszeta.cli import main; main(['eval', '--fn', 'zeta', '--x', '0.5', '--k', '2'])"),
-    ("bare -S -I", ("-S", "-I"), "pass"),
-    ("import epszeta -S -I", ("-S", "-I"), "import epszeta"),
+     "from epszeta.cli import main; main(['eval', '--fn', 'zeta', '--x', '0.5', '--k', '2'])",
+     False),
+    ("bare -S -I", ("-S", "-I"), "pass", False),
+    ("import epszeta -S -I", ("-S", "-I"), "import epszeta", False),
+    ("import epszeta, cold", (), "import epszeta", True),
+    ("SETUP_CODE, cold", (), SETUP_CODE, True),
 )
 CLI_ROUNDS = 11
 EXPORT = ("--u-min", "0", "--u-max", "12", "--samples", "600")
@@ -292,8 +305,8 @@ def load(name, root):
 
 def micro_calls(pkg):
     """(name, calls per timing, call) for one loaded package."""
-    agm = sys.modules[pkg.__name__ + ".jacobi"]._Agm
-    panel = sys.modules[pkg.__name__ + ".quadrature"].newton_cotes_8
+    agm = pkg.jacobi._Agm
+    panel = pkg.quadrature.newton_cotes_8  # the lookup loads a lazy quadrature
     params, inflexural = pkg.ElasticaParams(0.35), pkg.ElasticaParams(2.3)
     # one quadrature node of each regime's integrand, at one t
     held = [("real 0.5", pkg.Modulus.real(0.5)), ("real 2", pkg.Modulus.real(2.0)),
@@ -401,23 +414,31 @@ def micro_sections(roots):
             {"rounds": MICRO_ROUNDS, "sides": "the parent tree loaded twice", **aa})
 
 
-def child_cpu_ms(root, flags, code):
+def child_cpu_ms(root, flags, code, cold=False):
     """CPU time (user + system) in milliseconds of a fresh interpreter running
-    PATH_CODE + code with the `src` of the checkout at root on its path."""
+    PATH_CODE + code with the `src` of the checkout at root on its path; a
+    cold one writes no bytecode, and any other may."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if cold:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     subprocess.run([sys.executable, *flags, "-c", PATH_CODE + code, str(Path(root) / "src")],
-                   check=True, capture_output=True)
+                   check=True, capture_output=True, env=env)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return (after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime) * 1e3
 
 
 def startup(roots):
-    times = {name: ([], []) for name, _, _ in STARTUPS}
+    times = {name: ([], []) for name, _, _, _ in STARTUPS}
     for i in range(STARTUP_RUNS):
+        for root in roots:  # writes the bytecode of every module the warm rows load
+            child_cpu_ms(root, (), "import epszeta.cli")
         bare = {}  # flags -> this round's bare time of each side
-        for name, flags, code in STARTUPS:
+        for name, flags, code, cold in STARTUPS:
             for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-                ms = child_cpu_ms(roots[side], flags, code)
+                if cold:
+                    clear_bytecode([roots[side]])
+                ms = child_cpu_ms(roots[side], flags, code, cold)
                 if code == "pass":
                     bare[flags, side] = ms
                 else:
