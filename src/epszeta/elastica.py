@@ -116,7 +116,7 @@ def inflexural_point(u: float, p: ElasticaParams) -> PlanePoint:
 
 
 def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
-    """n uniformly spaced parameter values with exact endpoints."""
+    """n uniformly spaced parameter values, floats, with exact endpoints."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"uniform_grid requires an integer n, got {n!r}")
     # an int or a float as it is, any other real number as float(u), as `Modulus` takes k
@@ -130,7 +130,8 @@ def uniform_grid(u_min: float, u_max: float, n: int) -> list[float]:
     if not u_max - u_min <= _MAX_FLOAT:
         raise DomainError(f"uniform_grid requires a finite span, got [{u_min!r}, {u_max!r}]")
     step = (u_max - u_min) / (n - 1)
-    return [u_min + i * step for i in range(n - 1)] + [u_max]
+    # u_min + 0 * step is a float for an int u_min too; an int u_max is made one
+    return [u_min + i * step for i in range(n - 1)] + [float(u_max)]
 
 
 def sample_curve(kind: str, p: ElasticaParams, u_min: float, u_max: float,

@@ -4,16 +4,17 @@ A `Modulus` is the one place where a modulus is validated, its range
 included, for the dispatchers `epsilon_any`, `zeta_any` and `ek_ratio`,
 the entry points, and for `epsilon` and `zeta` (epsilon_zeta.py), which
 are calls of the standard rule on the `Modulus` of |k|.  Each regime
-has one rule, a private class that
-`Modulus.__init__` builds in the branch that checked its range, once,
-into the slot `_rule`: the only branch on the regime that evaluates
-anything.  A rule holds `agm`, the one standard-range AGM kernel
-(jacobi.py) its values descend, and what its own calls read besides,
-such as the large-real rule's k; never the `Modulus`, so no reference
-cycle is made.  Every caller reads `m._rule`: the dispatchers,
-`k_e_continued`, the elastica's curves and the quadrature oracle, whose
-half period and integrand so descend the kernel that `epsilon_any`
-does.  A caller who holds a `Modulus` builds the kernel once, with it,
+has one rule, which `Modulus.__init__` builds in the branch that
+checked its range, once, into the slot `_rule`: the only branch on the
+regime that evaluates anything.  The standard rule is the AGM kernel of
+k itself (`jacobi._Agm`), which answers the rule's calls; the two other
+rules are private classes here, each holding `agm`, the one
+standard-range kernel its values descend, and what its own calls read
+besides, such as the large-real rule's k.  No rule holds the `Modulus`,
+so no reference cycle is made.  Every caller reads `m._rule`: the
+dispatchers, `k_e_continued`, the elastica's curves and the quadrature
+oracle, whose half period and integrand so descend the kernel that
+`epsilon_any` does.  A caller who holds a `Modulus` builds the kernel once, with it,
 and each value after that costs one descent.
 
 In every regime epsilon is a linear term plus a periodic part, as the
@@ -39,25 +40,25 @@ of the reduced amplitude (past the primary cell, where a node lies only
 by a rounding at the half period, that of `agm.phase`): its square is formed from cos am, with
 dn^2 = k'^2 + k^2 cos^2 am and cn^2 = cos^2 am, where the sign of an
 odd period index drops out, so no Z, sin, sqrt or tuple is made, and
-no function is built per call: the method reads `agm` and k from its
-rule.  At k = 1 the kernel's limit gives cos am = sech t itself and
+no function is built per call: the method reads its kernel and k from
+its rule.  At k = 1 the kernel's limit gives cos am = sech t itself and
 k'^2 = 0 (jacobi.py), so the standard integrand has one form.  The two
 real-modulus rules also give `columns(us, s)`, all an elastica curve
 needs and no more: the columns of cn of their own k and of P at every
-x = u + s of a list, from one batch descent (`_Agm.phases`, jacobi.py),
-which checks each x in its one loop and refuses, at the first x that
-fails, what one descent of it would.  Past the reduction bound of the
-descent, where Z keeps no correct digit, `epsilon_any` returns the
-linear term slope x: the periodic part is at most about 2^-50 of it
-there.  Signs of moduli are stripped up front: epsilon and zeta are even
+x = u + s of a list, from one batch descent (`_Agm.phases`, jacobi.py,
+which gives the columns of cn and Z), which checks each x in its one
+loop and refuses, at the first x that fails, what one descent of it
+would.  Past the reduction bound of the descent, where Z keeps no
+correct digit, `epsilon_any` returns the linear term slope x: the
+periodic part is at most about 2^-50 of it there.  Signs of moduli are stripped up front: epsilon and zeta are even
 in the modulus.
 
-`_Standard`, 0 <= k <= 1, descends the kernel of k itself, or its
+The standard rule, 0 <= k <= 1, is the kernel of k itself, or its
 k = 1 limit `jacobi._Unit`, built on the k that `Modulus.__init__`
 checked, not through `jacobi._kernel`, which would check it again: P = Z
-is King's sum and the slope E/K is the kernel's; its columns are
-cn(x, k) and Z for 0 <= k < 1 (the curves refuse k = 1), its integrand
-dn^2(t, k).
+is King's sum, the slope E/K and the half period K are the kernel's; its
+columns are its batch's cn(x, k) and Z for 0 <= k < 1 (the curves refuse
+k = 1), its integrand dn^2(t, k).
 
 `_LargeReal`, real k > 1, reduces through the reciprocal modulus (DLMF
 22.17.14 and 19.7.3) on the kernel of 1/k, built on the complement
@@ -129,8 +130,8 @@ Each fact is checked once, on the path of a fresh-modulus call:
                                    `jacobi._kernel`)
     k lies in its regime's range   `Modulus.__init__`, one comparison a
                                    bound, in the branch that builds the
-                                   rule; a standard k too, as the rule
-                                   builds its kernel without `_kernel`
+                                   rule; a standard k too, as that branch
+                                   builds the kernel without `_kernel`
     x is a real number             the dispatcher, as a float by its type;
                                    `errors._real` converts any other
     x is finite and reducible      the descent (`_Agm.phase`, `_bad_x`);
@@ -223,7 +224,7 @@ class Modulus(_Value):
         if regime is _STANDARD:
             if not 0.0 <= k <= 1.0:
                 raise DomainError(f"standard regime requires k in [0, 1], got k={k!r}")
-            _set_rule(self, _Standard(k))
+            _set_rule(self, _Agm(k) if k < 1.0 else _Unit())
         elif regime is _LARGE_REAL:
             if not k > 1.0:
                 raise DomainError(f"large-real regime requires k > 1, got k={k!r}")
@@ -269,36 +270,6 @@ _set_regime, _set_k, _set_rule = Modulus.regime.__set__, Modulus.k.__set__, Modu
 _new = object.__new__
 
 
-class _Standard:
-    # the rule for 0 <= k <= 1 (module docstring): the kernel of k itself, or
-    # its k = 1 limit, of the k that `Modulus.__init__` checked
-    __slots__ = ("agm", "slope")
-    w = drift = 0.0  # no Legendre terms: E/K and Z are real
-
-    def __init__(self, k):
-        self.agm = agm = _Agm(k) if k < 1.0 else _Unit()
-        self.slope = agm.ek
-
-    # the integrand's half period K, in t: inf at k = 1
-    half = property(operator.attrgetter("agm.K"))
-
-    def periodic(self, x):
-        return self.agm.phase(x)[2]
-
-    def columns(self, us, s):
-        # the kernel's cn and Z at each x = u + s, from one batch descent of
-        # 0 <= k < 1 (the curves refuse k = 1)
-        phis, ns, zs = self.agm.phases([u + s for u in us])
-        return [-c if n % 2 else c for c, n in zip(map(math.cos, phis), ns)], zs
-
-    def integrand(self, t):
-        # dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as `jacobi` forms
-        # it before its sqrt; at k = 1 cos am is sech t and k'^2 = 0
-        agm = self.agm
-        c = agm.cos_phase(t)
-        return agm.kp2 + (1.0 - agm.kp2) * c * c
-
-
 class _LargeReal:
     # the rule for real k > 1 (module docstring), built once per modulus on
     # the kernel of 1/k
@@ -333,12 +304,12 @@ class _LargeReal:
 
     def columns(self, us, s):
         # cn of k = dn(kx, 1/k) and P = k Z(kx, 1/k) at each x = u + s, from one
-        # batch descent at the kx (DLMF 22.17.14); dn^2 = k'^2 + k^2 cos^2 am as
-        # `_Agm.jacobi` forms it, where the sign of an odd period drops out
+        # batch descent at the kx (DLMF 22.17.14); dn^2 = k'^2 + k^2 cn^2 of the
+        # batch's cn, as `_Agm.jacobi` forms it
         k, agm = self.k, self.agm
-        phis, _, zs = agm.phases([k * (u + s) for u in us])
+        cns, zs = agm.phases([k * (u + s) for u in us])
         kp2, q = agm.kp2, 1.0 - agm.kp2
-        return [math.sqrt(kp2 + q * c * c) for c in map(math.cos, phis)], [k * z for z in zs]
+        return [math.sqrt(kp2 + q * c * c) for c in cns], [k * z for z in zs]
 
     def periodic(self, x):
         k = self.k
@@ -363,7 +334,7 @@ class _Imaginary:
     def __init__(self, k):
         h = hypot(1.0, k)
         self.agm = agm = _Agm(k / h, 1.0 / h)
-        self.slope = agm.ek / agm.kp2
+        self.slope = agm.slope / agm.kp2
         # k1^2 of the sn cn term, and of dn^2 taken as 1 - k1p^2 (`_Agm.jacobi`)
         self.k1k1, self.q = agm.k * agm.k, 1.0 - agm.kp2
 
@@ -383,7 +354,7 @@ class _Imaginary:
         return self.agm.K * self.agm.kp
 
     def integrand(self, t):
-        # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as in `_Standard`
+        # 1/dn^2(t/k1p, k1) = 1/(k1p^2 + k1^2 cos^2 am(t/k1p)), as `_Agm.integrand`
         agm = self.agm
         c = agm.cos_phase(t / agm.kp)
         return 1.0 / (agm.kp2 + (1.0 - agm.kp2) * c * c)

@@ -23,9 +23,10 @@ kernel keeps a(N), the c(n) and the ratios c(n)/a(n), and from them
     1 - E/K = sum_{n>=0} 2^(n-1) c(n)^2,   E/K = a1^2 - sum_{n>=2} 2^(n-1) c(n)^2,
 
 each form free of cancellation where the other loses digits (k -> 0 and
-k -> 1), and E = K (E/K).  Each step squares the nome q = exp(-pi K'/K),
-K' the K of the complement k', so the last ratio r = c(N)/a(N) also
-gives K'/K (`period_ratio`), with no second AGM for K'.
+k -> 1), and E = K (E/K); the kernel keeps E/K as `slope`.  Each step
+squares the nome q = exp(-pi K'/K), K' the K of the complement k', so
+the last ratio r = c(N)/a(N) also gives K'/K (`period_ratio`), with no
+second AGM for K'.
 
 At any x a single phase descent,
 
@@ -52,12 +53,15 @@ and `phases` reduce x and check it against the bound:
 - `phase(x)`, the one-x descent of the public routines and dispatchers,
   gives (phi, n, z);
 - `phases(xs)`, the batch of many x at one k that an elastica curve
-  takes, gives the columns (phi, n, z) of `phase` over a list: one loop
-  over the list runs the same operations in the same order at each x,
-  the check of x and its reduction included, z starting at 0.0.  It
-  skips the call, the attribute lookups and the tuple of one `phase` per
-  x (a loop of the steps over all x, step by step, was slower in pure
-  Python), and it raises what `phase` raises at the first x that fails;
+  takes, gives the two columns the curves read over a list: cn, the
+  cos phi of `phase` negated for an odd n, and z.  One loop over the
+  list runs the same operations in the same order at each x as `phase`,
+  the check of x and its reduction included, z starting at 0.0, then
+  takes the cosine of phi and its sign; no phi, n or parity column is
+  built.  It skips the call, the attribute lookups and the tuple of one
+  `phase` per x (a loop of the steps over all x, step by step, was
+  slower in pure Python), and it raises what `phase` raises at the first
+  x that fails;
 - `cos_phase(x)`, a quadrature node's, gives cos phi alone, which is
   +-cos am(x) (the sign of an odd period dropped), as an integrand
   squares it.  In the primary cell |x| <= K, where every quadrature node
@@ -67,6 +71,16 @@ and `phases` reduce x and check it against the bound:
   n = 0, and x - 2K 0 is x itself, -0.0 included.  Outside the cell,
   NaN and the infinities included, it is cos of `phase`'s phi, so it
   checks x as `phase` does, raising the same error.
+
+The kernel of 0 <= k < 1 is also the standard regime's rule
+(extended.py): a standard `Modulus` keeps its `_Agm`, or `_Unit` at
+k = 1, as its rule, and the kernel answers the rule's calls itself,
+with no object around it: `slope` E/K, `half` K (the integrand's half
+period), the Legendre terms `w = drift = 0.0`, `periodic(x)` the z of
+`phase`, `integrand(t)` dn^2 = k'^2 + k^2 cos^2 phi from `cos_phase`,
+and `columns(us, s)` its batch at each x = u + s.  `_Unit` takes
+`periodic` and `integrand` from `_Agm`; the curves refuse k = 1, so it
+has no `columns`.
 
 Every public routine here is `_kernel(k)` and at most one descent
 (epsilon_zeta.py's go through the standard `Modulus` of |k| instead).
@@ -102,6 +116,7 @@ names a phi that is not a finite float before reducing it.
 """
 
 import math
+import operator
 from collections import namedtuple
 from math import asin, cos, ldexp, sin, sqrt
 
@@ -121,9 +136,12 @@ EllipticPair.__doc__ = ("Complete integrals (K, E) of one modulus; "
 
 
 class _Agm:
-    """Descending AGM of one modulus 0 <= k < 1, built once and descended at any x."""
+    """Descending AGM of one modulus 0 <= k < 1, built once and descended at any x;
+    the standard regime's rule (extended.py) for its k."""
 
-    __slots__ = ("k", "kp", "kp2", "K", "E", "ek", "one_minus_ek", "_period", "_scale", "_steps")
+    __slots__ = ("k", "kp", "kp2", "K", "E", "slope", "one_minus_ek", "_period", "_scale",
+                 "_steps")
+    w = drift = 0.0  # as a rule: no Legendre terms, E/K and Z are real
 
     def __init__(self, k, kp=None):
         # kp = sqrt(1 - k^2), passed when the caller knows it more accurately
@@ -164,12 +182,15 @@ class _Agm:
         self.K = math.pi / (2.0 * a)
         # E/K and 1 - E/K, each summed where it has no cancellation: E/K as
         # k -> 1, 1 - E/K = k^2/2 + c1^2 + tail as k -> 0
-        self.ek = a1 * a1 - tail
+        self.slope = a1 * a1 - tail
         self.one_minus_ek = 0.5 * k * k + c1 ** 2 + tail
-        self.E = self.K * self.ek
+        self.E = self.K * self.slope
         self._period = 2.0 * self.K
         self._scale = ldexp(a, len(steps))
         self._steps = tuple(steps)
+
+    # the integrand's half period K, in t
+    half = property(operator.attrgetter("K"))
 
     def phase(self, x):
         """(phi, n, z) at x: am(x) = phi + n pi with |phi| <= pi/2, and Z(x) = z."""
@@ -201,11 +222,12 @@ class _Agm:
         return cos(phi)
 
     def phases(self, xs):
-        """The columns [phi], [n], [z] of `phase` over the list xs, bit for bit
-        (module docstring); raises as `phase` at the first x that fails."""
-        period, scale, steps, sin, asin = (
-            self._period, self._scale, self._steps, math.sin, math.asin)
-        phis, ns, zs = [], [], []
+        """The columns [cn], [z] over the list xs: cn(x) = +-cos phi, negated
+        for an odd n, and z of `phase(x)`, bit for bit (module docstring);
+        raises as `phase` at the first x that fails."""
+        period, scale, steps, sin, asin, cos = (
+            self._period, self._scale, self._steps, math.sin, math.asin, math.cos)
+        cns, zs = [], []
         for x in xs:
             t = x / period
             if not abs(t) <= _MAX_PERIODS:
@@ -217,10 +239,10 @@ class _Agm:
                 s = sin(phi)
                 z += c * s
                 phi = 0.5 * (phi + asin(r * s))
-            phis.append(phi)
-            ns.append(n)
+            cn = cos(phi)
+            cns.append(-cn if n % 2 else cn)
             zs.append(z)
-        return phis, ns, zs
+        return cns, zs
 
     def period_ratio(self):
         """K'/K, K' the K of the complement k', from the nome q = exp(-pi K'/K).
@@ -244,13 +266,31 @@ class _Agm:
         kp2 = self.kp2
         return sn, cn, math.sqrt(kp2 + (1.0 - kp2) * cn * cn), z
 
+    # the standard rule's calls (extended.py): P = Z, King's sum, and the
+    # integrand dn^2 = k'^2 + k^2 cos^2 am(t) from one bare descent, as
+    # `jacobi` forms it before its sqrt; at k = 1 (`_Unit`) cos am is sech t
+    # and k'^2 = 0
+    def periodic(self, x):
+        return self.phase(x)[2]
+
+    def integrand(self, t):
+        c = self.cos_phase(t)
+        return self.kp2 + (1.0 - self.kp2) * c * c
+
+    def columns(self, us, s):
+        # cn and Z at each x = u + s, from one batch descent (the curves refuse k = 1)
+        return self.phases([u + s for u in us])
+
 
 class _Unit:
     """The k = 1 limit of `_Agm` (module docstring): phase gives (gd x, 0, tanh x),
     and cos_phase sech x, the cosine of am = gd x, not formed through gd x."""
 
     __slots__ = ()
-    k, kp2, K, E, ek = 1.0, 0.0, math.inf, 1.0, 0.0
+    k, kp2, E, slope = 1.0, 0.0, 1.0, 0.0
+    K = half = math.inf
+    w = drift = 0.0
+    periodic, integrand = _Agm.periodic, _Agm.integrand
 
     def phase(self, x):
         if not abs(x) <= _MAX_FLOAT:
@@ -318,7 +358,7 @@ def incomplete_e(phi: float, k: float) -> float:
     phi -= n * math.pi
     s, c, k = math.sin(phi), math.cos(phi), agm.k
     f = s * rf(c * c, (1.0 - k * s) * (1.0 + k * s), 1.0)
-    return agm.phase(f)[2] + agm.ek * f + 2.0 * n * agm.E
+    return agm.phase(f)[2] + agm.slope * f + 2.0 * n * agm.E
 
 
 def amplitude(x: float, k: float) -> float:

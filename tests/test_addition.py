@@ -42,7 +42,7 @@ def sn_and_parameter(m):
     if m.regime is Regime.LARGE_REAL:
         k, agm = m.k, rule.agm
         return (lambda x: agm.jacobi(k * x)[0] / k), k * k
-    return (lambda x: rule.agm.jacobi(x)[0]), m.k * m.k
+    return (lambda x: rule.jacobi(x)[0]), m.k * m.k  # a standard rule is its kernel
 
 
 def residual_ulps(m, u, v):

@@ -15,11 +15,11 @@ import pytest
 
 import goldens
 from carlson_ref import carlson_e, carlson_k_e
-from epszeta import (DomainError, Modulus, amplitude, complete_e, complete_k,
-                     ek_ratio, epsilon, incomplete_e, k_e_continued, sncndn, zeta,
-                     zeta_any)
+from epszeta import (DomainError, ElasticaParams, Modulus, amplitude, complete_e, complete_k,
+                     ek_ratio, epsilon, epsilon_any, epsilon_by_quadrature, flexural_point,
+                     incomplete_e, k_e_continued, sncndn, zeta, zeta_any)
 from epszeta.extended import _MAX_LARGE
-from epszeta.jacobi import _Agm
+from epszeta.jacobi import _Agm, _Unit
 
 MODULI = (1e-12, 1e-6, 0.3, 0.9, 0.999, 1.0 - 1e-9, 1.0 - 1e-15)
 XS = np.concatenate(([-10.0, 0.0, 10.0], np.random.default_rng(61).uniform(-10.0, 10.0, 60)))
@@ -163,6 +163,23 @@ def test_large_real_calls_build_one_kernel(monkeypatch):
         assert built == ([kernel[::-1]] if k <= root2 else []), k
 
 
+def test_standard_rule_is_its_kernel(monkeypatch):
+    # a standard Modulus keeps the kernel of k itself as its rule, or its
+    # k = 1 limit, and a fresh standard call builds that one kernel
+    rule = Modulus.real(0.5)._rule
+    assert type(rule) is _Agm and rule.k == 0.5
+    assert type(Modulus.real(1.0)._rule) is _Unit
+    built = []
+    init = _Agm.__init__
+    monkeypatch.setattr(_Agm, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for call in (lambda: epsilon_any(0.7, Modulus.real(0.5)),
+                 lambda: epsilon_by_quadrature(0.7, Modulus.real(0.5)),
+                 lambda: flexural_point(0.7, ElasticaParams(0.5))):
+        built.clear()
+        call()
+        assert built == [(0.5,)]
+
+
 # the batch descent against one `phase` call per x, bit for bit (repr tells
 # every float apart, the sign of zero included): standard moduli, the
 # large-real kernels of 1/k and the i*k kernels of k1, each on its exact
@@ -187,10 +204,14 @@ def descent_xs(agm):
 
 @pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))
 def test_batch_descent_is_phase_bit_for_bit(agm):
+    # the batch's columns are cn = +-cos phi, negated for an odd n, and z
     xs = descent_xs(agm)
-    columns = tuple(map(list, zip(*map(agm.phase, xs))))
-    assert repr(agm.phases(xs)) == repr(columns)
-    assert repr(agm.phases([-0.0])) == repr(([-0.0], [0], [0.0]))
+    cns, zs = [], []
+    for phi, n, z in map(agm.phase, xs):
+        cns.append(-math.cos(phi) if n % 2 else math.cos(phi))
+        zs.append(z)
+    assert repr(agm.phases(xs)) == repr((cns, zs))
+    assert repr(agm.phases([-0.0])) == repr(([1.0], [0.0]))
 
 
 @pytest.mark.parametrize("agm", BATCH_KERNELS, ids=lambda agm: repr(agm.k))

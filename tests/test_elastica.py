@@ -305,6 +305,9 @@ class TestSampleCurve:
         assert grid[0] == 0.0
         assert grid[-1] == 0.3
         assert len(grid) == 4
+        # int endpoints give floats, the last one too
+        assert repr(uniform_grid(0, 12, 3)) == repr([0.0, 6.0, 12.0])
+        assert repr(uniform_grid(-3, 1, 2)) == repr([-3.0, 1.0])
 
     def test_uniform_grid_rejects_non_integer_count(self):
         for n in (2.5, 3.0, True, "4", None):

@@ -22,7 +22,7 @@ from epszeta import (DomainError, ElasticaParams, Modulus, Regime, amplitude,
                      inflexural_point, rf, sncndn, uniform_grid, zeta, zeta_any)
 from epszeta import extended
 from epszeta.extended import _MAX_IMAG, _MAX_LARGE
-from epszeta.jacobi import _kernel
+from epszeta.jacobi import _Agm, _kernel, _Unit
 from raw_k import (ek_ratio_large_real, epsilon_imaginary, epsilon_large_real,
                    epsilon_large_real_via_zeta, imaginary_submoduli,
                    k_e_continued, reciprocal_companion, zeta_imaginary,
@@ -820,7 +820,7 @@ class TestDispatchers:
             def periodic(self, x):
                 return value if real else 0.0
 
-        monkeypatch.setattr(extended, "_Standard", Rule)
+        monkeypatch.setattr(extended, "_Agm", Rule)
         m = Modulus.real(0.5)
         formed = {epsilon_any: value + 0.0 if real else 0.0 + value * 1.0,
                   zeta_any: (complex(value + 0.0, 0.0) if real
@@ -835,8 +835,8 @@ class TestDispatchers:
                     fn(1.0, m)
 
     @pytest.mark.parametrize("fn, make, k, calls", [
-        (epsilon_any, Modulus.real, 0.5, 7), (epsilon_any, Modulus.real, 2.5, 8),
-        (epsilon_any, Modulus.imaginary, 2.5, 7), (zeta_any, Modulus.real, 0.5, 8),
+        (epsilon_any, Modulus.real, 0.5, 6), (epsilon_any, Modulus.real, 2.5, 8),
+        (epsilon_any, Modulus.imaginary, 2.5, 7), (zeta_any, Modulus.real, 0.5, 7),
         (zeta_any, Modulus.real, 2.5, 9), (zeta_any, Modulus.imaginary, 2.5, 8)])
     def test_python_calls_of_a_fresh_modulus_call(self, fn, make, k, calls):
         # the Python-level frames of one fresh-modulus call, pinned: a change
@@ -844,7 +844,7 @@ class TestDispatchers:
         names = python_calls(lambda: fn(0.7, make(k)))
         assert len(names) == calls, names
 
-    @pytest.mark.parametrize("fn, calls", [(epsilon, 7), (zeta, 6)])
+    @pytest.mark.parametrize("fn, calls", [(epsilon, 6), (zeta, 5)])
     def test_python_calls_of_an_x_k_call(self, fn, calls):
         # epsilon(x, k) and zeta(x, k) take a float k as `Modulus.real` takes
         # it; any other real number, numpy's float64 too, goes through
@@ -887,18 +887,20 @@ def test_rule_contract(m):
         assert abs(z - (eps - lower * x)) <= 1e-13 * scale, (x, z, eps)
         assert zeta_any(x, m, "upper") == z.conjugate()
     assert zeta_any(0.0, m) == 0j and zeta_any(0.0, m, "upper") == 0j
-    # no rule holds the modulus, which would make a reference cycle; each holds
-    # the kernel of its standard-range modulus
+    # no rule holds the modulus, which would make a reference cycle; a
+    # standard modulus's rule is the kernel of k itself, or its k = 1 limit,
+    # and each other rule holds the kernel of its standard-range modulus
     rule = m._rule
     assert not any(isinstance(getattr(rule, name), Modulus) for name in type(rule).__slots__)
     if m.regime is Regime.STANDARD:
-        reduced = m.k
+        agm, reduced = rule, m.k
+        assert type(rule) is (_Unit if m.k == 1.0 else _Agm)
     elif m.regime is Regime.LARGE_REAL:
-        reduced = 1.0 / m.k
+        agm, reduced = rule.agm, 1.0 / m.k
     else:
-        reduced = m.k / math.hypot(1.0, m.k)
-    assert rule.agm.k == reduced
-    assert (rule.agm.K == math.inf) is (reduced == 1.0)
+        agm, reduced = rule.agm, m.k / math.hypot(1.0, m.k)
+    assert agm.k == reduced
+    assert (agm.K == math.inf) is (reduced == 1.0)
 
 
 # the moduli of the curves, which refuse k = 1
@@ -914,9 +916,10 @@ def test_real_rule_jacobi(m):
     # slope x + P bit for bit, and cn is the scalar kernel's, cn(x, k) for
     # k < 1 and dn(kx, 1/k) past k = 1 (DLMF 22.17.14), also at a shift s
     rule, k = m._rule, m.k
+    agm = rule if m.regime is Regime.STANDARD else rule.agm  # a standard rule is its kernel
     xs = [x / k if k > 1.0 else x  # kx stays within the period reduction
           for x in (-7.3, -0.4, -0.0, 0.0, 1e-300, 0.25, 1.0, 3.3, 40.0)]
-    for s in (0, 0.5 * rule.agm.K / max(1.0, k)):
+    for s in (0, 0.5 * agm.K / max(1.0, k)):
         cns, ps = rule.columns(xs, s)
         assert len(cns) == len(ps) == len(xs)
         for u, cn, p in zip(xs, cns, ps):
@@ -925,7 +928,7 @@ def test_real_rule_jacobi(m):
             if m.regime is Regime.STANDARD:
                 assert cn == _kernel(k).jacobi(x)[1], x
             else:
-                assert cn == rule.agm.jacobi(k * x)[2], x
+                assert cn == agm.jacobi(k * x)[2], x
 
 
 @pytest.mark.parametrize("tag, m, x", [

@@ -26,11 +26,21 @@ JSON printed has eight parts:
   `pooled.setup_s` gives it once more over the runs of all workloads,
   each pair of runs kept as a pair: three times the pairs of one
   workload's copy.
-- `per_layer`: for each workload, one `bench/run.py --seed SEED --trace 1`
-  run of `TRACE_SECONDS` per side, the change's after the parent's: the
-  per-layer metrics of each side (call and evaluation counts per op,
-  self time per op, the per-regime maximum error), beside `failed` and
-  `correct`.
+- `per_layer`: for each side, in its own interpreter, the per-layer
+  metrics of `bench/run.py --trace 1` over the same fixed prefix of the
+  rows of seed SEED as `counts` (`COUNT_ROWS`): one untimed pass over
+  the prefix loads the layers it uses and warms them, then `LAYER_PASSES`
+  untraced passes alternate with as many inside the checkout's
+  `bench/spans.Tracer`, so that the host's drift falls on both kinds of
+  pass alike (curve-export, whose op makes few traced calls, still reads
+  a time ratio within a few per cent of 1 either way), which give the
+  call and evaluation counts per op, each layer's self time
+  per op in microseconds on the host that runs it (not scaled to the benchmark's
+  reference speed), the traced to untraced wall-time ratio and the
+  per-regime maximum error of `bench/reference.py`, beside the rows that
+  raised.  Both sides so count over the same rows, and their counts read
+  equal where they do the same work; a time-bounded traced run would
+  average each side over a different number of rows.
 - `counts`: for each side, in its own interpreter, the operations of a
   fixed prefix of the rows of seed SEED (`COUNT_ROWS`) run untimed,
   with counters on `_Agm` builds, the calls of its `phase`, `cos_phase`
@@ -38,9 +48,8 @@ JSON printed has eight parts:
   every rule's `integrand`, split into those of the trapezoidal J (the
   `_half_period` calls) and those of the rest (the `integrate` calls),
   and the `newton_cotes_8` panels, which are the rest's alone.  The trace
-  of `per_layer` sees public names only and its runs stop at a time, so
-  the same work reads as different counts; these read equal where the
-  two sides do the same work.
+  of `per_layer` sees public names only; these count the private kernel
+  and rules too.
 - `micro_us`: both source trees loaded in this one process under
   different package names, and each call below timed for each side in
   turn, `MICRO_ROUNDS` rounds, the order flipped on every other round;
@@ -111,7 +120,7 @@ from pathlib import Path
 PAIRS, SEED = 10, 1
 # (workload, rows) of the `counts` part, the first rows of seed SEED
 COUNT_ROWS = (("quadrature-oracle", 3000), ("curve-export", 50), ("mixed-points", 20000))
-TRACE_SECONDS = 10
+LAYER_PASSES = 5
 MICRO_ROUNDS = 15
 STARTUP_RUNS = 21
 PATH_CODE = "import sys; sys.path.insert(0, sys.argv[1]); "
@@ -147,12 +156,12 @@ CLI_COMMANDS = (
 )
 
 
-def bench_run(root, workload, seconds, trace=0):
-    """The result line of one `bench/run.py` run of the checkout at root,
-    which writes no bytecode."""
+def bench_run(root, workload, seconds):
+    """The result line of one untraced `bench/run.py` run of the checkout at
+    root, which writes no bytecode."""
     out = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=root, check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -202,24 +211,91 @@ def metric_row(unit, values, better):
             "parent_runs": values[0], "change_runs": values[1]}
 
 
-def per_layer(roots, workloads):
-    table = {}
-    for w in workloads:
-        sides = [bench_run(root, w, TRACE_SECONDS, trace=1) for root in roots]
-        print(f"traced {w}", file=sys.stderr)
-        row = {"failed": [r["failed"] for r in sides], "correct": all(r["correct"] for r in sides)}
-        for name, entry in sides[0]["metrics"].items():
-            row[name] = {"unit": entry["unit"], "parent": sides[0]["metrics"][name]["value"],
-                         "change": sides[1]["metrics"][name]["value"]}
-        table[w] = row
-    return table
+def import_checkout(root):
+    """Put the checkout at root's `bench` and `src` first on sys.path."""
+    for part in ("bench", "src"):
+        sys.path.insert(0, str(Path(root) / part))
+
+
+def run_rows(op, rows, call=None):
+    """(wall ns, rows that raised) of op over rows, each through call if given."""
+    raised = 0
+    start = time.perf_counter_ns()
+    for row in rows:
+        try:
+            if call:
+                call(op, row)
+            else:
+                op(*row)
+        except Exception:
+            raised += 1
+    return time.perf_counter_ns() - start, raised
+
+
+def layer_rows(root):
+    """Print, as JSON, the metrics of the `per_layer` part (module docstring)
+    for the checkout at root; run in an interpreter of its own."""
+    import_checkout(root)
+    import epszeta
+    from reference import golden_max_rel_err, load_goldens
+    from spans import LAYERS, Tracer
+    from workloads import WORKLOADS
+    result = {}
+    for name, rows in COUNT_ROWS:
+        workload = WORKLOADS[name]
+        prefix = list(islice(workload.rows(SEED), rows))
+        # the untimed pass loads the lazy layers before a tracer's block opens,
+        # which wraps the bindings that exist then
+        run_rows(workload.op, prefix)
+        tracer, plain_ns, traced_ns = Tracer(), 0, 0
+        for _ in range(LAYER_PASSES):
+            ns, raised = run_rows(workload.op, prefix)
+            plain_ns += ns
+            with tracer:
+                traced_ns += run_rows(workload.op, prefix, tracer.run)[0]
+        calls, ops = tracer.calls, tracer.ops
+
+        def per_op(*prefixes):
+            return sum(v for k, v in calls.items() if k.startswith(prefixes)) / ops
+
+        metrics = {
+            "carlson.calls_per_op": per_op("carlson."),
+            "jacobi.complete_calls_per_op": per_op("jacobi.complete_k", "jacobi.complete_e"),
+            "jacobi.amplitude_calls_per_op": calls["jacobi.amplitude"] / ops,
+            "epsilon_zeta.calls_per_op": per_op("epsilon_zeta."),
+            "quadrature.integrand_evals_per_op": tracer.integrand_evals / ops,
+            "quadrature.panels_per_op": calls["quadrature.newton_cotes_8"] / ops,
+            "trace.overhead_ratio": traced_ns / plain_ns,
+        }
+        for layer in LAYERS + ("harness",):
+            metrics[f"{layer}.self_us_per_op"] = tracer.self_ns[layer] / ops / 1e3
+        result[name] = {"raised": raised, **metrics}
+    goldens = load_goldens(Path(root) / "tests" / "goldens.py")
+    result["accuracy"] = {f"accuracy.max_rel_err.{regime}": err
+                          for regime, err in golden_max_rel_err(goldens, epszeta).items()}
+    print(json.dumps(result))
+
+
+def child_json(root, function):
+    """The JSON that bench_pair.function(root) prints in an interpreter of its own."""
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            f"import bench_pair; bench_pair.{function}(sys.argv[1])")
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", code, root], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout)
+
+
+def per_layer(roots):
+    """The `per_layer` part: each metric of each side over the same rows."""
+    sides = [child_json(root, "layer_rows") for root in roots]
+    return {name: {key: {"parent": parent[key], "change": change[key]} for key in parent}
+            for name, parent, change in zip(sides[0], *(side.values() for side in sides))}
 
 
 def count_rows(root):
     """Print, as JSON, the counts of the `counts` part (module docstring) for
     the checkout at root; run in an interpreter of its own."""
-    for part in ("bench", "src"):
-        sys.path.insert(0, str(Path(root) / part))
+    import_checkout(root)
     from workloads import WORKLOADS
     jacobi, extended, quadrature = (sys.modules["epszeta." + name]
                                     for name in ("jacobi", "extended", "quadrature"))
@@ -262,11 +338,7 @@ def count_rows(root):
     for name, rows in COUNT_ROWS:
         workload = WORKLOADS[name]
         tally.clear()
-        for row in islice(workload.rows(SEED), rows):
-            try:
-                workload.op(*row)
-            except Exception:
-                tally["raised"] += 1
+        tally["raised"] += run_rows(workload.op, islice(workload.rows(SEED), rows))[1]
         if tally["integrand evals"]:
             tally["integrand evals, rest"] = (tally["integrand evals"]
                                               - tally["integrand evals, trapezoidal J"])
@@ -277,11 +349,7 @@ def count_rows(root):
 def counts(roots):
     """The `counts` part: each side's counts and the change less the parent,
     where it differs."""
-    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
-            "import bench_pair; bench_pair.count_rows(sys.argv[1])")
-    sides = [json.loads(subprocess.run(
-        [sys.executable, "-c", code, root], check=True, capture_output=True, text=True,
-        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}).stdout) for root in roots]
+    sides = [child_json(root, "count_rows") for root in roots]
     table = {}
     for name, rows in COUNT_ROWS:
         parent, change = (side[name] for side in sides)
@@ -497,9 +565,10 @@ def main(argv):
         "end_to_end": {"command": f"bench/run.py --seed {SEED} --seconds {seconds} --trace 0, "
                                   f"{PAIRS} alternating pairs",
                        **end_to_end(roots, workloads, better, seconds)},
-        "per_layer": {"command": f"bench/run.py --seed {SEED} --seconds {TRACE_SECONDS} "
-                                 "--trace 1, one run per side",
-                      **per_layer(roots, workloads)},
+        "per_layer": {"seed": SEED, "rows": dict(COUNT_ROWS),
+                      "passes": LAYER_PASSES,
+                      "self_us": "on the host that runs it, not at reference speed",
+                      **per_layer(roots)},
         "counts": {"seed": SEED, **counts(roots)},
     }
     result["micro_us"], result["micro_aa_us"] = micro_sections(roots)
